@@ -109,7 +109,8 @@ def comm_leq(
     return dominated(to_partition(t), to_partition(t2))
 
 
-def _freeze(t: CommMonomial) -> tuple[tuple[int, int], ...]:
+def freeze_monomial(t: CommMonomial) -> tuple[tuple[int, int], ...]:
+    """Hashable form of a normalized monomial: its sorted (letter, exponent) pairs."""
     return tuple(sorted(t.items()))
 
 
@@ -126,14 +127,14 @@ def comm_leq_oracle(t: Mapping[int, int], t2: Mapping[int, int]) -> bool:
     target = to_partition(t2)
     if not dominated(to_partition(t), target):
         return False
-    goal = _freeze(t2)
-    start = _freeze(t)
+    goal = freeze_monomial(t2)
+    start = freeze_monomial(t)
     seen = {start}
     queue = deque([t])
     while queue:
         state = queue.popleft()
-        for succ in _comm_successors(state):
-            key = _freeze(succ)
+        for succ in comm_successors(state):
+            key = freeze_monomial(succ)
             if key in seen or not dominated(to_partition(succ), target):
                 continue
             if key == goal:
@@ -143,15 +144,22 @@ def comm_leq_oracle(t: Mapping[int, int], t2: Mapping[int, int]) -> bool:
     return False
 
 
-def _comm_successors(t: CommMonomial) -> list[CommMonomial]:
-    out = [monomial_product(t, {1: 1})]
+def comm_successors(t: CommMonomial, n: int | None = None) -> list[CommMonomial]:
+    """Multiply a normalized ``t`` by x1, or trade an x_i for x_{i+1} (i < n).
+
+    Each move adds one box to the partition: these are the covers of ``t``.
+    """
+    up = dict(t)
+    up[1] = up.get(1, 0) + 1
+    out = [up]
     for i in t:
-        succ = dict(t)
-        succ[i] -= 1
-        if succ[i] == 0:
-            del succ[i]
-        succ[i + 1] = succ.get(i + 1, 0) + 1
-        out.append(succ)
+        if n is None or i < n:
+            succ = dict(t)
+            succ[i] -= 1
+            if succ[i] == 0:
+                del succ[i]
+            succ[i + 1] = succ.get(i + 1, 0) + 1
+            out.append(succ)
     return out
 
 

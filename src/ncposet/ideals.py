@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .ncorder import covers_up
+from .ncorder import covers_up, raisings
 from .words import (
     Word,
     canonical_key,
@@ -72,14 +72,6 @@ def ideal_member(m: Sequence[int], ideal: IdealGens) -> bool:
     return any(is_factor(g, w) for g in ideal.gens)
 
 
-def _raisings(g: Word, n: int) -> list[Word]:
-    return [
-        g[:j] + (letter + 1,) + g[j + 1 :]
-        for j, letter in enumerate(g)
-        if letter < n
-    ]
-
-
 def strongly_stable_closure(ideal: IdealGens) -> IdealGens:
     """Least strongly stable ideal containing the given one.
 
@@ -94,7 +86,7 @@ def strongly_stable_closure(ideal: IdealGens) -> IdealGens:
         additions = {
             w
             for g in current.gens
-            for w in _raisings(g, ideal.n)
+            for _, w in raisings(g, ideal.n)
             if not ideal_member(w, current)
         }
         if not additions:
@@ -141,7 +133,7 @@ def is_strongly_stable(ideal: IdealGens, rank_bound: int) -> StabilityCheck:
 
     generator_witness = None
     for g in sorted(ideal.gens, key=canonical_key):
-        for w in _raisings(g, ideal.n):
+        for _, w in raisings(g, ideal.n):
             if not ideal_member(w, ideal):
                 generator_witness = (g, w)
                 break

@@ -37,19 +37,31 @@ def bump(vector: tuple[int, ...], j: int) -> tuple[int, ...]:
     return vector + (0,) * (j - len(vector) - 1) + (1,)
 
 
+def raisings(w: Word, n: int | None) -> list[tuple[int, Word]]:
+    """Each one-letter raising of ``w`` inside x1..xn, as (0-based position, word).
+
+    The one generator of this move; `raise_letter` is the validated
+    single-position form.
+    """
+    return [
+        (j, w[:j] + (letter + 1,) + w[j + 1 :])
+        for j, letter in enumerate(w)
+        if n is None or letter < n
+    ]
+
+
 def rule_successors(
     w: Word, phi: tuple[int, ...], n: int | None
 ) -> Iterator[tuple[Word, tuple[int, ...]]]:
-    """One-step successors (prepend x1, append x1, raise one letter).
+    """One-step successors: prepend x1, append x1, and the `raisings`.
 
     Each successor is paired with its multirank, obtained from ``phi`` by a
     single unit bump.
     """
     yield (1,) + w, bump(phi, 1)
     yield w + (1,), bump(phi, 1)
-    for j, letter in enumerate(w):
-        if n is None or letter < n:
-            yield w[:j] + (letter + 1,) + w[j + 1 :], bump(phi, letter + 1)
+    for j, w2 in raisings(w, n):
+        yield w2, bump(phi, w2[j])
 
 
 def nc_leq(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> bool:
@@ -102,7 +114,7 @@ def nc_leq_oracle(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> 
 
 
 def covers_up(m: Sequence[int], n: int | None = None) -> set[Word]:
-    """The words covering ``m``: x1-padded copies plus one-letter raisings.
+    """The words covering ``m``: x1-padded copies plus the `raisings`.
 
     For m = x1^k the two paddings coincide, so the set has k+1 elements
     (k+1 on the unbounded alphabet and for n >= 2; 1 for n = 1); otherwise
@@ -110,9 +122,7 @@ def covers_up(m: Sequence[int], n: int | None = None) -> set[Word]:
     """
     w = check_word(m, n)
     out = {(1,) + w, w + (1,)}
-    for j, letter in enumerate(w):
-        if n is None or letter < n:
-            out.add(w[:j] + (letter + 1,) + w[j + 1 :])
+    out.update(w2 for _, w2 in raisings(w, n))
     return out
 
 

@@ -4,25 +4,31 @@ Families: "nc" (base word order), "q" (sorted variant), "p" (degree-first
 variant), "comm" (commutative order on monomials).  A handle may carry an
 alphabet bound n; without one the alphabet is countable and enumeration is
 bounded by the rank cap instead.
+
+Hasse graphs use closed-form covers for "nc", "p" and "comm".  Only "q"
+takes a transitive reduction of its move graph: sorting a descent keeps the
+rank, so "q" is not graded and x1*x1 -> x2*x1 -> x1*x2 bypasses the raising
+x1*x1 -> x1*x2.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .commutative import (
     comm_leq,
-    monomial_canonical_key,
+    comm_successors,
+    freeze_monomial,
     monomial_rank,
     monomials_up_to_rank,
     to_partition,
 )
-from .ncorder import covers_up, nc_leq
+from .ncorder import covers_up, nc_leq, raisings
 from .variants import p_leq, q_leq, swap_successors
 from .words import (
-    canonical_key,
+    Word,
     check_word,
     format_monomial,
     format_word,
@@ -163,79 +169,63 @@ class HasseGraph:
 def hasse(handle: PosetHandle, max_rank: int, limit: int | None = None) -> HasseGraph:
     """Build the Hasse graph of the handle's family up to a rank bound.
 
-    The nc family uses its cover sets directly; the other families build
-    the one-move successor graph (all comparable pairs for "p") and take
-    its transitive reduction.
+    "nc" and "comm" are graded by rank with a down-set window, so their
+    one-move successors are the covers; "p" uses `_p_covers_up`; "q" reduces
+    its one-move successor graph, since swaps keep the rank.
     """
     if max_rank < 0:
         raise ValueError("max_rank must be >= 0")
     if handle.family == "comm":
         elements = monomials_up_to_rank(max_rank, handle.n, limit)
         labels = tuple(format_monomial(t) for t in elements)
-        triples = tuple(
-            (t, monomial_rank(t), to_partition(t)) for t in elements
-        )
-        index = {_freeze_monomial(t): i for i, t in enumerate(elements)}
-        raw_edges = _comm_one_step_edges(elements, index, handle.n, max_rank)
-        edges = _transitive_reduction(len(elements), raw_edges)
-        return HasseGraph(handle.family, handle.n, max_rank, triples, labels, edges)
-
-    elements = words_up_to_rank(max_rank, handle.n, limit)
-    labels = tuple(format_word(w) for w in elements)
-    triples = tuple((w, rank(w), multirank(w)) for w in elements)
-    index = {w: i for i, w in enumerate(elements)}
-
-    if handle.family == "nc":
-        edges = []
-        for i, w in enumerate(elements):
-            for c in covers_up(w, handle.n):
-                j = index.get(c)
-                if j is not None:
-                    edges.append((i, j))
+        triples = tuple((t, monomial_rank(t), to_partition(t)) for t in elements)
+        keys = [freeze_monomial(t) for t in elements]
+    else:
+        elements = words_up_to_rank(max_rank, handle.n, limit)
+        labels = tuple(format_word(w) for w in elements)
+        triples = tuple((w, rank(w), multirank(w)) for w in elements)
+        keys = elements
+    index = {key: i for i, key in enumerate(keys)}
+    edges = [
+        (i, j)
+        for i, element in enumerate(elements)
+        for up in _upper_neighbours(handle, element, max_rank)
+        if (j := index.get(up)) is not None
+    ]
+    if handle.family == "q":
+        edges = _transitive_reduction(len(elements), edges)
+    else:
         edges = tuple(sorted(edges))
-    elif handle.family == "q":
-        raw = []
-        for i, w in enumerate(elements):
-            successors = set(covers_up(w, handle.n)) | swap_successors(w)
-            for s in successors:
-                j = index.get(s)
-                if j is not None:
-                    raw.append((i, j))
-        edges = _transitive_reduction(len(elements), raw)
-    else:  # "p": closed-form order, reduce the full comparability digraph
-        raw = [
-            (i, j)
-            for i, w in enumerate(elements)
-            for j, w2 in enumerate(elements)
-            if i != j and p_leq(w, w2)
-        ]
-        edges = _transitive_reduction(len(elements), raw)
     return HasseGraph(handle.family, handle.n, max_rank, triples, labels, edges)
 
 
-def _freeze_monomial(t) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(t.items()))
+def _upper_neighbours(handle: PosetHandle, element, max_rank: int) -> Iterable:
+    """Index keys (words, or frozen monomials) one move above ``element``."""
+    if handle.family == "nc":
+        return covers_up(element, handle.n)
+    if handle.family == "q":
+        return covers_up(element, handle.n) | swap_successors(element)
+    if handle.family == "p":
+        return _p_covers_up(element, handle.n, max_rank)
+    return map(freeze_monomial, comm_successors(element, handle.n))
 
 
-def _comm_one_step_edges(elements, index, n, max_rank):
-    edges = []
-    for i, t in enumerate(elements):
-        successors = [dict(t)]
-        successors[0][1] = successors[0].get(1, 0) + 1
-        for letter in t:
-            if n is not None and letter >= n:
-                continue
-            s = dict(t)
-            s[letter] -= 1
-            if s[letter] == 0:
-                del s[letter]
-            s[letter + 1] = s.get(letter + 1, 0) + 1
-            successors.append(s)
-        for s in successors:
-            j = index.get(_freeze_monomial(s))
-            if j is not None:
-                edges.append((i, j))
-    return edges
+def _p_covers_up(w: Word, n: int | None, max_rank: int) -> list[Word]:
+    """Upper covers of ``w`` in "p" restricted to the window W of rank <= max_rank.
+
+    W is not a down-set (x3 < x1*x1), so covers are taken inside W.  If
+    v in W has degree d = len(w) and lies above w, it dominates w
+    letterwise, so some raising u of w has u <= v, letters <= n and rank
+    rank(w) + 1 <= rank(v): u is in W.  Hence the covers of equal degree
+    are the raisings in W.  x1^(d+1) lies below every word of higher
+    degree, so it is the only other candidate, and a cover exactly when no
+    raising is in W (the caller drops it when it falls outside W).
+    """
+    if rank(w) < max_rank:
+        ups = [u for _, u in raisings(w, n)]
+        if ups:
+            return ups
+    return [(1,) * (len(w) + 1)]
 
 
 def _transitive_reduction(

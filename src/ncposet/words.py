@@ -24,10 +24,10 @@ _MON_FACTOR = re.compile(r"x([1-9][0-9]*)(?:\^([1-9][0-9]*))?\Z")
 
 
 def check_word(m: Iterable[int], n: int | None = None) -> Word:
-    """Return ``m`` as a tuple, validating letter indices (and the bound n)."""
+    """Return ``m`` as a tuple, validating letters (plain ints >= 1) and the bound n."""
     w = tuple(m)
     for i in w:
-        if not isinstance(i, int) or i < 1:
+        if type(i) is not int or i < 1:
             raise ValueError(f"letter indices must be integers >= 1, got {i!r}")
         if n is not None and i > n:
             raise ValueError(f"letter x{i} exceeds the alphabet bound n={n}")
@@ -54,12 +54,12 @@ def format_word(m: Sequence[int]) -> str:
 
 
 def normalize_monomial(t: Mapping[int, int], n: int | None = None) -> CommMonomial:
-    """Copy ``t`` dropping zero exponents, validating indices and exponents."""
+    """Copy ``t`` dropping zero exponents, validating indices and exponents (plain ints)."""
     out: CommMonomial = {}
     for i, e in t.items():
-        if not isinstance(i, int) or i < 1:
+        if type(i) is not int or i < 1:
             raise ValueError(f"letter indices must be integers >= 1, got {i!r}")
-        if not isinstance(e, int) or e < 0:
+        if type(e) is not int or e < 0:
             raise ValueError(f"exponents must be integers >= 0, got {e!r}")
         if n is not None and i > n:
             raise ValueError(f"letter x{i} exceeds the alphabet bound n={n}")

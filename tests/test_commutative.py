@@ -20,6 +20,7 @@ from ncposet import (
     words_up_to_degree,
     words_up_to_rank,
 )
+from ncposet.commutative import comm_successors
 
 monomials = st.dictionaries(
     st.integers(min_value=1, max_value=4),
@@ -83,6 +84,14 @@ def test_comm_oracle_examples():
     assert comm_leq_oracle({1: 1}, {2: 1})
     assert not comm_leq_oracle({1: 2}, {2: 1})
     assert comm_leq_oracle({}, {3: 2})
+
+
+def test_comm_successors_respect_the_alphabet_bound():
+    t = {1: 1, 2: 1}
+    assert comm_successors(t) == [{1: 2, 2: 1}, {2: 2}, {1: 1, 3: 1}]
+    assert comm_successors(t, 2) == [{1: 2, 2: 1}, {2: 2}]
+    assert comm_successors({1: 2}, 1) == [{1: 3}]
+    assert t == {1: 1, 2: 1}
 
 
 def test_comm_leq_matches_oracle_exhaustive():

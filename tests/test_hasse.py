@@ -5,9 +5,12 @@ import pytest
 from ncposet import (
     LimitError,
     PosetHandle,
+    comm_leq,
     hasse,
+    p_leq,
     rank_coefficients,
 )
+from ncposet.posets import _transitive_reduction
 
 
 def _edge_labels(graph):
@@ -113,6 +116,25 @@ def test_p2_hasse_is_an_ordinal_sum():
         ("x1*x2", "x1*x1*x1"),
         ("x2*x1", "x1*x1*x1"),
     }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, None])
+@pytest.mark.parametrize(
+    "family, top_rank, family_leq",
+    [("p", 7, lambda a, b, n: p_leq(a, b)), ("comm", 10, comm_leq)],
+)
+def test_closed_form_covers_match_reduction_of_all_pairs(n, family, top_rank, family_leq):
+    # reference: transitive reduction of the full comparability digraph
+    for max_rank in range(top_rank + 1):
+        graph = hasse(PosetHandle(family, n), max_rank)
+        elements = [element for element, _, _ in graph.vertices]
+        comparable = [
+            (i, j)
+            for i, a in enumerate(elements)
+            for j, b in enumerate(elements)
+            if i != j and family_leq(a, b, n)
+        ]
+        assert graph.edges == _transitive_reduction(len(elements), comparable)
 
 
 def test_level_sizes_match_the_series():

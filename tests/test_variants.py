@@ -137,6 +137,17 @@ def test_bound_validation_through_leq():
         leq(PosetHandle("p", 2), (3,), (3, 1))
 
 
+def test_bool_letters_are_rejected():
+    with pytest.raises(ValueError, match="letter indices"):
+        compare(PosetHandle("nc"), (True,), (1,))
+    with pytest.raises(ValueError, match="letter indices"):
+        nc_leq((True,), (2,))
+    with pytest.raises(ValueError, match="letter indices"):
+        q_leq((1, False), (1, 1))
+    with pytest.raises(ValueError, match="exponents"):
+        compare(PosetHandle("comm"), {1: True}, {1: 1})
+
+
 def test_q_memo_is_pure():
     assert q_leq((2, 1), (1, 2))
     assert q_leq((2, 1), (1, 2))

@@ -85,6 +85,10 @@ def test_normalize_monomial_drops_zeros_and_validates():
         normalize_monomial({1: -1})
     with pytest.raises(ValueError):
         normalize_monomial({4: 1}, n=3)
+    with pytest.raises(ValueError, match="letter indices"):
+        normalize_monomial({True: 2})
+    with pytest.raises(ValueError, match="exponents"):
+        normalize_monomial({1: True})
 
 
 def test_raise_letter():
