@@ -128,14 +128,13 @@ def _cmd_is_stable(args) -> int:
 
 def _cmd_check_order(args) -> int:
     spec = parse_order_spec(args.order)
+    handle = PosetHandle(args.contains, args.n) if args.contains else None
     report = validate_order(spec, args.n, args.max_degree)
     for line in report.format_lines():
         print(line)
     code = 0 if report.axioms_ok else 1
-    if args.contains:
-        ok, witness = contains_poset(
-            spec, PosetHandle(args.contains, args.n), args.max_degree
-        )
+    if handle is not None:
+        ok, witness = contains_poset(spec, handle, args.max_degree)
         if ok:
             print(f"contains {args.contains}: yes")
         else:

@@ -1,6 +1,10 @@
-"""Shared exception types and the default resource cap."""
+"""Shared exception types and the default resource caps."""
 
 DEFAULT_LIMIT = 1_000_000
+
+# Elements of one reachability table: N elements take up to N(N+1)/2 bits,
+# about 33 MB at the cap.
+TABLE_LIMIT = 23_000
 
 
 class ParseError(ValueError):
@@ -8,4 +12,4 @@ class ParseError(ValueError):
 
 
 class LimitError(RuntimeError):
-    """An enumeration would exceed the configured element cap."""
+    """An enumeration or a table would exceed its configured cap."""

@@ -26,7 +26,7 @@ from .commutative import (
     to_partition,
 )
 from .ncorder import covers_up, nc_leq, raisings
-from .variants import p_leq, q_leq, swap_successors
+from .variants import p_leq, q_leq, q_successors
 from .words import (
     Word,
     check_word,
@@ -204,7 +204,7 @@ def _upper_neighbours(handle: PosetHandle, element, max_rank: int) -> Iterable:
     if handle.family == "nc":
         return covers_up(element, handle.n)
     if handle.family == "q":
-        return covers_up(element, handle.n) | swap_successors(element)
+        return q_successors(element, handle.n)
     if handle.family == "p":
         return _p_covers_up(element, handle.n, max_rank)
     return map(freeze_monomial, comm_successors(element, handle.n))

@@ -4,17 +4,23 @@ Three families are provided: degree-then-leftmost-letter, degree-then-
 rightmost-letter, and weighted degree with a deglex tie-break.  All are
 total; `validate_order` certifies the term-order axioms on a bounded range
 instead of assuming them, and `contains_poset` checks that a given order
-refines one of the partial-order families.
+refines one of the partial-order families.  Both check generating moves
+and adjacent pairs rather than all pairs, and scan all pairs only to find
+the witness of a failure.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import pairwise, product
+from math import isqrt
 
-from .errors import ParseError
-from .posets import EQ, GT, LT, PosetHandle, leq
-from .words import Word, canonical_key, check_word, words_up_to_degree
+from .errors import DEFAULT_LIMIT, ParseError
+from .ncorder import covers_up, raisings
+from .posets import EQ, GT, LT, PosetHandle
+from .variants import q_successors
+from .words import Word, canonical_key, check_range, check_word, words_up_to_degree
 
 KINDS = ("deg_left_lex", "deg_right_lex", "weight_deg")
 
@@ -156,87 +162,135 @@ def validate_order(
 
     Multiplicativity and sortedness quantify cofactors up to
     ``cofactor_degree``; this is a bounded certification, not a proof.
+
+    Each word's sort key is computed once.  The order is induced by the
+    keys, so it is transitive, and multiplicativity needs checking only on
+    the pairs adjacent in key order.  If keys tie or an adjacent pair fails,
+    `_first_non_multiplicative` scans all pairs instead.  Every witness is
+    the first one in the canonical scan: outer word, then inner word, in
+    the order of `words_up_to_degree`.
     """
+    check_range(n, max_degree, "max_degree")
+    check_range(n, cofactor_degree, "cofactor_degree")
     words = words_up_to_degree(n, max_degree)
-    witnesses: dict = {}
+    keys = [sort_key(spec, w) for w in words]
 
-    is_total = True
-    one_minimal = True
-    is_degree_compatible = True
-    for a in words:
-        if order_compare(spec, a, a) != EQ:
-            is_total = False
-            witnesses.setdefault("total", (a, a))
-        for b in words:
-            fwd = order_compare(spec, a, b)
-            back = order_compare(spec, b, a)
-            if a == b:
-                continue
-            if fwd == EQ or {fwd, back} != {LT, GT}:
-                is_total = False
-                witnesses.setdefault("total", (a, b))
-            if len(a) < len(b) and fwd != LT:
-                is_degree_compatible = False
-                witnesses.setdefault("degree-compatible", (a, b))
-        if a and order_compare(spec, (), a) != LT:
-            one_minimal = False
-            witnesses.setdefault("identity-minimal", a)
+    ranked = sorted(range(len(words)), key=keys.__getitem__)
+    # the sort is stable, so the least tied pair of positions is the first tie
+    ties = [(i, j) for i, j in pairwise(ranked) if keys[i] == keys[j]]
+    tie = (words[min(ties)[0]], words[min(ties)[1]]) if ties else None
 
-    is_standard = all(
-        order_compare(spec, (i,), (i + 1,)) == LT for i in range(1, n)
+    # words come by degree, so the last word of each degree sees every longer one
+    lowest_longer: dict = {}
+    low = None
+    for w, k in zip(reversed(words), reversed(keys)):
+        lowest_longer.setdefault(len(w), low)
+        low = k if low is None else min(low, k)
+    shorter_above = next(
+        (
+            (a, b)
+            for a, ka in zip(words, keys)
+            if lowest_longer[len(a)] is not None and not ka < lowest_longer[len(a)]
+            for b, kb in zip(words, keys)
+            if len(b) > len(a) and not ka < kb
+        ),
+        None,
     )
-    if not is_standard:
-        witnesses.setdefault(
-            "standard",
-            next(
-                ((i,), (i + 1,))
-                for i in range(1, n)
-                if order_compare(spec, (i,), (i + 1,)) != LT
-            ),
-        )
 
-    cofactors = words_up_to_degree(n, cofactor_degree)
-    is_multiplicative = True
-    for s in words:
-        for t in words:
-            if s == t or order_compare(spec, s, t) != LT:
-                continue
-            for a in cofactors:
-                for b in cofactors:
-                    if order_compare(spec, a + s + b, a + t + b) != LT:
-                        is_multiplicative = False
-                        witnesses.setdefault("multiplicative", (s, t, a, b))
-                        break
-                if not is_multiplicative:
-                    break
-            if not is_multiplicative:
-                break
-        if not is_multiplicative:
-            break
+    low_word = next((a for a, k in zip(words[1:], keys[1:]) if not keys[0] < k), None)
 
-    is_sorted = True
+    standard = next(
+        (
+            ((i,), (i + 1,))
+            for i in range(1, n)
+            if not sort_key(spec, (i,)) < sort_key(spec, (i + 1,))
+        ),
+        None,
+    )
+
+    # the checks below visit every pair of cofactors
+    cofactors = words_up_to_degree(n, cofactor_degree, isqrt(DEFAULT_LIMIT))
+    factor = None
+    in_key_order = [words[i] for i in ranked]
+    if tie is not None or not _adjacent_multiplicative(spec, in_key_order, cofactors):
+        factor = _first_non_multiplicative(spec, words, keys, cofactors)
+
+    unsorted = _first_unsorted(spec, n, cofactors)
+
+    witnesses = {
+        "total": tie,
+        "degree-compatible": shorter_above,
+        "identity-minimal": low_word,
+        "standard": standard,
+        "multiplicative": factor,
+        "sorted": unsorted,
+    }
+    return OrderValidationReport(
+        spec=spec,
+        n=n,
+        max_degree=max_degree,
+        is_total=tie is None,
+        one_minimal=low_word is None,
+        is_multiplicative=factor is None,
+        is_standard=standard is None,
+        is_sorted=unsorted is None,
+        is_degree_compatible=shorter_above is None,
+        witnesses={law: w for law, w in witnesses.items() if w is not None},
+    )
+
+
+def _adjacent_multiplicative(spec, ranked, cofactors) -> bool:
+    """Do the cofactors (a, b) keep each word below its successor in key order?"""
+    return all(
+        x < y
+        for a, b in product(cofactors, repeat=2)
+        for x, y in pairwise(sort_key(spec, a + w + b) for w in ranked)
+    )
+
+
+def _first_non_multiplicative(spec, words, keys, cofactors):
+    """The all-pairs scan: the first s < t and cofactors (a, b) with a*s*b not below a*t*b."""
+    for s, ks in zip(words, keys):
+        for t, kt in zip(words, keys):
+            if ks < kt:
+                for a, b in product(cofactors, repeat=2):
+                    if not sort_key(spec, a + s + b) < sort_key(spec, a + t + b):
+                        return (s, t, a, b)
+    return None
+
+
+def _first_unsorted(spec, n, cofactors):
+    """The first (t*xj*xi*s, t*xi*xj*s), i < j, that the order does not put in that order."""
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for t in cofactors:
                 for s in cofactors:
                     low = t + (j, i) + s
                     high = t + (i, j) + s
-                    if order_compare(spec, high, low) != GT:
-                        is_sorted = False
-                        witnesses.setdefault("sorted", (low, high))
+                    if not sort_key(spec, low) < sort_key(spec, high):
+                        return (low, high)
+    return None
 
-    return OrderValidationReport(
-        spec=spec,
-        n=n,
-        max_degree=max_degree,
-        is_total=is_total,
-        one_minimal=one_minimal,
-        is_multiplicative=is_multiplicative,
-        is_standard=is_standard,
-        is_sorted=is_sorted,
-        is_degree_compatible=is_degree_compatible,
-        witnesses=witnesses,
-    )
+
+def _moves(family: str, w: Word, n: int) -> Iterable[Word]:
+    """The generating moves of "nc", "q" or "p" from ``w``; none lowers the degree."""
+    if family == "nc":
+        return covers_up(w, n)
+    if family == "q":
+        return q_successors(w, n)
+    return [u for _, u in raisings(w, n)] + [(1,) * (len(w) + 1)]
+
+
+def _above(w: Word, up: Callable[[Word], Iterable[Word]]) -> set[Word]:
+    """Every word reachable from ``w`` in one or more ``up`` moves."""
+    seen: set[Word] = set()
+    stack = [w]
+    while stack:
+        for u in up(stack.pop()):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
 
 
 def contains_poset(
@@ -244,18 +298,28 @@ def contains_poset(
 ) -> tuple[bool, tuple[Word, Word] | None]:
     """Does the total order refine the partial order on the bounded range?
 
-    Scans the comparable pairs in canonical order and returns the first
-    pair ordered the other way, if any.
+    The partial order is generated by its moves (`_moves`).  No move lowers
+    the degree, so a chain between two words of the range stays inside it,
+    and the key order is transitive: checking each move inside the range
+    decides the question.  If a move fails, the witness is the first pair
+    in canonical order (`canonical_key`, outer then inner word) that the
+    order puts the other way, found by a search over the moves.
     """
     if handle.family not in ("nc", "q", "p"):
         raise ValueError(f"containment checks cover word posets, not {handle.family!r}")
     if handle.n is None:
         raise ValueError("containment checks need a bounded alphabet")
+    check_range(handle.n, max_degree, "max_degree")
     words = sorted(words_up_to_degree(handle.n, max_degree), key=canonical_key)
-    for a in words:
-        for b in words:
-            if a == b or not leq(handle, a, b):
-                continue
-            if order_compare(spec, a, b) != LT:
-                return False, (a, b)
-    return True, None
+    keys = {w: sort_key(spec, w) for w in words}
+
+    def up(w: Word) -> list[Word]:
+        return [u for u in _moves(handle.family, w, handle.n) if len(u) <= max_degree]
+
+    if all(keys[w] < keys[u] for w in words for u in up(w)):
+        return True, None
+    return False, next(
+        (a, min(late, key=canonical_key))
+        for a in words
+        if (late := [b for b in _above(a, up) if not keys[a] < keys[b]])
+    )

@@ -13,10 +13,10 @@ from collections import deque
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .ncorder import bump, dominated, rule_successors
+from .ncorder import covers_up, dominated, rule_successors
 from .words import Word, check_word, multirank
 
-__all__ = ["q_leq", "p_leq", "swap_successors"]
+__all__ = ["q_leq", "p_leq", "swap_successors", "q_successors"]
 
 
 def swap_successors(w: Word) -> set[Word]:
@@ -26,6 +26,11 @@ def swap_successors(w: Word) -> set[Word]:
         if w[k] > w[k + 1]:
             out.add(w[:k] + (w[k + 1], w[k]) + w[k + 2 :])
     return out
+
+
+def q_successors(w: Word, n: int | None) -> set[Word]:
+    """One move up in the sorted-order variant: a base-order cover or a descent sort."""
+    return covers_up(w, n) | swap_successors(w)
 
 
 def q_leq(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> bool:
@@ -40,7 +45,7 @@ def q_leq(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> bool:
     return _q_leq_cached(check_word(m, n), check_word(m2, n), n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _q_leq_cached(m: Word, m2: Word, n: int | None) -> bool:
     if m == m2:
         return True

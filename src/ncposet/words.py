@@ -34,6 +34,14 @@ def check_word(m: Iterable[int], n: int | None = None) -> Word:
     return w
 
 
+def check_range(n: int | None, bound: int, name: str) -> None:
+    """Reject an alphabet bound below 1 and a negative degree or rank bound."""
+    if n is not None and n < 1:
+        raise ValueError(f"alphabet bound must be >= 1, got {n}")
+    if bound < 0:
+        raise ValueError(f"{name} must be >= 0, got {bound}")
+
+
 def parse_word(text: str) -> Word:
     """Parse ``"x2*x1*x1"`` (or ``"1"`` for the identity) into a word."""
     if text == "1":
@@ -184,7 +192,22 @@ def words_of_degree(n: int, d: int) -> Iterator[Word]:
     return itertools.product(range(1, n + 1), repeat=d)
 
 
-def words_up_to_degree(n: int, max_degree: int) -> list[Word]:
+def words_up_to_degree(n: int, max_degree: int, limit: int | None = None) -> list[Word]:
+    """All words of degree <= max_degree over x1..xn, by degree, then lexicographic.
+
+    The n^0 + ... + n^max_degree words are counted against the element cap
+    before any is built; beyond it `LimitError` is raised.
+    """
+    cap = DEFAULT_LIMIT if limit is None else limit
+    total, size = 0, 1
+    for _ in range(max_degree + 1):
+        total += size
+        if total > cap:
+            raise LimitError(
+                f"enumeration of words up to degree {max_degree} over {n} letters "
+                f"exceeded the cap of {cap}"
+            )
+        size *= n
     out: list[Word] = []
     for d in range(max_degree + 1):
         out.extend(words_of_degree(n, d))

@@ -1,0 +1,204 @@
+"""The move-level certifiers against the all-pairs scans they replace.
+
+`validate_order`, `contains_poset` and `check_coconnection` decide their
+verdicts on generating moves and adjacent pairs.  The scans below are the
+direct definitions: every pair of the range, in canonical order.  They call
+the library through module attributes, so a monkeypatched key or map
+reaches both sides.  Reports, verdicts, witnesses and counts must agree.
+"""
+
+import pytest
+
+from ncposet import commutative, termorders
+from ncposet.commutative import CoconnectionReport, LawCheck, check_coconnection
+from ncposet.posets import EQ, GT, LT, PosetHandle, leq
+from ncposet.termorders import (
+    OrderValidationReport,
+    contains_poset,
+    parse_order_spec,
+    validate_order,
+)
+from ncposet.variants import q_leq
+from ncposet.words import canonical_key, format_monomial, format_word, words_up_to_degree
+
+SPECS = ("deglex", "degrevlex", "weight:1,2,3", "weight:1,3,4", "weight:2,3,5")
+
+
+def validate_order_scan(spec, n, max_degree, cofactor_degree=2):
+    compare = termorders.order_compare
+    words = words_up_to_degree(n, max_degree)
+    witnesses = {}
+    is_total = one_minimal = is_degree_compatible = True
+    for a in words:
+        if compare(spec, a, a) != EQ:
+            is_total = False
+            witnesses.setdefault("total", (a, a))
+        for b in words:
+            fwd = compare(spec, a, b)
+            back = compare(spec, b, a)
+            if a == b:
+                continue
+            if fwd == EQ or {fwd, back} != {LT, GT}:
+                is_total = False
+                witnesses.setdefault("total", (a, b))
+            if len(a) < len(b) and fwd != LT:
+                is_degree_compatible = False
+                witnesses.setdefault("degree-compatible", (a, b))
+        if a and compare(spec, (), a) != LT:
+            one_minimal = False
+            witnesses.setdefault("identity-minimal", a)
+    bad = [((i,), (i + 1,)) for i in range(1, n) if compare(spec, (i,), (i + 1,)) != LT]
+    if bad:
+        witnesses["standard"] = bad[0]
+    cofactors = words_up_to_degree(n, cofactor_degree)
+    factor = next(
+        (
+            (s, t, a, b)
+            for s in words
+            for t in words
+            if s != t and compare(spec, s, t) == LT
+            for a in cofactors
+            for b in cofactors
+            if compare(spec, a + s + b, a + t + b) != LT
+        ),
+        None,
+    )
+    if factor:
+        witnesses["multiplicative"] = factor
+    is_sorted = True
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for t in cofactors:
+                for s in cofactors:
+                    low, high = t + (j, i) + s, t + (i, j) + s
+                    if compare(spec, high, low) != GT:
+                        is_sorted = False
+                        witnesses.setdefault("sorted", (low, high))
+    return OrderValidationReport(
+        spec, n, max_degree, is_total, one_minimal, factor is None,
+        not bad, is_sorted, is_degree_compatible, witnesses,
+    )
+
+
+def contains_poset_scan(spec, handle, max_degree):
+    words = sorted(words_up_to_degree(handle.n, max_degree), key=canonical_key)
+    for a in words:
+        for b in words:
+            if a != b and leq(handle, a, b):
+                if termorders.order_compare(spec, a, b) != LT:
+                    return False, (a, b)
+    return True, None
+
+
+def check_coconnection_scan(n, max_rank):
+    abelianize, sort_word = commutative.abelianize, commutative.sort_word
+    comm_leq = commutative.comm_leq
+    words = commutative.words_up_to_rank(max_rank, n)
+    monomials = commutative.monomials_up_to_rank(max_rank, n)
+    sigma = [
+        (m, m2) for m in words for m2 in words if m != m2 and q_leq(m, m2, n)
+    ]
+    sigma_witness = next(
+        (f"{format_word(m)} <= {format_word(m2)}" for m, m2 in sigma
+         if not comm_leq(abelianize(m), abelianize(m2))),
+        None,
+    )
+    plus = [
+        (t, t2) for t in monomials for t2 in monomials if t != t2 and comm_leq(t, t2)
+    ]
+    plus_witness = next(
+        (f"{format_monomial(t)} <= {format_monomial(t2)}" for t, t2 in plus
+         if not q_leq(sort_word(t), sort_word(t2), n)),
+        None,
+    )
+    ascend = next(
+        (format_word(m) for m in words if not q_leq(m, sort_word(abelianize(m)), n)),
+        None,
+    )
+    roundtrip = next(
+        (format_monomial(t) for t in monomials if abelianize(sort_word(t)) != t), None
+    )
+    laws = (
+        LawCheck("abelianize-monotone", len(sigma), sigma_witness),
+        LawCheck("sort-monotone", len(plus), plus_witness),
+        LawCheck("word-roundtrip-ascends", len(words), ascend),
+        LawCheck("monomial-roundtrip-identity", len(monomials), roundtrip),
+    )
+    return CoconnectionReport(n, max_rank, laws)
+
+
+@pytest.mark.parametrize("text", SPECS)
+def test_validate_order_matches_scan(text):
+    spec = parse_order_spec(text)
+    for n in (1, 2, 3):
+        for d in range(4):
+            assert validate_order(spec, n, d) == validate_order_scan(spec, n, d), (n, d)
+
+
+@pytest.mark.parametrize("family", ("nc", "q", "p"))
+def test_contains_poset_matches_scan(family):
+    for text in SPECS:
+        spec = parse_order_spec(text)
+        for n in (1, 2, 3):
+            handle = PosetHandle(family, n)
+            for d in range(4):
+                fast = contains_poset(spec, handle, d)
+                assert fast == contains_poset_scan(spec, handle, d), (text, n, d)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, None))
+def test_coconnection_matches_scan(n):
+    for r in range(7):
+        assert check_coconnection(n, r) == check_coconnection_scan(n, r), r
+
+
+def _odd_ones_key(spec, m):
+    # total and degree-first, but a left x1 flips the parity: not multiplicative
+    w = tuple(m)
+    return (len(w), w.count(1) % 2, w)
+
+
+def _degree_only_key(spec, m):
+    # ties every pair of equal degree: not total
+    return (len(tuple(m)),)
+
+
+def _tail_first_key(spec, m):
+    # total, but not degree-first and not multiplicative
+    w = tuple(m)
+    return (w[1:], len(w), w)
+
+
+@pytest.mark.parametrize(
+    "key, multiplicative",
+    ((_odd_ones_key, False), (_degree_only_key, True), (_tail_first_key, False)),
+)
+def test_fallback_reports_match_scan(monkeypatch, key, multiplicative):
+    monkeypatch.setattr(termorders, "sort_key", key)
+    spec = parse_order_spec("deglex")
+    for n in (1, 2, 3):
+        for d in range(4):
+            report = validate_order(spec, n, d)
+            assert report == validate_order_scan(spec, n, d), (n, d)
+        for family in ("nc", "q", "p"):
+            handle = PosetHandle(family, n)
+            assert contains_poset(spec, handle, 3) == contains_poset_scan(spec, handle, 3)
+    assert validate_order(spec, 2, 2).is_multiplicative == multiplicative
+
+
+def test_coconnection_fallbacks_match_scan(monkeypatch):
+    abelianize, sort_word = commutative.abelianize, commutative.sort_word
+    # forget degree-2 words, and send monomials of rank 3 to the identity
+    monkeypatch.setattr(
+        commutative, "abelianize", lambda m: {} if len(m) == 2 else abelianize(m)
+    )
+    monkeypatch.setattr(
+        commutative,
+        "sort_word",
+        lambda t: () if sum(i * e for i, e in t.items()) == 3 else sort_word(t),
+    )
+    for n in (1, 2, 3, None):
+        for r in range(6):
+            report = check_coconnection(n, r)
+            assert report == check_coconnection_scan(n, r), (n, r)
+    assert check_coconnection(2, 4).violations == 4

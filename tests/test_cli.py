@@ -240,3 +240,34 @@ def test_bound_violation_exit_code(capsys):
 
 def test_help_exits_zero(capsys):
     assert _invoke(capsys, "--help")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("coconnection", "-n", "0", "--max-rank", "3"),
+        ("coconnection", "-n", "-2", "--max-rank", "3"),
+        ("coconnection", "-n", "2", "--max-rank", "-1"),
+        ("check-order", "--order", "deglex", "-n", "0", "--max-degree", "2"),
+        ("check-order", "--order", "deglex", "-n", "2", "--max-degree", "-1"),
+        ("check-order", "--order", "deglex", "-n", "-1", "--max-degree", "2",
+         "--contains", "q"),
+    ),
+)
+def test_certify_rejects_bad_ranges_before_output(capsys, argv):
+    code, out, err = _invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("check-order", "--order", "deglex", "-n", "10", "--max-degree", "9"),
+        ("coconnection", "-n", "3", "--max-rank", "18"),
+    ),
+)
+def test_certify_caps_oversized_ranges(capsys, argv):
+    code, out, err = _invoke(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "cap" in err

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncposet import (
+    LimitError,
     abelianize,
     check_coconnection,
     comm_leq,
@@ -192,3 +193,43 @@ def test_words_monomials_rank_alignment():
     assert {to_partition(abelianize(w)) for w in words} == {
         to_partition(t) for t in mons
     }
+
+
+def test_coconnection_counts_at_rank_8():
+    # the all-pairs counts, recorded from the q_leq search that the tables replace
+    expected = {
+        2: [2270, 200, 88, 25],
+        3: [5729, 425, 177, 41],
+        4: [7358, 609, 224, 53],
+        None: [8109, 795, 256, 67],
+    }
+    for n, counts in expected.items():
+        report = check_coconnection(n, 8)
+        assert report.ok
+        assert [law.checked for law in report.laws] == counts, n
+
+
+def test_coconnection_rejects_bad_ranges():
+    for n, r in ((0, 3), (-2, 3), (2, -1)):
+        with pytest.raises(ValueError):
+            check_coconnection(n, r)
+
+
+def test_coconnection_table_cap(monkeypatch):
+    from ncposet import commutative
+
+    # 33 words and 23 monomials at (2, 6)
+    monkeypatch.setattr(commutative, "TABLE_LIMIT", 33)
+    assert check_coconnection(2, 6).ok
+    monkeypatch.setattr(commutative, "TABLE_LIMIT", 32)
+    with pytest.raises(LimitError):
+        check_coconnection(2, 6)
+
+
+def test_coconnection_runs_no_search():
+    from ncposet.variants import _q_leq_cached
+
+    _q_leq_cached.cache_clear()
+    assert check_coconnection(3, 6).ok
+    assert _q_leq_cached.cache_info().misses == 0
+    assert _q_leq_cached.cache_info().maxsize is not None

@@ -6,6 +6,7 @@ from ncposet import (
     EQ,
     GT,
     LT,
+    LimitError,
     ParseError,
     PosetHandle,
     contains_poset,
@@ -131,3 +132,31 @@ def test_well_order_sanity():
         assert min(
             (w for w in words if w), key=lambda w: sort_key(spec, w)
         ) == (1,)
+
+
+def test_certifiers_reject_bad_ranges():
+    with pytest.raises(ValueError):
+        validate_order(DEG_LEFT_LEX, 0, 2)
+    with pytest.raises(ValueError):
+        validate_order(DEG_LEFT_LEX, 2, -1)
+    with pytest.raises(ValueError):
+        validate_order(DEG_LEFT_LEX, 2, 2, cofactor_degree=-1)
+    with pytest.raises(ValueError):
+        contains_poset(DEG_LEFT_LEX, PosetHandle("q", 2), -1)
+
+
+def test_words_up_to_degree_charges_the_cap_first():
+    assert len(words_up_to_degree(2, 3, limit=15)) == 15
+    with pytest.raises(LimitError):
+        words_up_to_degree(2, 3, limit=14)
+    with pytest.raises(LimitError):
+        words_up_to_degree(10, 9)  # about 1.1e9 words: refused before building
+
+
+def test_containment_runs_no_search():
+    from ncposet.variants import _q_leq_cached
+
+    _q_leq_cached.cache_clear()
+    assert contains_poset(DEG_RIGHT_LEX, PosetHandle("q", 3), 4) == (True, None)
+    assert contains_poset(DEG_LEFT_LEX, PosetHandle("q", 3), 4)[0] is False
+    assert _q_leq_cached.cache_info().misses == 0
