@@ -9,6 +9,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -261,11 +262,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs far more than parsing one argv, so `run` builds
+# it on first use and keeps it for the life of the process.  Each parse
+# starts from a fresh namespace, so nothing carries over between calls.
+_shared_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def run(argv) -> int:
-    """Parse argv and dispatch; returns the process exit code."""
-    parser = build_parser()
+    """Parse argv and dispatch; returns the process exit code.
+
+    The parser is built once per process, so `run` may be called repeatedly
+    in-process at the cost of a parse.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import pairwise, product
 from math import isqrt
 
-from .errors import DEFAULT_LIMIT, ParseError
+from .errors import DEFAULT_LIMIT, LimitError, ParseError
 from .ncorder import covers_up, raisings
 from .posets import EQ, GT, LT, PosetHandle
 from .variants import q_successors
@@ -91,22 +91,39 @@ def parse_order_spec(text: str) -> TermOrderSpec:
     )
 
 
-def sort_key(spec: TermOrderSpec, m: Sequence[int]):
-    """A total-order key: words compare under ``spec`` as their keys do."""
-    w = check_word(m)
+def _no_weight(spec: TermOrderSpec, letter: int) -> ValueError:
+    return ValueError(
+        f"letter x{letter} has no weight; the spec covers letters up to x{len(spec.weights)}"
+    )
+
+
+def _key_function(spec: TermOrderSpec, top: int) -> Callable[[Word], tuple]:
+    """`sort_key` for valid words over x1..x_top, without validating each word.
+
+    The certifiers key only words they built themselves, so the one check
+    left is that every letter up to ``top`` has a weight; the error is the
+    one `sort_key` raises on the first word that lacks one.
+    """
     if spec.kind == "deg_left_lex":
-        return (len(w), w)
+        return lambda w: (len(w), w)
     if spec.kind == "deg_right_lex":
         # equal lengths align the positions, so reversing realizes the
         # rightmost-first scan
-        return (len(w), w[::-1])
+        return lambda w: (len(w), w[::-1])
     weights = spec.weights
-    for i in w:
-        if i > len(weights):
-            raise ValueError(
-                f"letter x{i} has no weight; the spec covers letters up to x{len(weights)}"
-            )
-    return (sum(weights[i - 1] for i in w), len(w), w)
+    if top > len(weights):
+        raise _no_weight(spec, len(weights) + 1)
+    return lambda w: (sum(weights[i - 1] for i in w), len(w), w)
+
+
+def sort_key(spec: TermOrderSpec, m: Sequence[int]):
+    """A total-order key: words compare under ``spec`` as their keys do."""
+    w = check_word(m)
+    if spec.kind == "weight_deg":
+        for i in w:
+            if i > len(spec.weights):
+                raise _no_weight(spec, i)
+    return _key_function(spec, 0)(w)
 
 
 def order_compare(spec: TermOrderSpec, m: Sequence[int], m2: Sequence[int]) -> str:
@@ -169,11 +186,16 @@ def validate_order(
     `_first_non_multiplicative` scans all pairs instead.  Every witness is
     the first one in the canonical scan: outer word, then inner word, in
     the order of `words_up_to_degree`.
+
+    The key comparisons over cofactor pairs are counted against the
+    element cap before they run, and the fallback scan charges the same
+    budget; beyond it `LimitError` is raised.
     """
     check_range(n, max_degree, "max_degree")
     check_range(n, cofactor_degree, "cofactor_degree")
     words = words_up_to_degree(n, max_degree)
-    keys = [sort_key(spec, w) for w in words]
+    key = _key_function(spec, n)
+    keys = [key(w) for w in words]
 
     ranked = sorted(range(len(words)), key=keys.__getitem__)
     # the sort is stable, so the least tied pair of positions is the first tie
@@ -203,19 +225,28 @@ def validate_order(
         (
             ((i,), (i + 1,))
             for i in range(1, n)
-            if not sort_key(spec, (i,)) < sort_key(spec, (i + 1,))
+            if not key((i,)) < key((i + 1,))
         ),
         None,
     )
 
     # the checks below visit every pair of cofactors
     cofactors = words_up_to_degree(n, cofactor_degree, isqrt(DEFAULT_LIMIT))
+    pairs = len(cofactors) ** 2
+    planned = (len(words) - 1) * pairs + n * (n - 1) // 2 * pairs
+    if planned > DEFAULT_LIMIT:
+        raise LimitError(
+            f"validating {spec.describe()} up to degree {max_degree} over {n} letters "
+            f"needs {planned} key comparisons, over the cap of {DEFAULT_LIMIT}"
+        )
     factor = None
     in_key_order = [words[i] for i in ranked]
-    if tie is not None or not _adjacent_multiplicative(spec, in_key_order, cofactors):
-        factor = _first_non_multiplicative(spec, words, keys, cofactors)
+    if tie is not None or not _adjacent_multiplicative(key, in_key_order, cofactors):
+        factor = _first_non_multiplicative(
+            key, words, keys, cofactors, DEFAULT_LIMIT - planned
+        )
 
-    unsorted = _first_unsorted(spec, n, cofactors)
+    unsorted = _first_unsorted(key, n, cofactors)
 
     witnesses = {
         "total": tie,
@@ -239,27 +270,38 @@ def validate_order(
     )
 
 
-def _adjacent_multiplicative(spec, ranked, cofactors) -> bool:
+def _adjacent_multiplicative(key, ranked, cofactors) -> bool:
     """Do the cofactors (a, b) keep each word below its successor in key order?"""
     return all(
         x < y
         for a, b in product(cofactors, repeat=2)
-        for x, y in pairwise(sort_key(spec, a + w + b) for w in ranked)
+        for x, y in pairwise(key(a + w + b) for w in ranked)
     )
 
 
-def _first_non_multiplicative(spec, words, keys, cofactors):
-    """The all-pairs scan: the first s < t and cofactors (a, b) with a*s*b not below a*t*b."""
+def _first_non_multiplicative(key, words, keys, cofactors, budget):
+    """The all-pairs scan: the first s < t and cofactors (a, b) with a*s*b not below a*t*b.
+
+    Each pair s < t charges its cofactor pairs to ``budget`` before they
+    are compared.
+    """
+    pairs = len(cofactors) ** 2
     for s, ks in zip(words, keys):
         for t, kt in zip(words, keys):
             if ks < kt:
+                budget -= pairs
+                if budget < 0:
+                    raise LimitError(
+                        f"the multiplicativity scan exceeded the cap of {DEFAULT_LIMIT} "
+                        f"key comparisons"
+                    )
                 for a, b in product(cofactors, repeat=2):
-                    if not sort_key(spec, a + s + b) < sort_key(spec, a + t + b):
+                    if not key(a + s + b) < key(a + t + b):
                         return (s, t, a, b)
     return None
 
 
-def _first_unsorted(spec, n, cofactors):
+def _first_unsorted(key, n, cofactors):
     """The first (t*xj*xi*s, t*xi*xj*s), i < j, that the order does not put in that order."""
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -267,7 +309,7 @@ def _first_unsorted(spec, n, cofactors):
                 for s in cofactors:
                     low = t + (j, i) + s
                     high = t + (i, j) + s
-                    if not sort_key(spec, low) < sort_key(spec, high):
+                    if not key(low) < key(high):
                         return (low, high)
     return None
 
@@ -311,7 +353,9 @@ def contains_poset(
         raise ValueError("containment checks need a bounded alphabet")
     check_range(handle.n, max_degree, "max_degree")
     words = sorted(words_up_to_degree(handle.n, max_degree), key=canonical_key)
-    keys = {w: sort_key(spec, w) for w in words}
+    # at degree 0 only the identity is keyed
+    key = _key_function(spec, handle.n if max_degree else 0)
+    keys = {w: key(w) for w in words}
 
     def up(w: Word) -> list[Word]:
         return [u for u in _moves(handle.family, w, handle.n) if len(u) <= max_degree]

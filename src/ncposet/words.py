@@ -220,21 +220,27 @@ def words_up_to_rank(
     """All words of rank <= max_rank in canonical order.
 
     Over the unbounded alphabet letters above ``max_rank`` cannot occur, so
-    the enumeration is finite either way.  Raises `LimitError` beyond the
-    element cap.
+    the enumeration is finite either way.  Each rank's words are counted
+    against the element cap before they are built; beyond it `LimitError`
+    is raised.
+
+    No two words of one rank are prefixes of each other, and ``*`` sorts
+    below every digit, so within a rank the canonical text order is the
+    lexicographic order of the letters' decimal strings.  The words of rank
+    r are therefore each first letter, in that order, followed by the words
+    of rank r - letter, already in canonical order.
     """
     cap = DEFAULT_LIMIT if limit is None else limit
     top = max_rank if n is None else min(n, max_rank)
-    out: list[Word] = []
-    stack: list[tuple[Word, int]] = [((), max_rank)]
-    while stack:
-        word, budget = stack.pop()
-        out.append(word)
-        if len(out) > cap:
+    letters = sorted(range(1, top + 1), key=str)
+    by_rank: list[list[Word]] = []
+    total = 0
+    for r in range(max(max_rank, 0) + 1):
+        firsts = [k for k in letters if k <= r]
+        total += sum(len(by_rank[r - k]) for k in firsts) if r else 1
+        if total > cap:
             raise LimitError(
                 f"enumeration of words up to rank {max_rank} exceeded the cap of {cap}"
             )
-        for letter in range(1, min(top, budget) + 1):
-            stack.append((word + (letter,), budget - letter))
-    out.sort(key=canonical_key)
-    return out
+        by_rank.append([(k,) + w for k in firsts for w in by_rank[r - k]] if r else [()])
+    return [w for words in by_rank for w in words]

@@ -1,8 +1,10 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
-from ncposet.cli import run
+from ncposet.cli import build_parser, run
 
 
 def _invoke(capsys, *argv):
@@ -265,9 +267,59 @@ def test_certify_rejects_bad_ranges_before_output(capsys, argv):
     (
         ("check-order", "--order", "deglex", "-n", "10", "--max-degree", "9"),
         ("coconnection", "-n", "3", "--max-rank", "18"),
+        # about 4.9e8 key comparisons over 993^2 cofactor pairs: refused before any
+        ("check-order", "--order", "deglex", "-n", "31", "--max-degree", "1"),
+        # the sortedness check alone needs 465 * 993^2 comparisons
+        ("check-order", "--order", "degrevlex", "-n", "31", "--max-degree", "0"),
     ),
 )
 def test_certify_caps_oversized_ranges(capsys, argv):
     code, out, err = _invoke(capsys, *argv)
     assert (code, out) == (3, "")
     assert "cap" in err
+
+
+@pytest.mark.parametrize("max_degree", ("0", "1", "3"))
+@pytest.mark.parametrize("contains", ((), ("--contains", "nc")))
+def test_check_order_letter_without_weight(capsys, max_degree, contains):
+    argv = ("check-order", "--order", "weight:1,2,3", "-n", "5", "--max-degree", max_degree)
+    assert _invoke(capsys, *argv, *contains) == (
+        2,
+        "",
+        "error: letter x4 has no weight; the spec covers letters up to x3\n",
+    )
+
+
+def test_parser_reuse_leaks_no_defaults(capsys):
+    hasse = ("hasse", "--poset", "nc", "-n", "2", "--max-rank", "12")
+    assert _invoke(capsys, *hasse, "--limit", "5")[0] == 3
+    code, out, _ = _invoke(capsys, *hasse)
+    assert code == 0 and len(json.loads(out)["vertices"]) == 609
+
+    series = ("series", "-n", "2", "--terms", "5")
+    assert _invoke(capsys, *series, "--verify")[1].endswith("1 1 2 3 5 8 / verified\n")
+    assert _invoke(capsys, *series)[1].endswith("\n1 1 2 3 5 8\n")
+
+    order = ("check-order", "--order", "degrevlex", "-n", "2", "--max-degree", "2")
+    assert _invoke(capsys, *order, "--contains", "q")[1].endswith("contains q: yes\n")
+    code, out, _ = _invoke(capsys, *order)
+    assert code == 0 and "contains" not in out
+
+
+def test_repeated_usage_error_is_identical(capsys):
+    argv = ("cmp", "--poset", "nope", "x1", "x2")
+    first = _invoke(capsys, *argv)
+    assert first[0] == 2 and first[1] == "" and "invalid choice" in first[2]
+    assert _invoke(capsys, *argv) == first
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
+
+
+def test_import_builds_no_parser():
+    probe = "import ncposet.cli as c; print(c._shared_parser.cache_info().currsize)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "0\n"

@@ -16,6 +16,7 @@ from ncposet import (
     weight_deg,
     words_up_to_degree,
 )
+from ncposet import termorders
 from ncposet.termorders import sort_key
 
 
@@ -160,3 +161,28 @@ def test_containment_runs_no_search():
     assert contains_poset(DEG_RIGHT_LEX, PosetHandle("q", 3), 4) == (True, None)
     assert contains_poset(DEG_LEFT_LEX, PosetHandle("q", 3), 4)[0] is False
     assert _q_leq_cached.cache_info().misses == 0
+
+
+def test_letter_without_weight_is_reported_once_per_range():
+    spec = weight_deg(1, 2)
+    message = "letter x3 has no weight; the spec covers letters up to x2"
+    for d in (0, 2):
+        with pytest.raises(ValueError, match=message):
+            validate_order(spec, 4, d)
+    # at degree 0 containment keys only the identity
+    assert contains_poset(spec, PosetHandle("q", 4), 0) == (True, None)
+    with pytest.raises(ValueError, match=message):
+        contains_poset(spec, PosetHandle("q", 4), 1)
+    with pytest.raises(ValueError, match="letter x5 has no weight"):
+        sort_key(spec, (1, 5, 3))
+
+
+def test_multiplicativity_scan_charges_the_budget(monkeypatch):
+    # a key that ties each degree sends validate_order to the all-pairs scan
+    monkeypatch.setattr(termorders, "_key_function", lambda spec, top: len)
+    monkeypatch.setattr(termorders, "DEFAULT_LIMIT", 10_000)
+    # 127 words: 5334 pairs of different degree, under the cap
+    assert not validate_order(DEG_LEFT_LEX, 2, 6, cofactor_degree=0).is_total
+    # 255 words: 21590 pairs, over it
+    with pytest.raises(LimitError, match="multiplicativity scan exceeded the cap of 10000"):
+        validate_order(DEG_LEFT_LEX, 2, 7, cofactor_degree=0)

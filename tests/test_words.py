@@ -3,8 +3,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncposet import (
+    LimitError,
     ParseError,
     abelianize,
+    canonical_key,
     degree,
     format_monomial,
     format_multirank,
@@ -172,3 +174,34 @@ def test_words_up_to_rank_canonical_and_complete():
     assert out == sorted(out, key=lambda w: (rank(w), format_word(w)))
     assert out[0] == ()
     assert set(out) == {w for w in words_up_to_degree(2, 4) if rank(w) <= 4}
+
+
+def _words_up_to_rank_oracle(max_rank, n):
+    """Every word of rank <= max_rank by depth-first search, then sorted by canonical_key."""
+    top = max_rank if n is None else min(n, max_rank)
+    out, stack = [], [((), max_rank)]
+    while stack:
+        word, budget = stack.pop()
+        out.append(word)
+        stack.extend((word + (k,), budget - k) for k in range(1, min(top, budget) + 1))
+    return sorted(out, key=canonical_key)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 11, None))
+def test_words_up_to_rank_matches_sorted_oracle(n):
+    # n = 11 puts two-digit letters next to one-digit ones: x10 sorts before x2
+    for r in range(15):
+        assert words_up_to_rank(r, n) == _words_up_to_rank_oracle(r, n), r
+
+
+def test_words_up_to_rank_cap_edges():
+    # the identity counts: rank 0 holds one word
+    with pytest.raises(LimitError, match="up to rank 0 exceeded the cap of 0"):
+        words_up_to_rank(0, limit=0)
+    assert words_up_to_rank(0, limit=1) == [()]
+    assert len(words_up_to_rank(6, 2, limit=33)) == 33
+    with pytest.raises(LimitError, match="up to rank 6 exceeded the cap of 32"):
+        words_up_to_rank(6, 2, limit=32)
+    assert len(words_up_to_rank(5, limit=32)) == 32
+    with pytest.raises(LimitError, match="up to rank 5 exceeded the cap of 31"):
+        words_up_to_rank(5, limit=31)
