@@ -151,11 +151,13 @@ def _cmd_check_order(args) -> int:
 
 def _cmd_series(args) -> int:
     table = rank_coefficients(args.terms, args.n)
+    counts = None
+    if args.verify:  # before any output, so a cap leaves stdout empty
+        counts = enumerate_by_rank(args.terms, args.n, _resolve_limit(args))
     for line in table.format_lines():
         print(line)
     summary = " ".join(str(c) for c in table.coefficients)
-    if args.verify:
-        counts = enumerate_by_rank(args.terms, args.n, _resolve_limit(args))
+    if counts is not None:
         for k, (c, e) in enumerate(zip(table.coefficients, counts)):
             if c != e:
                 print(summary)

@@ -2,6 +2,11 @@
 
 DEFAULT_LIMIT = 1_000_000
 
+# Letters an enumeration may hold per word of its cap.  Over a small
+# alphabet the mean word length grows with the rank while the count stays
+# small: the rank-R words over x1 alone hold R(R+1)/2 letters.
+LETTERS_PER_WORD = 20
+
 # Elements of one reachability table: N elements take up to N(N+1)/2 bits,
 # about 33 MB at the cap.
 TABLE_LIMIT = 23_000

@@ -13,9 +13,9 @@ x1*x1 -> x1*x2.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .commutative import (
     comm_leq,
@@ -25,6 +25,7 @@ from .commutative import (
     monomials_up_to_rank,
     to_partition,
 )
+from .errors import DEFAULT_LIMIT, TABLE_LIMIT
 from .ncorder import covers_up, nc_leq, raisings
 from .variants import p_leq, q_leq, q_successors
 from .words import (
@@ -147,8 +148,27 @@ class HasseGraph:
             "edges": [list(edge) for edge in self.edges],
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        """``json.dumps(self.to_json_dict(), indent=2)``, written directly.
+
+        json's indented encoder runs in pure Python, one generator step per
+        token, so each vertex and each edge is formatted here in one piece.
+        Ranks, multirank components and edge ends are ints.  For another
+        layout, dump `to_json_dict` with the indent wanted.
+        """
+        vertices = [
+            f'{{\n      "word": {encode_basestring_ascii(label)},\n      "rank": {r},\n'
+            f'      "multirank": {_json_list([str(c) for c in mr], 6)}\n    }}'
+            for label, (_, r, mr) in zip(self.labels, self.vertices)
+        ]
+        edges = [f"[\n      {a},\n      {b}\n    ]" for a, b in self.edges]
+        return (
+            f'{{\n  "poset": {encode_basestring_ascii(self.family)},\n'
+            f'  "n": {"null" if self.n is None else self.n},\n'
+            f'  "max_rank": {self.max_rank},\n'
+            f'  "vertices": {_json_list(vertices, 2)},\n'
+            f'  "edges": {_json_list(edges, 2)}\n}}'
+        )
 
     def to_dot(self) -> str:
         lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=none];"]
@@ -166,15 +186,30 @@ class HasseGraph:
         return "\n".join(lines)
 
 
+def _json_list(items: list[str], depth: int) -> str:
+    """A list opened at ``depth`` spaces, as ``json.dumps(indent=2)`` lays it out.
+
+    Each item is already laid out for depth + 2, its first line unindented.
+    """
+    if not items:
+        return "[]"
+    inner = " " * (depth + 2)
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{' ' * depth}]"
+
+
 def hasse(handle: PosetHandle, max_rank: int, limit: int | None = None) -> HasseGraph:
     """Build the Hasse graph of the handle's family up to a rank bound.
 
     "nc" and "comm" are graded by rank with a down-set window, so their
     one-move successors are the covers; "p" uses `_p_covers_up`; "q" reduces
-    its one-move successor graph, since swaps keep the rank.
+    its one-move successor graph, since swaps keep the rank.  The reduction
+    holds a reachability table of up to N^2 bits, so "q" enumerates at most
+    `TABLE_LIMIT` words whatever the limit.
     """
     if max_rank < 0:
         raise ValueError("max_rank must be >= 0")
+    if handle.family == "q":
+        limit = min(DEFAULT_LIMIT if limit is None else limit, TABLE_LIMIT)
     if handle.family == "comm":
         elements = monomials_up_to_rank(max_rank, handle.n, limit)
         labels = tuple(format_monomial(t) for t in elements)
@@ -249,16 +284,16 @@ def _transitive_reduction(
                 ready.append(w)
     if len(order) != count:
         raise ValueError("successor graph contains a cycle; not a partial order")
-    reach: list[set[int]] = [set() for _ in range(count)]
-    for v in reversed(order):
-        r: set[int] = set()
-        for w in succ[v]:
-            r.add(w)
-            r |= reach[w]
-        reach[v] = r
+    # bit w of reach[v] is set iff w lies strictly above v.  A successor b of
+    # a is a cover iff no successor of a reaches it (none reaches itself);
+    # the others are in `beyond` already, so only the covers' bits are added.
+    reach = [0] * count
     out = []
-    for a in range(count):
-        for b in succ[a]:
-            if not any(b in reach[c] for c in succ[a] if c != b):
-                out.append((a, b))
+    for a in reversed(order):
+        beyond = 0
+        for c in succ[a]:
+            beyond |= reach[c]
+        covers = [b for b in succ[a] if not beyond >> b & 1]
+        out.extend((a, b) for b in covers)
+        reach[a] = beyond | sum(1 << b for b in covers)
     return tuple(sorted(out))

@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DEFAULT_LIMIT, LimitError, ParseError
+from .errors import DEFAULT_LIMIT, LETTERS_PER_WORD, LimitError, ParseError
 
 Word = tuple[int, ...]
 CommMonomial = dict[int, int]
@@ -220,9 +220,10 @@ def words_up_to_rank(
     """All words of rank <= max_rank in canonical order.
 
     Over the unbounded alphabet letters above ``max_rank`` cannot occur, so
-    the enumeration is finite either way.  Each rank's words are counted
-    against the element cap before they are built; beyond it `LimitError`
-    is raised.
+    the enumeration is finite either way.  The words of each rank and their
+    letters are counted before any word is built: more than the element cap
+    of words, or more than `LETTERS_PER_WORD` times it of letters, raise
+    `LimitError`.
 
     No two words of one rank are prefixes of each other, and ``*`` sorts
     below every digit, so within a rank the canonical text order is the
@@ -232,15 +233,27 @@ def words_up_to_rank(
     """
     cap = DEFAULT_LIMIT if limit is None else limit
     top = max_rank if n is None else min(n, max_rank)
-    letters = sorted(range(1, top + 1), key=str)
-    by_rank: list[list[Word]] = []
-    total = 0
+    # sizes[r] words of rank r hold lengths[r] letters among them
+    sizes: list[int] = []
+    lengths: list[int] = []
+    total_words = total_letters = 0
     for r in range(max(max_rank, 0) + 1):
-        firsts = [k for k in letters if k <= r]
-        total += sum(len(by_rank[r - k]) for k in firsts) if r else 1
-        if total > cap:
+        below = range(max(r - top, 0), r)
+        sizes.append(sum(sizes[s] for s in below) if r else 1)
+        lengths.append(sum(sizes[s] + lengths[s] for s in below))
+        total_words += sizes[r]
+        total_letters += lengths[r]
+        if total_words > cap:
             raise LimitError(
                 f"enumeration of words up to rank {max_rank} exceeded the cap of {cap}"
             )
-        by_rank.append([(k,) + w for k in firsts for w in by_rank[r - k]] if r else [()])
+        if total_letters > LETTERS_PER_WORD * cap:
+            raise LimitError(
+                f"enumeration of words up to rank {max_rank} exceeded the cap of "
+                f"{LETTERS_PER_WORD * cap} letters"
+            )
+    letters = sorted(range(1, top + 1), key=str)
+    by_rank: list[list[Word]] = [[()]]
+    for r in range(1, max_rank + 1):
+        by_rank.append([(k,) + w for k in letters if k <= r for w in by_rank[r - k]])
     return [w for words in by_rank for w in words]

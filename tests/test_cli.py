@@ -100,6 +100,22 @@ def test_hasse_limit_exit_code(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("hasse", "--poset", "q", "--max-rank", "15"), "cap of 23000\n"),
+        (("hasse", "--poset", "q", "--max-rank", "15", "--limit", "40000"), "cap of 23000\n"),
+        (("hasse", "--poset", "nc", "-n", "1", "--max-rank", "10000"), "cap of 20000000 letters\n"),
+        (("series", "--verify", "-n", "1", "--terms", "10000"), "cap of 20000000 letters\n"),
+        (("series", "--verify", "--terms", "30", "--limit", "100"), "cap of 100\n"),
+    ],
+)
+def test_caps_refuse_before_any_output(capsys, argv, message):
+    code, out, err = _invoke(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: enumeration of words") and err.endswith(message)
+
+
 def test_limit_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("NCPOSET_LIMIT", "10")
     code, _, err = _invoke(

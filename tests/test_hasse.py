@@ -9,8 +9,42 @@ from ncposet import (
     hasse,
     p_leq,
     rank_coefficients,
+    words_up_to_rank,
 )
-from ncposet.posets import _transitive_reduction
+from ncposet.posets import HasseGraph, _transitive_reduction
+from ncposet.variants import q_successors
+
+
+def _set_reduction(count, raw_edges):
+    """Reference transitive reduction: Kahn's order and one reachable set per vertex."""
+    succ = [set() for _ in range(count)]
+    indegree = [0] * count
+    for a, b in raw_edges:
+        if b not in succ[a]:
+            succ[a].add(b)
+            indegree[b] += 1
+    order = []
+    ready = [v for v in range(count) if indegree[v] == 0]
+    while ready:
+        v = ready.pop()
+        order.append(v)
+        for w in succ[v]:
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                ready.append(w)
+    assert len(order) == count
+    reach = [set() for _ in range(count)]
+    for v in reversed(order):
+        for w in succ[v]:
+            reach[v] |= {w} | reach[w]
+    return tuple(
+        sorted(
+            (a, b)
+            for a in range(count)
+            for b in succ[a]
+            if not any(b in reach[c] for c in succ[a] if c != b)
+        )
+    )
 
 
 def _edge_labels(graph):
@@ -137,6 +171,25 @@ def test_closed_form_covers_match_reduction_of_all_pairs(n, family, top_rank, fa
         assert graph.edges == _transitive_reduction(len(elements), comparable)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, None])
+def test_reduction_matches_set_reachability_on_q_moves(n):
+    for max_rank in range(10):
+        words = words_up_to_rank(max_rank, n)
+        index = {w: i for i, w in enumerate(words)}
+        raw = [
+            (i, j)
+            for i, w in enumerate(words)
+            for u in q_successors(w, n)
+            if (j := index.get(u)) is not None
+        ]
+        assert _transitive_reduction(len(words), raw) == _set_reduction(len(words), raw)
+
+
+def test_reduction_rejects_a_cycle():
+    with pytest.raises(ValueError, match="cycle"):
+        _transitive_reduction(3, [(0, 1), (1, 2), (2, 1)])
+
+
 def test_level_sizes_match_the_series():
     for n, bound in ((2, 6), (3, 5), (None, 5)):
         graph = hasse(PosetHandle("nc", n), bound)
@@ -178,6 +231,36 @@ def test_deterministic_output():
 def test_vertex_cap():
     with pytest.raises(LimitError):
         hasse(PosetHandle("nc", 2), 10, limit=20)
+
+
+def test_q_is_capped_at_the_table_limit(monkeypatch):
+    from ncposet import posets
+
+    # 32 words of rank <= 5 over the unbounded alphabet
+    monkeypatch.setattr(posets, "TABLE_LIMIT", 32)
+    assert len(hasse(PosetHandle("q"), 5).vertices) == 32
+    assert len(hasse(PosetHandle("q"), 5, limit=32).vertices) == 32
+    monkeypatch.setattr(posets, "TABLE_LIMIT", 31)
+    for limit in (None, 32, 1000):
+        with pytest.raises(LimitError, match="exceeded the cap of 31"):
+            hasse(PosetHandle("q"), 5, limit=limit)
+    with pytest.raises(LimitError, match="exceeded the cap of 20"):
+        hasse(PosetHandle("q"), 5, limit=20)
+    # the other families keep the caller's limit
+    assert len(hasse(PosetHandle("nc"), 5).vertices) == 32
+
+
+def test_to_json_escapes_like_json_dumps():
+    graph = HasseGraph(
+        family="q\"",
+        n=None,
+        max_rank=2,
+        vertices=(((), 0, ()), ((1,), 1, (1,)), ((2,), 2, (1, 1))),
+        labels=('say "1"', "back\\slash\nnew line", "\u00e9t\u00e9 \u2202"),
+        edges=(),
+    )
+    assert graph.to_json() == json.dumps(graph.to_json_dict(), indent=2)
+    assert '"edges": []' in graph.to_json()
 
 
 def test_comm_graph_partitions_as_multirank():

@@ -205,3 +205,20 @@ def test_words_up_to_rank_cap_edges():
     assert len(words_up_to_rank(5, limit=32)) == 32
     with pytest.raises(LimitError, match="up to rank 5 exceeded the cap of 31"):
         words_up_to_rank(5, limit=31)
+
+
+def test_words_up_to_rank_letter_budget_edges():
+    # over x1 alone, ranks 0..79 are 80 words holding 79*80/2 = 3160 = 20*158 letters
+    assert sum(map(len, words_up_to_rank(79, 1, limit=158))) == 3160
+    with pytest.raises(LimitError, match="up to rank 79 exceeded the cap of 3140 letters"):
+        words_up_to_rank(79, 1, limit=157)
+    with pytest.raises(LimitError, match="up to rank 80 exceeded the cap of 3160 letters"):
+        words_up_to_rank(80, 1, limit=158)
+
+
+def test_words_up_to_rank_refuses_before_building():
+    # letters and ranks far beyond the caps are refused by counting alone
+    with pytest.raises(LimitError, match="cap of 20000000 letters"):
+        words_up_to_rank(10**9, 1)
+    with pytest.raises(LimitError, match="cap of 1000000$"):
+        words_up_to_rank(10**9)
