@@ -13,6 +13,7 @@ x1*x1 -> x1*x2.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -153,8 +154,10 @@ class HasseGraph:
 
         json's indented encoder runs in pure Python, one generator step per
         token, so each vertex and each edge is formatted here in one piece.
-        Ranks, multirank components and edge ends are ints.  For another
-        layout, dump `to_json_dict` with the indent wanted.
+        Vertex ranks, multirank components and edge ends are ints, as
+        `hasse` builds them; ``n`` and ``max_rank`` are whatever the caller
+        passed.  For another layout, dump `to_json_dict` with the indent
+        wanted.
         """
         vertices = [
             f'{{\n      "word": {encode_basestring_ascii(label)},\n      "rank": {r},\n'
@@ -164,8 +167,8 @@ class HasseGraph:
         edges = [f"[\n      {a},\n      {b}\n    ]" for a, b in self.edges]
         return (
             f'{{\n  "poset": {encode_basestring_ascii(self.family)},\n'
-            f'  "n": {"null" if self.n is None else self.n},\n'
-            f'  "max_rank": {self.max_rank},\n'
+            f'  "n": {json.dumps(self.n)},\n'
+            f'  "max_rank": {json.dumps(self.max_rank)},\n'
             f'  "vertices": {_json_list(vertices, 2)},\n'
             f'  "edges": {_json_list(edges, 2)}\n}}'
         )

@@ -250,10 +250,11 @@ def test_q_is_capped_at_the_table_limit(monkeypatch):
     assert len(hasse(PosetHandle("nc"), 5).vertices) == 32
 
 
-def test_to_json_escapes_like_json_dumps():
+@pytest.mark.parametrize("n", [None, 3, True])
+def test_to_json_escapes_like_json_dumps(n):
     graph = HasseGraph(
         family="q\"",
-        n=None,
+        n=n,
         max_rank=2,
         vertices=(((), 0, ()), ((1,), 1, (1,)), ((2,), 2, (1, 1))),
         labels=('say "1"', "back\\slash\nnew line", "\u00e9t\u00e9 \u2202"),
