@@ -21,7 +21,7 @@ from typing import Any
 
 from .errors import DEFAULT_LIMIT, TABLE_LIMIT, LimitError
 from .ncorder import dominated
-from .variants import q_successors
+from .variants import q_covers
 from .words import (
     CommMonomial,
     Word,
@@ -199,7 +199,7 @@ class LawCheck:
     For the two monotonicity laws ``checked`` counts the comparable pairs of
     distinct elements in the range, as an all-pairs scan would; the count
     is read off the reachability tables, while the law itself is checked on
-    the move edges.  For the two roundtrip laws it counts the elements.
+    the cover edges.  For the two roundtrip laws it counts the elements.
     """
 
     law: str
@@ -272,10 +272,6 @@ def _reachability(
     return index, edges, up
 
 
-def _inversions(w: Word) -> int:
-    return sum(a > b for k, a in enumerate(w) for b in w[k + 1 :])
-
-
 def check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
     """Verify the coconnection laws between sorted-order words and monomials.
 
@@ -284,12 +280,15 @@ def check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
     and abelianize undoes sort_word exactly.  Violations are reported, not
     raised.
 
-    Both orders are generated by moves that never lower the rank (a
-    descent sort keeps the rank and removes an inversion), so the range
-    holds every chain between its elements.  Reachability tables over the
-    moves give the comparable pairs; the monotonicity laws are checked on
-    the moves alone, which suffices by transitivity, and only a failure
-    scans the comparable pairs in canonical order for the first witness.
+    Both orders are generated by their covers (`q_covers`,
+    `comm_successors`), which never lower the rank, so the range holds
+    every chain between its elements.  A descent sort keeps the rank and
+    makes the word lexicographically smaller, so listing the words by
+    rank descending, then lexicographically, puts every cover first.
+    Reachability tables over the covers give the comparable pairs; the
+    monotonicity laws are checked on the covers alone, which suffices by
+    transitivity, and only a failure scans the comparable pairs in
+    canonical order for the first witness.
     More than `TABLE_LIMIT` words raise `LimitError`.
     """
     check_range(n, max_rank, "max_rank")
@@ -298,8 +297,8 @@ def check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
     words = words_up_to_rank(max_rank, n, TABLE_LIMIT)
     monomials = monomials_up_to_rank(max_rank, n)
     frozen = [freeze_monomial(t) for t in monomials]
-    q_order = sorted(words, key=lambda w: (-sum(w), _inversions(w)))
-    q_index, q_edges, q_up = _reachability(q_order, lambda w: q_successors(w, n))
+    q_order = sorted(words, key=lambda w: (-sum(w), w))
+    q_index, q_edges, q_up = _reachability(q_order, lambda w: q_covers(w, n))
     c_order = sorted(frozen, key=lambda f: -sum(i * e for i, e in f))
     c_index, c_edges, c_up = _reachability(
         c_order, lambda f: map(freeze_monomial, comm_successors(dict(f), n))

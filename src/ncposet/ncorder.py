@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator, Sequence
 
-from .words import Word, check_word, multirank
+from .words import Word, _multirank, check_word
 
 __all__ = [
     "nc_leq",
@@ -95,8 +95,8 @@ def nc_leq_oracle(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> 
     m2 = check_word(m2, n)
     if m == m2:
         return True
-    target = multirank(m2)
-    start = multirank(m)
+    target = _multirank(m2)
+    start = _multirank(m)
     if not dominated(start, target):
         return False
     seen = {m}
@@ -120,7 +120,11 @@ def covers_up(m: Sequence[int], n: int | None = None) -> set[Word]:
     (k+1 on the unbounded alphabet and for n >= 2; 1 for n = 1); otherwise
     it has 2 + (number of raisable letters) elements.
     """
-    w = check_word(m, n)
+    return _covers_up(check_word(m, n), n)
+
+
+def _covers_up(w: Word, n: int | None) -> set[Word]:
+    """`covers_up` of a valid word, without validating it."""
     out = {(1,) + w, w + (1,)}
     out.update(w2 for _, w2 in raisings(w, n))
     return out

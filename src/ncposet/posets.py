@@ -5,16 +5,16 @@ variant), "comm" (commutative order on monomials).  A handle may carry an
 alphabet bound n; without one the alphabet is countable and enumeration is
 bounded by the rank cap instead.
 
-Hasse graphs use closed-form covers for "nc", "p" and "comm".  Only "q"
-takes a transitive reduction of its move graph: sorting a descent keeps the
-rank, so "q" is not graded and x1*x1 -> x2*x1 -> x1*x2 bypasses the raising
-x1*x1 -> x1*x2.
+Hasse graphs list the upper covers of each element in closed form, one
+generator per family.  "q" is not graded, since sorting a descent keeps
+the rank, and x1*x1 -> x2*x1 -> x1*x2 passes the raising x1*x1 -> x1*x2
+by; `q_covers` keeps only the moves that no such path passes.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -26,15 +26,14 @@ from .commutative import (
     monomials_up_to_rank,
     to_partition,
 )
-from .errors import DEFAULT_LIMIT, TABLE_LIMIT
-from .ncorder import covers_up, nc_leq, raisings
-from .variants import p_leq, q_leq, q_successors
+from .ncorder import _covers_up, nc_leq, raisings
+from .variants import p_leq, q_covers, q_leq
 from .words import (
     Word,
+    _multirank,
     check_word,
     format_monomial,
     format_word,
-    multirank,
     normalize_monomial,
     rank,
     words_up_to_rank,
@@ -203,16 +202,13 @@ def _json_list(items: list[str], depth: int) -> str:
 def hasse(handle: PosetHandle, max_rank: int, limit: int | None = None) -> HasseGraph:
     """Build the Hasse graph of the handle's family up to a rank bound.
 
-    "nc" and "comm" are graded by rank with a down-set window, so their
-    one-move successors are the covers; "p" uses `_p_covers_up`; "q" reduces
-    its one-move successor graph, since swaps keep the rank.  The reduction
-    holds a reachability table of up to N^2 bits, so "q" enumerates at most
-    `TABLE_LIMIT` words whatever the limit.
+    Each element's upper covers come in closed form (`_upper_neighbours`),
+    and those above the bound are dropped.  No "nc", "q" or "comm" move
+    lowers the rank, so their range is a down-set and its covers are the
+    order's; "p" takes its covers inside the range.
     """
     if max_rank < 0:
         raise ValueError("max_rank must be >= 0")
-    if handle.family == "q":
-        limit = min(DEFAULT_LIMIT if limit is None else limit, TABLE_LIMIT)
     if handle.family == "comm":
         elements = monomials_up_to_rank(max_rank, handle.n, limit)
         labels = tuple(format_monomial(t) for t in elements)
@@ -221,28 +217,24 @@ def hasse(handle: PosetHandle, max_rank: int, limit: int | None = None) -> Hasse
     else:
         elements = words_up_to_rank(max_rank, handle.n, limit)
         labels = tuple(format_word(w) for w in elements)
-        triples = tuple((w, rank(w), multirank(w)) for w in elements)
+        triples = tuple((w, rank(w), _multirank(w)) for w in elements)
         keys = elements
     index = {key: i for i, key in enumerate(keys)}
-    edges = [
+    edges = sorted(
         (i, j)
         for i, element in enumerate(elements)
         for up in _upper_neighbours(handle, element, max_rank)
         if (j := index.get(up)) is not None
-    ]
-    if handle.family == "q":
-        edges = _transitive_reduction(len(elements), edges)
-    else:
-        edges = tuple(sorted(edges))
-    return HasseGraph(handle.family, handle.n, max_rank, triples, labels, edges)
+    )
+    return HasseGraph(handle.family, handle.n, max_rank, triples, labels, tuple(edges))
 
 
 def _upper_neighbours(handle: PosetHandle, element, max_rank: int) -> Iterable:
-    """Index keys (words, or frozen monomials) one move above ``element``."""
+    """Index keys (words, or frozen monomials) of the covers of ``element``."""
     if handle.family == "nc":
-        return covers_up(element, handle.n)
+        return _covers_up(element, handle.n)
     if handle.family == "q":
-        return q_successors(element, handle.n)
+        return q_covers(element, handle.n)
     if handle.family == "p":
         return _p_covers_up(element, handle.n, max_rank)
     return map(freeze_monomial, comm_successors(element, handle.n))
@@ -264,39 +256,3 @@ def _p_covers_up(w: Word, n: int | None, max_rank: int) -> list[Word]:
         if ups:
             return ups
     return [(1,) * (len(w) + 1)]
-
-
-def _transitive_reduction(
-    count: int, raw_edges: Sequence[tuple[int, int]]
-) -> tuple[tuple[int, int], ...]:
-    """Unique transitive reduction of a DAG given by generating edges."""
-    succ: list[set[int]] = [set() for _ in range(count)]
-    indegree = [0] * count
-    for a, b in raw_edges:
-        if b not in succ[a]:
-            succ[a].add(b)
-            indegree[b] += 1
-    order = []
-    ready = [v for v in range(count) if indegree[v] == 0]
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for w in succ[v]:
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                ready.append(w)
-    if len(order) != count:
-        raise ValueError("successor graph contains a cycle; not a partial order")
-    # bit w of reach[v] is set iff w lies strictly above v.  A successor b of
-    # a is a cover iff no successor of a reaches it (none reaches itself);
-    # the others are in `beyond` already, so only the covers' bits are added.
-    reach = [0] * count
-    out = []
-    for a in reversed(order):
-        beyond = 0
-        for c in succ[a]:
-            beyond |= reach[c]
-        covers = [b for b in succ[a] if not beyond >> b & 1]
-        out.extend((a, b) for b in covers)
-        reach[a] = beyond | sum(1 << b for b in covers)
-    return tuple(sorted(out))

@@ -17,9 +17,9 @@ from itertools import pairwise, product
 from math import isqrt
 
 from .errors import DEFAULT_LIMIT, LimitError, ParseError
-from .ncorder import covers_up, raisings
+from .ncorder import _covers_up, raisings
 from .posets import EQ, GT, LT, PosetHandle
-from .variants import q_successors
+from .variants import q_covers
 from .words import Word, canonical_key, check_range, check_word, words_up_to_degree
 
 KINDS = ("deg_left_lex", "deg_right_lex", "weight_deg")
@@ -315,11 +315,14 @@ def _first_unsorted(key, n, cofactors):
 
 
 def _moves(family: str, w: Word, n: int) -> Iterable[Word]:
-    """The generating moves of "nc", "q" or "p" from ``w``; none lowers the degree."""
+    """The generating moves of "nc", "q" or "p" from ``w``; none lowers the degree.
+
+    For "nc" and "q" they are the covers, which generate the order.
+    """
     if family == "nc":
-        return covers_up(w, n)
+        return _covers_up(w, n)
     if family == "q":
-        return q_successors(w, n)
+        return q_covers(w, n)
     return [u for _, u in raisings(w, n)] + [(1,) * (len(w) + 1)]
 
 

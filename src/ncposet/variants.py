@@ -13,10 +13,10 @@ from collections import deque
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .ncorder import covers_up, dominated, rule_successors
-from .words import Word, check_word, multirank
+from .ncorder import dominated, raisings, rule_successors
+from .words import Word, _multirank, check_word
 
-__all__ = ["q_leq", "p_leq", "swap_successors", "q_successors"]
+__all__ = ["q_leq", "p_leq", "swap_successors", "q_covers"]
 
 
 def swap_successors(w: Word) -> set[Word]:
@@ -28,9 +28,35 @@ def swap_successors(w: Word) -> set[Word]:
     return out
 
 
-def q_successors(w: Word, n: int | None) -> set[Word]:
-    """One move up in the sorted-order variant: a base-order cover or a descent sort."""
-    return covers_up(w, n) | swap_successors(w)
+def q_covers(w: Word, n: int | None) -> set[Word]:
+    """Upper covers of a valid ``w`` in the sorted-order variant.
+
+    They are the descent sorts, w*x1, and each raising of a letter c whose
+    left neighbour is neither c nor c + 1.  An nc move (pad, raise) adds one
+    to the rank; a sort keeps it and removes one inversion.  So a cover is
+    one move, and a sort is one, since all between is reached by sorts.  A
+    sort followed by an nc move is an nc move followed by at most one sort;
+    the sort vanishes only where c+1, c -> c, c+1 -> c+1, c+1 is the raise
+    of a c whose left neighbour is c + 1.  So every path from w up one rank
+    is sorts, one nc move, sorts, and a longer path to an nc move v makes v
+    that raise or sorts v from an nc move w' != v.  w' and v have the same
+    letters, so both pad or both raise a c.  Both pad: sorts never add an
+    inversion and x1*w has no more inversions than w*x1, so only x1*w is
+    sorted from w*x1 (its x1 moves left past each letter above it; for
+    w = x1^k they are equal).  Both raise, at j' < j as sorts move large
+    letters right: sorts keep equal letters in order, so if the left
+    neighbour l of position j is above c + 1, the last c + 1 of v (at j)
+    follows l in v but precedes it in w', and if l < c, the last c of v
+    before j precedes l in v but follows it in w' (at j).  Either way v has
+    an inversion that w' lacks.  Conversely, raising j - 1 and then sorting
+    (l = c), or sorting and then raising j - 1 (l = c + 1), takes two moves.
+    """
+    out = swap_successors(w)
+    out.add(w + (1,))
+    out.update(
+        u for j, u in raisings(w, n) if not (j and w[j - 1] in (w[j], w[j] + 1))
+    )
+    return out
 
 
 def q_leq(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> bool:
@@ -49,8 +75,8 @@ def q_leq(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> bool:
 def _q_leq_cached(m: Word, m2: Word, n: int | None) -> bool:
     if m == m2:
         return True
-    target = multirank(m2)
-    start = multirank(m)
+    target = _multirank(m2)
+    start = _multirank(m)
     if not dominated(start, target):
         return False
     seen = {m}

@@ -154,7 +154,11 @@ def multirank(m: Sequence[int]) -> MultiRank:
     Weakly decreasing; component 1 is the degree and the component sum is
     the rank.
     """
-    w = check_word(m)
+    return _multirank(check_word(m))
+
+
+def _multirank(w: Word) -> MultiRank:
+    """`multirank` of a valid word, without validating it."""
     if not w:
         return ()
     top = max(w)

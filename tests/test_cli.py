@@ -103,8 +103,9 @@ def test_hasse_limit_exit_code(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("hasse", "--poset", "q", "--max-rank", "15"), "cap of 23000\n"),
-        (("hasse", "--poset", "q", "--max-rank", "15", "--limit", "40000"), "cap of 23000\n"),
+        # "q" takes the caller's limit: 32768 words of rank <= 15
+        (("hasse", "--poset", "q", "--max-rank", "15", "--limit", "23000"), "cap of 23000\n"),
+        (("hasse", "--poset", "q", "--max-rank", "15", "--limit", "32767"), "cap of 32767\n"),
         (("hasse", "--poset", "nc", "-n", "1", "--max-rank", "10000"), "20000000 letters\n"),
         (("series", "--verify", "-n", "1", "--terms", "10000"), "20000000 letters\n"),
         (("series", "--verify", "--terms", "30", "--limit", "100"), "cap of 100\n"),
@@ -114,6 +115,12 @@ def test_caps_refuse_before_any_output(capsys, argv, message):
     code, out, err = _invoke(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.startswith("error: enumeration of words") and err.endswith(message)
+
+
+def test_hasse_q_runs_above_the_old_table_cap(capsys):
+    code, out, err = _invoke(capsys, "hasse", "--poset", "q", "--max-rank", "15")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["vertices"]) == 32768
 
 
 def test_limit_env_variable(capsys, monkeypatch):
@@ -235,6 +242,45 @@ def test_coconnection_text_and_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert all(law["status"] == "ok" for law in payload["laws"])
+
+
+def test_coconnection_over_one_letter_at_the_letter_budget(capsys):
+    # recorded while the table was still ordered by inversions; ordering it by
+    # the words themselves must not change a byte
+    expected = """\
+{
+  "n": 1,
+  "max_rank": 958,
+  "laws": [
+    {
+      "law": "abelianize-monotone",
+      "status": "ok",
+      "checked": 459361,
+      "witness": null
+    },
+    {
+      "law": "sort-monotone",
+      "status": "ok",
+      "checked": 459361,
+      "witness": null
+    },
+    {
+      "law": "word-roundtrip-ascends",
+      "status": "ok",
+      "checked": 959,
+      "witness": null
+    },
+    {
+      "law": "monomial-roundtrip-identity",
+      "status": "ok",
+      "checked": 959,
+      "witness": null
+    }
+  ]
+}
+"""
+    code, out, err = _invoke(capsys, "coconnection", "-n", "1", "--max-rank", "958", "--json")
+    assert (code, out, err) == (0, expected, "")
 
 
 def test_parse_error_exit_code(capsys):

@@ -6,13 +6,60 @@ from ncposet import (
     LimitError,
     PosetHandle,
     comm_leq,
+    covers_up,
     hasse,
     p_leq,
     rank_coefficients,
     words_up_to_rank,
 )
-from ncposet.posets import HasseGraph, _transitive_reduction
-from ncposet.variants import q_successors
+from ncposet.posets import HasseGraph
+from ncposet.variants import swap_successors
+from ncposet.words import check_word
+
+
+def _transitive_reduction(count, raw_edges):
+    """Unique transitive reduction of a DAG given by generating edges."""
+    succ: list[set[int]] = [set() for _ in range(count)]
+    indegree = [0] * count
+    for a, b in raw_edges:
+        if b not in succ[a]:
+            succ[a].add(b)
+            indegree[b] += 1
+    order = []
+    ready = [v for v in range(count) if indegree[v] == 0]
+    while ready:
+        v = ready.pop()
+        order.append(v)
+        for w in succ[v]:
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                ready.append(w)
+    if len(order) != count:
+        raise ValueError("successor graph contains a cycle; not a partial order")
+    # bit w of reach[v] is set iff w lies strictly above v.  A successor b of
+    # a is a cover iff no successor of a reaches it (none reaches itself);
+    # the others are in `beyond` already, so only the covers' bits are added.
+    reach = [0] * count
+    out = []
+    for a in reversed(order):
+        beyond = 0
+        for c in succ[a]:
+            beyond |= reach[c]
+        covers = [b for b in succ[a] if not beyond >> b & 1]
+        out.extend((a, b) for b in covers)
+        reach[a] = beyond | sum(1 << b for b in covers)
+    return tuple(sorted(out))
+
+
+def _q_move_edges(words, n):
+    """Index pairs of the raw "q" moves inside ``words``: nc covers and descent sorts."""
+    index = {w: i for i, w in enumerate(words)}
+    return [
+        (i, j)
+        for i, w in enumerate(words)
+        for u in covers_up(w, n) | swap_successors(w)
+        if (j := index.get(u)) is not None
+    ]
 
 
 def _set_reduction(count, raw_edges):
@@ -175,14 +222,25 @@ def test_closed_form_covers_match_reduction_of_all_pairs(n, family, top_rank, fa
 def test_reduction_matches_set_reachability_on_q_moves(n):
     for max_rank in range(10):
         words = words_up_to_rank(max_rank, n)
-        index = {w: i for i, w in enumerate(words)}
-        raw = [
-            (i, j)
-            for i, w in enumerate(words)
-            for u in q_successors(w, n)
-            if (j := index.get(u)) is not None
-        ]
+        raw = _q_move_edges(words, n)
         assert _transitive_reduction(len(words), raw) == _set_reduction(len(words), raw)
+
+
+@pytest.mark.parametrize("n, top_rank", [(1, 25), (2, 10), (3, 10), (4, 10), (None, 10)])
+def test_q_covers_match_reduction_of_the_moves(n, top_rank):
+    for max_rank in range(top_rank + 1):
+        graph = hasse(PosetHandle("q", n), max_rank)
+        words = [w for w, _, _ in graph.vertices]
+        assert graph.edges == _transitive_reduction(len(words), _q_move_edges(words, n))
+
+
+def test_q_covers_match_reduction_above_the_old_table_cap():
+    # 32768 words, beyond the 23000 that the reduction once allowed
+    graph = hasse(PosetHandle("q"), 15)
+    words = [w for w, _, _ in graph.vertices]
+    assert len(words) == 32768
+    assert len(graph.edges) == 145181
+    assert graph.edges == _transitive_reduction(len(words), _q_move_edges(words, None))
 
 
 def test_reduction_rejects_a_cycle():
@@ -233,21 +291,31 @@ def test_vertex_cap():
         hasse(PosetHandle("nc", 2), 10, limit=20)
 
 
-def test_q_is_capped_at_the_table_limit(monkeypatch):
-    from ncposet import posets
-
+def test_q_honours_the_callers_limit():
     # 32 words of rank <= 5 over the unbounded alphabet
-    monkeypatch.setattr(posets, "TABLE_LIMIT", 32)
-    assert len(hasse(PosetHandle("q"), 5).vertices) == 32
     assert len(hasse(PosetHandle("q"), 5, limit=32).vertices) == 32
-    monkeypatch.setattr(posets, "TABLE_LIMIT", 31)
-    for limit in (None, 32, 1000):
-        with pytest.raises(LimitError, match="exceeded the cap of 31"):
-            hasse(PosetHandle("q"), 5, limit=limit)
-    with pytest.raises(LimitError, match="exceeded the cap of 20"):
-        hasse(PosetHandle("q"), 5, limit=20)
-    # the other families keep the caller's limit
-    assert len(hasse(PosetHandle("nc"), 5).vertices) == 32
+    with pytest.raises(LimitError, match="exceeded the cap of 31$"):
+        hasse(PosetHandle("q"), 5, limit=31)
+
+
+def test_hasse_validates_no_vertex(monkeypatch):
+    import ncposet
+
+    calls = []
+
+    def counting(m, n=None):
+        calls.append(m)
+        return check_word(m, n)
+
+    for module in vars(ncposet).values():
+        if getattr(module, "check_word", None) is check_word:
+            monkeypatch.setattr(module, "check_word", counting)
+    graph = hasse(PosetHandle("nc"), 10)
+    assert len(graph.vertices) == 1024
+    assert calls == []
+    # the public forms still validate
+    assert covers_up((1,)) == {(1, 1), (2,)}
+    assert calls == [(1,)]
 
 
 @pytest.mark.parametrize("n", [None, 3, True])
