@@ -9,12 +9,10 @@ letterwise.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
-from functools import lru_cache
 
-from .ncorder import dominated, raisings, rule_successors
-from .words import Word, _multirank, check_word
+from .ncorder import raisings
+from .words import Word, check_word
 
 __all__ = ["q_leq", "p_leq", "swap_successors", "q_covers"]
 
@@ -60,39 +58,38 @@ def q_covers(w: Word, n: int | None) -> set[Word]:
 
 
 def q_leq(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> bool:
-    """Comparability in the sorted-order variant.
+    """Comparability in the sorted-order variant, by first fit.
 
-    Reachability search using four moves: prepend x1, append x1, raise one
-    letter, sort one adjacent descent.  The first three moves add one unit
-    to the multirank and the swap preserves it, so pruning by multirank
-    domination leaves a finite state space (swap orbits at a fixed
-    multirank are finite).
+    Take the letters c of ``m`` from left to right and remove from ``m2``
+    the first remaining letter >= c; ``m <= m2`` iff no step runs out.  As
+    in `nc_leq`, ``n`` only validates.  Call positions p_0 .. p_{k-1} of a
+    word w a pick sequence for m when w[p_t] >= m[t] and every letter left
+    of p_t not taken before is < w[p_t].  First fit gives one, since each
+    free letter before its pick is < c.  (<=) Let u be the picked letters
+    followed by the rest: its prefix dominates m, so m <=_nc u, and putting
+    p_{k-1}, ..., p_0 back moves each right past smaller letters only, a
+    chain of descent sorts up to ``m2``.  (=>) By `q_covers`, a sort then an
+    nc move is an nc move then at most one sort, so m <=_nc u for some u
+    that sorts to ``m2``.  Some window u[s .. s+k-1] dominates m, and first
+    fit on u picks p_t <= s + t (s + t is free, as each p_i <= s + i), so u
+    has a pick sequence.  A sort b a -> a b (b > a) keeps every pick
+    sequence valid, as it only puts a smaller letter before b; so ``m2``
+    has one.  Exchange: given a pick sequence P, one starts with g, the
+    first letter >= m[0].  If g != p_0 then g < p_0 and w[g] < w[p_0]: take
+    g, carry p_0, and follow P; where the carried c is left of p_t and
+    w[c] >= w[p_t], take c instead and carry p_t.  Every letter left of c
+    that P left free is < w[c], so each step is valid.  The carried letter
+    stays right of g, so if g = p_j it was taken in P while g was free and
+    w[c] > w[g] >= m[j]: take c in slot j and follow P.  By induction on
+    len(m), first fit succeeds whenever a pick sequence exists.
     """
-    return _q_leq_cached(check_word(m, n), check_word(m2, n), n)
-
-
-@lru_cache(maxsize=4096)
-def _q_leq_cached(m: Word, m2: Word, n: int | None) -> bool:
-    if m == m2:
-        return True
-    target = _multirank(m2)
-    start = _multirank(m)
-    if not dominated(start, target):
-        return False
-    seen = {m}
-    queue: deque[tuple[Word, tuple[int, ...]]] = deque([(m, start)])
-    while queue:
-        w, phi = queue.popleft()
-        successors = list(rule_successors(w, phi, n))
-        successors.extend((s, phi) for s in swap_successors(w))
-        for w2, phi2 in successors:
-            if w2 in seen or not dominated(phi2, target):
-                continue
-            if w2 == m2:
-                return True
-            seen.add(w2)
-            queue.append((w2, phi2))
-    return False
+    m, rest = check_word(m, n), list(check_word(m2, n))
+    for c in m:
+        j = next((j for j, d in enumerate(rest) if d >= c), None)
+        if j is None:
+            return False
+        del rest[j]
+    return True
 
 
 def p_leq(m: Sequence[int], m2: Sequence[int]) -> bool:

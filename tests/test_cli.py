@@ -300,6 +300,19 @@ def test_bound_violation_exit_code(capsys):
     code, _, err = _invoke(capsys, "cmp", "--poset", "nc", "-n", "2", "x3", "x1")
     assert code == 2
     assert "bound" in err
+    code, out, err = _invoke(capsys, "cmp", "--poset", "q", "-n", "3", "x4", "x1")
+    assert (code, out) == (2, "")
+    assert "bound" in err
+
+
+def test_cmp_q_decides_long_words_at_once(capsys):
+    down = "*".join(f"x{i}" for i in range(40, 0, -1))
+    up = "*".join(f"x{i}" for i in range(1, 41))
+    assert _invoke(capsys, "cmp", "--poset", "q", down, up)[:2] == (0, "LT\n")
+    # equal multiranks leave only sorts, which remove inversions, and each
+    # word has one the other lacks: x2 before x1 here, x3 before x2 there
+    a, b = "*".join(["x2*x1*x3"] * 10), "*".join(["x1*x3*x2"] * 10)
+    assert _invoke(capsys, "cmp", "--poset", "q", a, b)[:2] == (0, "INCOMPARABLE\n")
 
 
 def test_help_exits_zero(capsys):

@@ -226,10 +226,12 @@ def test_coconnection_table_cap(monkeypatch):
         check_coconnection(2, 6)
 
 
-def test_coconnection_runs_no_search():
-    from ncposet.variants import _q_leq_cached
+def test_coconnection_runs_no_search(monkeypatch):
+    from ncposet import posets, variants
 
-    _q_leq_cached.cache_clear()
+    def refuse(*_):
+        raise AssertionError("q_leq called")
+
+    monkeypatch.setattr(variants, "q_leq", refuse)
+    monkeypatch.setattr(posets, "q_leq", refuse)
     assert check_coconnection(3, 6).ok
-    assert _q_leq_cached.cache_info().misses == 0
-    assert _q_leq_cached.cache_info().maxsize is not None

@@ -154,13 +154,16 @@ def test_words_up_to_degree_charges_the_cap_first():
         words_up_to_degree(10, 9)  # about 1.1e9 words: refused before building
 
 
-def test_containment_runs_no_search():
-    from ncposet.variants import _q_leq_cached
+def test_containment_runs_no_search(monkeypatch):
+    from ncposet import posets, variants
 
-    _q_leq_cached.cache_clear()
+    def refuse(*_):
+        raise AssertionError("q_leq called")
+
+    monkeypatch.setattr(variants, "q_leq", refuse)
+    monkeypatch.setattr(posets, "q_leq", refuse)
     assert contains_poset(DEG_RIGHT_LEX, PosetHandle("q", 3), 4) == (True, None)
     assert contains_poset(DEG_LEFT_LEX, PosetHandle("q", 3), 4)[0] is False
-    assert _q_leq_cached.cache_info().misses == 0
 
 
 def test_letter_without_weight_is_reported_once_per_range():

@@ -1,3 +1,6 @@
+import random
+from collections import deque
+
 import pytest
 
 from ncposet import (
@@ -14,7 +17,41 @@ from ncposet import (
     q_leq,
     words_of_degree,
     words_up_to_degree,
+    words_up_to_rank,
 )
+from ncposet.ncorder import dominated, rule_successors
+from ncposet.variants import swap_successors
+from ncposet.words import _multirank
+
+
+def _q_leq_search(m, m2, n):
+    """The "q" order by its definition: breadth-first search upward from m.
+
+    Four moves: prepend x1, append x1, raise one letter, sort one adjacent
+    descent.  The first three add one unit to the multirank and the swap
+    preserves it, so pruning by multirank domination leaves a finite state
+    space (swap orbits at a fixed multirank are finite).
+    """
+    if m == m2:
+        return True
+    target = _multirank(m2)
+    start = _multirank(m)
+    if not dominated(start, target):
+        return False
+    seen = {m}
+    queue = deque([(m, start)])
+    while queue:
+        w, phi = queue.popleft()
+        successors = list(rule_successors(w, phi, n))
+        successors.extend((s, phi) for s in swap_successors(w))
+        for w2, phi2 in successors:
+            if w2 in seen or not dominated(phi2, target):
+                continue
+            if w2 == m2:
+                return True
+            seen.add(w2)
+            queue.append((w2, phi2))
+    return False
 
 
 def test_q_leq_examples():
@@ -23,6 +60,31 @@ def test_q_leq_examples():
     assert q_leq((1, 2), (1, 2))
     assert q_leq((2, 1, 1), (1, 2, 1))
     assert q_leq((1, 2, 1), (1, 1, 2))
+
+
+@pytest.mark.parametrize("n, top_rank", [(1, 20), (2, 7), (3, 7), (4, 7), (None, 7)])
+def test_q_leq_matches_the_search(n, top_rank):
+    words = words_up_to_rank(top_rank, n)
+    for a in words:
+        for b in words:
+            expected = _q_leq_search(a, b, n)
+            assert q_leq(a, b, n) == expected, (a, b, n)
+            assert q_leq(a, b) == expected, (a, b)
+
+
+def test_q_leq_matches_the_search_on_random_pairs():
+    rng = random.Random(7)
+    for _ in range(400):
+        b = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 7)))
+        a = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, len(b))))
+        assert q_leq(a, b) == _q_leq_search(a, b, None), (a, b)
+
+
+def test_q_leq_decides_a_large_box_at_once():
+    # the search expands every word in the multirank box below x1 .. x8,
+    # although its window x6 x7 x8 already dominates x6^3
+    assert q_leq((6, 6, 6), tuple(range(1, 9)))
+    assert not q_leq((6, 6, 6), tuple(range(1, 8)))
 
 
 def test_q_chain_through_the_fiber():
