@@ -17,7 +17,7 @@ from .commutative import check_coconnection
 from .errors import DEFAULT_LIMIT, LimitError, ParseError
 from .ideals import is_strongly_stable, minimalize, strongly_stable_closure
 from .ncorder import covers_down, covers_up, walk
-from .posets import PosetHandle, compare, hasse
+from .posets import FAMILIES, PosetHandle, compare, hasse
 from .series import enumerate_by_rank, rank_coefficients
 from .termorders import contains_poset, parse_order_spec, validate_order
 from .words import (
@@ -60,11 +60,8 @@ def _cmd_cmp(args) -> int:
 
 def _cmd_covers(args) -> int:
     w = parse_word(args.word)
-    if args.dir == "up":
-        out = covers_up(w, args.n)
-    else:
-        check_word(w, args.n)
-        out = covers_down(w)
+    n = PosetHandle("nc", args.n).n  # rejects an alphabet bound below 1
+    out = covers_up(w, n) if args.dir == "up" else covers_down(check_word(w, n))
     for word in sorted(out, key=canonical_key):
         print(format_word(word))
     return 0
@@ -194,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cmp", help="compare two elements in a poset")
-    p.add_argument("--poset", required=True, choices=("nc", "q", "p", "comm"))
+    p.add_argument("--poset", required=True, choices=FAMILIES)
     p.add_argument("-n", type=int, default=None, help="alphabet bound")
     p.add_argument("a")
     p.add_argument("b")
@@ -207,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_covers)
 
     p = sub.add_parser("hasse", help="Hasse graph up to a rank bound")
-    p.add_argument("--poset", required=True, choices=("nc", "q", "p", "comm"))
+    p.add_argument("--poset", required=True, choices=FAMILIES)
     p.add_argument("-n", type=int, default=None)
     p.add_argument("--max-rank", required=True, type=int)
     p.add_argument("--format", default="json", choices=("json", "dot"))

@@ -14,13 +14,12 @@ a rank-bounded range.
 from __future__ import annotations
 
 import json
-from collections import deque
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
 from .errors import DEFAULT_LIMIT, TABLE_LIMIT, LimitError
-from .ncorder import dominated
+from .ncorder import _reachable, dominated
 from .variants import q_covers
 from .words import (
     CommMonomial,
@@ -120,31 +119,21 @@ def freeze_monomial(t: CommMonomial) -> tuple[tuple[int, int], ...]:
 def comm_leq_oracle(t: Mapping[int, int], t2: Mapping[int, int]) -> bool:
     """Rule-based comparability: multiply by x1 or trade an x_i for x_{i+1}.
 
-    Breadth-first search pruned by partition domination; both moves add one
-    box to the partition, so the search space is finite.
+    A search over frozen monomials, pruned by partition domination; both
+    moves add one box to the partition, so the search space is finite.
     """
     t = normalize_monomial(t)
     t2 = normalize_monomial(t2)
-    if t == t2:
-        return True
     target = to_partition(t2)
-    if not dominated(to_partition(t), target):
-        return False
-    goal = freeze_monomial(t2)
-    start = freeze_monomial(t)
-    seen = {start}
-    queue = deque([t])
-    while queue:
-        state = queue.popleft()
-        for succ in comm_successors(state):
-            key = freeze_monomial(succ)
-            if key in seen or not dominated(to_partition(succ), target):
-                continue
-            if key == goal:
-                return True
-            seen.add(key)
-            queue.append(succ)
-    return False
+
+    def up(f):
+        return [
+            freeze_monomial(s)
+            for s in comm_successors(dict(f))
+            if dominated(to_partition(s), target)
+        ]
+
+    return freeze_monomial(t2) in _reachable(freeze_monomial(t), up)
 
 
 def comm_successors(t: CommMonomial, n: int | None = None) -> list[CommMonomial]:
@@ -170,6 +159,8 @@ def monomials_up_to_rank(
     max_rank: int, n: int | None = None, limit: int | None = None
 ) -> list[CommMonomial]:
     """All monomials of rank <= max_rank over x1..xn, in canonical order."""
+    if max_rank < 0:
+        return []
     cap = DEFAULT_LIMIT if limit is None else limit
     top = max_rank if n is None else min(n, max_rank)
     out: list[CommMonomial] = []

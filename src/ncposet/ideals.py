@@ -18,6 +18,7 @@ from .ncorder import covers_up, raisings
 from .words import (
     Word,
     canonical_key,
+    check_range,
     check_word,
     format_word,
     is_factor,
@@ -120,6 +121,7 @@ def is_strongly_stable(ideal: IdealGens, rank_bound: int) -> StabilityCheck:
     Scans members in canonical order; the witness is the first member
     together with the first of its covers that escapes the ideal.
     """
+    check_range(ideal.n, rank_bound, "rank_bound")
     window_witness = None
     for m in words_up_to_rank(rank_bound, ideal.n):
         if not ideal_member(m, ideal):

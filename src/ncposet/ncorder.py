@@ -8,8 +8,7 @@ and every interval is finite.
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 
 from .words import Word, _multirank, check_word
 
@@ -30,13 +29,6 @@ def dominated(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def bump(vector: tuple[int, ...], j: int) -> tuple[int, ...]:
-    """Add the j-th unit vector (1-based), extending with zeros if needed."""
-    if j <= len(vector):
-        return vector[: j - 1] + (vector[j - 1] + 1,) + vector[j:]
-    return vector + (0,) * (j - len(vector) - 1) + (1,)
-
-
 def raisings(w: Word, n: int | None) -> list[tuple[int, Word]]:
     """Each one-letter raising of ``w`` inside x1..xn, as (0-based position, word).
 
@@ -50,18 +42,16 @@ def raisings(w: Word, n: int | None) -> list[tuple[int, Word]]:
     ]
 
 
-def rule_successors(
-    w: Word, phi: tuple[int, ...], n: int | None
-) -> Iterator[tuple[Word, tuple[int, ...]]]:
-    """One-step successors: prepend x1, append x1, and the `raisings`.
-
-    Each successor is paired with its multirank, obtained from ``phi`` by a
-    single unit bump.
-    """
-    yield (1,) + w, bump(phi, 1)
-    yield w + (1,), bump(phi, 1)
-    for j, w2 in raisings(w, n):
-        yield w2, bump(phi, w2[j])
+def _reachable(start: Hashable, moves: Callable[[Hashable], Iterable]) -> set:
+    """Everything reached from ``start`` in zero or more ``moves``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for u in moves(stack.pop()):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
 
 
 def nc_leq(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> bool:
@@ -85,32 +75,18 @@ def nc_leq(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> bool:
 
 
 def nc_leq_oracle(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> bool:
-    """Rule-based comparability: breadth-first search upward from ``m``.
+    """Rule-based comparability: is ``m2`` reached from ``m`` by cover moves?
 
-    States whose multirank is not dominated by ``multirank(m2)`` are pruned.
-    Every move adds one unit to the multirank, so the live states form a
-    finite box below the target multirank and the search terminates.
+    Moves to words whose multirank is not dominated by ``multirank(m2)``
+    are pruned.  Every move adds one unit to the multirank, so the reached
+    words form a finite box below the target multirank.
     """
     m = check_word(m, n)
     m2 = check_word(m2, n)
-    if m == m2:
-        return True
     target = _multirank(m2)
-    start = _multirank(m)
-    if not dominated(start, target):
-        return False
-    seen = {m}
-    queue: deque[tuple[Word, tuple[int, ...]]] = deque([(m, start)])
-    while queue:
-        w, phi = queue.popleft()
-        for w2, phi2 in rule_successors(w, phi, n):
-            if w2 in seen or not dominated(phi2, target):
-                continue
-            if w2 == m2:
-                return True
-            seen.add(w2)
-            queue.append((w2, phi2))
-    return False
+    return m2 in _reachable(
+        m, lambda w: [u for u in _covers_up(w, n) if dominated(_multirank(u), target)]
+    )
 
 
 def covers_up(m: Sequence[int], n: int | None = None) -> set[Word]:
@@ -149,16 +125,7 @@ def covers_down(m: Sequence[int]) -> set[Word]:
 
 def principal_down_set(m: Sequence[int]) -> set[Word]:
     """All words below ``m``; finite because the order is graded by rank."""
-    m = check_word(m)
-    seen = {m}
-    queue: deque[Word] = deque([m])
-    while queue:
-        w = queue.popleft()
-        for w2 in covers_down(w):
-            if w2 not in seen:
-                seen.add(w2)
-                queue.append(w2)
-    return seen
+    return _reachable(check_word(m), covers_down)
 
 
 def walk(m: Sequence[int], dim: int | None = None) -> list[tuple[int, ...]]:

@@ -202,7 +202,7 @@ def _json_list(items: list[str], depth: int) -> str:
 def hasse(handle: PosetHandle, max_rank: int, limit: int | None = None) -> HasseGraph:
     """Build the Hasse graph of the handle's family up to a rank bound.
 
-    Each element's upper covers come in closed form (`_upper_neighbours`),
+    Each element's upper covers come in closed form (`_upper_covers`),
     and those above the bound are dropped.  No "nc", "q" or "comm" move
     lowers the rank, so their range is a down-set and its covers are the
     order's; "p" takes its covers inside the range.
@@ -223,13 +223,13 @@ def hasse(handle: PosetHandle, max_rank: int, limit: int | None = None) -> Hasse
     edges = sorted(
         (i, j)
         for i, element in enumerate(elements)
-        for up in _upper_neighbours(handle, element, max_rank)
+        for up in _upper_covers(handle, element, max_rank)
         if (j := index.get(up)) is not None
     )
     return HasseGraph(handle.family, handle.n, max_rank, triples, labels, tuple(edges))
 
 
-def _upper_neighbours(handle: PosetHandle, element, max_rank: int) -> Iterable:
+def _upper_covers(handle: PosetHandle, element, max_rank: int | None = None) -> Iterable:
     """Index keys (words, or frozen monomials) of the covers of ``element``."""
     if handle.family == "nc":
         return _covers_up(element, handle.n)
@@ -240,18 +240,22 @@ def _upper_neighbours(handle: PosetHandle, element, max_rank: int) -> Iterable:
     return map(freeze_monomial, comm_successors(element, handle.n))
 
 
-def _p_covers_up(w: Word, n: int | None, max_rank: int) -> list[Word]:
-    """Upper covers of ``w`` in "p" restricted to the window W of rank <= max_rank.
+def _p_covers_up(w: Word, n: int | None, max_rank: int | None = None) -> list[Word]:
+    """Upper covers of ``w`` in "p", inside the window W of rank <= max_rank if given.
+
+    Without a window they are the raisings, and x1^(d+1) for w = xn^d, the
+    top of degree d = len(w).  Every word of degree d reaches xn^d by
+    raisings, and x1^(d+1) lies below every word of higher degree, so these
+    covers also generate "p" inside every degree window.
 
     W is not a down-set (x3 < x1*x1), so covers are taken inside W.  If
-    v in W has degree d = len(w) and lies above w, it dominates w
-    letterwise, so some raising u of w has u <= v, letters <= n and rank
-    rank(w) + 1 <= rank(v): u is in W.  Hence the covers of equal degree
-    are the raisings in W.  x1^(d+1) lies below every word of higher
-    degree, so it is the only other candidate, and a cover exactly when no
-    raising is in W (the caller drops it when it falls outside W).
+    v in W has degree d and lies above w, it dominates w letterwise, so
+    some raising u of w has u <= v, letters <= n and rank rank(w) + 1 <=
+    rank(v): u is in W.  Hence the covers of equal degree are the raisings
+    in W.  x1^(d+1) is the only other candidate, and a cover exactly when
+    no raising is in W (the caller drops it when it falls outside W).
     """
-    if rank(w) < max_rank:
+    if max_rank is None or rank(w) < max_rank:
         ups = [u for _, u in raisings(w, n)]
         if ups:
             return ups

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import rank, words_up_to_rank
+from .words import check_range, rank, words_up_to_rank
 
 __all__ = ["CoefficientTable", "rank_coefficients", "enumerate_by_rank"]
 
@@ -32,8 +32,7 @@ def rank_coefficients(terms: int, n: int | None = None) -> CoefficientTable:
     c_k = 2 c_{k-1} for k >= 2, and 1-2t+t^(n+1) additionally subtracts
     c_{k-n-1}.
     """
-    if terms < 0:
-        raise ValueError("terms must be >= 0")
+    check_range(n, terms, "terms")
     coefficients = [1]
     for k in range(1, terms + 1):
         if k == 1:
@@ -50,8 +49,7 @@ def enumerate_by_rank(
     terms: int, n: int | None = None, limit: int | None = None
 ) -> list[int]:
     """Tally the words of each rank 0..terms by direct generation."""
-    if terms < 0:
-        raise ValueError("terms must be >= 0")
+    check_range(n, terms, "terms")
     counts = [0] * (terms + 1)
     for w in words_up_to_rank(terms, n, limit):
         counts[rank(w)] += 1

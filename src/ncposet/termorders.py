@@ -11,15 +11,14 @@ the witness of a failure.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import pairwise, product
 from math import isqrt
 
 from .errors import DEFAULT_LIMIT, LimitError, ParseError
-from .ncorder import _covers_up, raisings
-from .posets import EQ, GT, LT, PosetHandle
-from .variants import q_covers
+from .ncorder import _reachable
+from .posets import EQ, GT, LT, PosetHandle, _upper_covers
 from .words import Word, canonical_key, check_range, check_word, words_up_to_degree
 
 KINDS = ("deg_left_lex", "deg_right_lex", "weight_deg")
@@ -314,41 +313,18 @@ def _first_unsorted(key, n, cofactors):
     return None
 
 
-def _moves(family: str, w: Word, n: int) -> Iterable[Word]:
-    """The generating moves of "nc", "q" or "p" from ``w``; none lowers the degree.
-
-    For "nc" and "q" they are the covers, which generate the order.
-    """
-    if family == "nc":
-        return _covers_up(w, n)
-    if family == "q":
-        return q_covers(w, n)
-    return [u for _, u in raisings(w, n)] + [(1,) * (len(w) + 1)]
-
-
-def _above(w: Word, up: Callable[[Word], Iterable[Word]]) -> set[Word]:
-    """Every word reachable from ``w`` in one or more ``up`` moves."""
-    seen: set[Word] = set()
-    stack = [w]
-    while stack:
-        for u in up(stack.pop()):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
-
-
 def contains_poset(
     spec: TermOrderSpec, handle: PosetHandle, max_degree: int
 ) -> tuple[bool, tuple[Word, Word] | None]:
     """Does the total order refine the partial order on the bounded range?
 
-    The partial order is generated by its moves (`_moves`).  No move lowers
-    the degree, so a chain between two words of the range stays inside it,
-    and the key order is transitive: checking each move inside the range
-    decides the question.  If a move fails, the witness is the first pair
-    in canonical order (`canonical_key`, outer then inner word) that the
-    order puts the other way, found by a search over the moves.
+    The partial order is generated by its covers (`_upper_covers`).  No
+    cover lowers the degree, so a chain between two words of the range
+    stays inside it, and the key order is transitive: checking each cover
+    inside the range decides the question.  If a cover fails, the witness
+    is the first pair in canonical order (`canonical_key`, outer then inner
+    word) that the order puts the other way, found by a search over the
+    covers.
     """
     if handle.family not in ("nc", "q", "p"):
         raise ValueError(f"containment checks cover word posets, not {handle.family!r}")
@@ -361,12 +337,12 @@ def contains_poset(
     keys = {w: key(w) for w in words}
 
     def up(w: Word) -> list[Word]:
-        return [u for u in _moves(handle.family, w, handle.n) if len(u) <= max_degree]
+        return [u for u in _upper_covers(handle, w) if len(u) <= max_degree]
 
     if all(keys[w] < keys[u] for w in words for u in up(w)):
         return True, None
     return False, next(
         (a, min(late, key=canonical_key))
         for a in words
-        if (late := [b for b in _above(a, up) if not keys[a] < keys[b]])
+        if (late := [b for b in _reachable(a, up) if b != a and not keys[a] < keys[b]])
     )

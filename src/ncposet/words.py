@@ -221,7 +221,7 @@ def words_up_to_degree(n: int, max_degree: int, limit: int | None = None) -> lis
 def words_up_to_rank(
     max_rank: int, n: int | None = None, limit: int | None = None
 ) -> list[Word]:
-    """All words of rank <= max_rank in canonical order.
+    """All words of rank <= max_rank in canonical order; none for a negative bound.
 
     Over the unbounded alphabet letters above ``max_rank`` cannot occur, so
     the enumeration is finite either way.  The words of each rank and their
@@ -235,13 +235,15 @@ def words_up_to_rank(
     r are therefore each first letter, in that order, followed by the words
     of rank r - letter, already in canonical order.
     """
+    if max_rank < 0:
+        return []
     cap = DEFAULT_LIMIT if limit is None else limit
     top = max_rank if n is None else min(n, max_rank)
     # sizes[r] words of rank r hold lengths[r] letters among them
     sizes: list[int] = []
     lengths: list[int] = []
     total_words = total_letters = 0
-    for r in range(max(max_rank, 0) + 1):
+    for r in range(max_rank + 1):
         below = range(max(r - top, 0), r)
         sizes.append(sum(sizes[s] for s in below) if r else 1)
         lengths.append(sum(sizes[s] + lengths[s] for s in below))

@@ -340,6 +340,23 @@ def test_certify_rejects_bad_ranges_before_output(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     (
+        ("series", "-n", "0", "--terms", "4"),
+        ("series", "-n", "0", "--terms", "4", "--verify"),
+        ("series", "-n", "-2", "--terms", "4"),
+        ("covers", "--dir", "up", "-n", "0", "1"),
+        ("covers", "--dir", "down", "-n", "0", "1"),
+        ("is-stable", "-n", "2", "--rank-bound", "-1", "x1"),
+    ),
+)
+def test_bad_alphabet_and_rank_bounds_rejected_before_output(capsys, argv):
+    code, out, err = _invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
         ("check-order", "--order", "deglex", "-n", "10", "--max-degree", "9"),
         ("coconnection", "-n", "3", "--max-rank", "18"),
         # about 4.9e8 key comparisons over 993^2 cofactor pairs: refused before any

@@ -135,6 +135,7 @@ def test_monomials_up_to_rank_counts():
     # partitions of size <= 6 with at most 2 parts: 1+1+2+2+3+3+4
     assert len(monomials_up_to_rank(6, 2)) == 16
     assert len(monomials_up_to_rank(0, 3)) == 1
+    assert monomials_up_to_rank(-1) == monomials_up_to_rank(-3, 2) == []
 
 
 def test_coconnection_report_clean():

@@ -10,9 +10,11 @@ from ncposet import (
     hasse,
     p_leq,
     rank_coefficients,
+    words_up_to_degree,
     words_up_to_rank,
 )
-from ncposet.posets import HasseGraph
+from ncposet.ncorder import _reachable
+from ncposet.posets import HasseGraph, _upper_covers
 from ncposet.variants import swap_successors
 from ncposet.words import check_word
 
@@ -216,6 +218,19 @@ def test_closed_form_covers_match_reduction_of_all_pairs(n, family, top_rank, fa
             if i != j and family_leq(a, b, n)
         ]
         assert graph.edges == _transitive_reduction(len(elements), comparable)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_unwindowed_p_covers_generate_p_in_every_degree_window(n):
+    # the covers without a rank window add x1^(d+1) above xn^d only
+    handle = PosetHandle("p", n)
+    for max_degree in range(5):
+        words = words_up_to_degree(n, max_degree)
+        for w in words:
+            reached = _reachable(
+                w, lambda v: [u for u in _upper_covers(handle, v) if len(u) <= max_degree]
+            )
+            assert reached == {u for u in words if p_leq(w, u)}, (w, n, max_degree)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, None])

@@ -128,3 +128,8 @@ def test_generator_check_is_equivalent_to_window_check_on_sample():
     for ideal in _sample_ideals(25, seed=31415):
         check = is_strongly_stable(ideal, 8)
         assert check.window_closed == check.generators_closed
+
+
+def test_negative_rank_bound_is_rejected():
+    with pytest.raises(ValueError, match="rank_bound"):
+        is_strongly_stable(minimalize([(1,)], 2), -1)

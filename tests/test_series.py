@@ -56,6 +56,11 @@ def test_argument_validation():
         rank_coefficients(-1)
     with pytest.raises(ValueError):
         enumerate_by_rank(-1)
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="alphabet bound"):
+            rank_coefficients(4, n)
+        with pytest.raises(ValueError, match="alphabet bound"):
+            enumerate_by_rank(4, n)
 
 
 def test_enumeration_cap():

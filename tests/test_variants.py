@@ -10,6 +10,7 @@ from ncposet import (
     LT,
     PosetHandle,
     compare,
+    covers_up,
     leq,
     multirank,
     nc_leq,
@@ -19,7 +20,7 @@ from ncposet import (
     words_up_to_degree,
     words_up_to_rank,
 )
-from ncposet.ncorder import dominated, rule_successors
+from ncposet.ncorder import dominated
 from ncposet.variants import swap_successors
 from ncposet.words import _multirank
 
@@ -27,30 +28,28 @@ from ncposet.words import _multirank
 def _q_leq_search(m, m2, n):
     """The "q" order by its definition: breadth-first search upward from m.
 
-    Four moves: prepend x1, append x1, raise one letter, sort one adjacent
-    descent.  The first three add one unit to the multirank and the swap
-    preserves it, so pruning by multirank domination leaves a finite state
-    space (swap orbits at a fixed multirank are finite).
+    Four moves: prepend x1, append x1, raise one letter (the nc covers),
+    sort one adjacent descent.  The first three add one unit to the
+    multirank and the swap preserves it, so pruning by multirank domination
+    leaves a finite state space (swap orbits at a fixed multirank are
+    finite).
     """
     if m == m2:
         return True
     target = _multirank(m2)
-    start = _multirank(m)
-    if not dominated(start, target):
+    if not dominated(_multirank(m), target):
         return False
     seen = {m}
-    queue = deque([(m, start)])
+    queue = deque([m])
     while queue:
-        w, phi = queue.popleft()
-        successors = list(rule_successors(w, phi, n))
-        successors.extend((s, phi) for s in swap_successors(w))
-        for w2, phi2 in successors:
-            if w2 in seen or not dominated(phi2, target):
+        w = queue.popleft()
+        for w2 in covers_up(w, n) | swap_successors(w):
+            if w2 in seen or not dominated(_multirank(w2), target):
                 continue
             if w2 == m2:
                 return True
             seen.add(w2)
-            queue.append((w2, phi2))
+            queue.append(w2)
     return False
 
 

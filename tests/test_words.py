@@ -207,6 +207,12 @@ def test_words_up_to_rank_cap_edges():
         words_up_to_rank(5, limit=31)
 
 
+def test_words_up_to_negative_rank_are_none():
+    for n in (None, 2):
+        assert words_up_to_rank(-1, n) == []
+        assert words_up_to_rank(-3, n, limit=0) == []
+
+
 def test_words_up_to_rank_letter_budget_edges():
     # over x1 alone, ranks 0..79 are 80 words holding 79*80/2 = 3160 = 20*158 letters
     assert sum(map(len, words_up_to_rank(79, 1, limit=158))) == 3160
