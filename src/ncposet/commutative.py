@@ -24,6 +24,8 @@ from .variants import q_covers
 from .words import (
     CommMonomial,
     Word,
+    _format_monomial,
+    _suffix_sums,
     abelianize,
     check_range,
     format_monomial,
@@ -57,16 +59,7 @@ def to_partition(t: Mapping[int, int]) -> Partition:
     Weakly decreasing, with as many parts as the highest letter; the part
     sum equals the monomial rank.
     """
-    t = normalize_monomial(t)
-    if not t:
-        return ()
-    top = max(t)
-    parts = []
-    running = 0
-    for j in range(top, 0, -1):
-        running += t.get(j, 0)
-        parts.append(running)
-    return tuple(reversed(parts))
+    return _suffix_sums(normalize_monomial(t))
 
 
 def from_partition(p: Sequence[int]) -> CommMonomial:
@@ -87,7 +80,11 @@ def from_partition(p: Sequence[int]) -> CommMonomial:
 
 def monomial_rank(t: Mapping[int, int]) -> int:
     """Sum of letter index times exponent; matches the partition size."""
-    t = normalize_monomial(t)
+    return _monomial_rank(normalize_monomial(t))
+
+
+def _monomial_rank(t: CommMonomial) -> int:
+    """`monomial_rank` of a normalized monomial, without validating it."""
     return sum(i * e for i, e in t.items())
 
 
@@ -108,7 +105,7 @@ def comm_leq(
     """Containment of the corresponding partitions, componentwise."""
     t = normalize_monomial(t, n)
     t2 = normalize_monomial(t2, n)
-    return dominated(to_partition(t), to_partition(t2))
+    return dominated(_suffix_sums(t), _suffix_sums(t2))
 
 
 def freeze_monomial(t: CommMonomial) -> tuple[tuple[int, int], ...]:
@@ -179,7 +176,7 @@ def monomials_up_to_rank(
                 stack.append(
                     ({**exponents, letter: e}, letter + 1, budget - letter * e)
                 )
-    out.sort(key=monomial_canonical_key)
+    out.sort(key=lambda t: (_monomial_rank(t), _format_monomial(t)))
     return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Sequence
 
+from .errors import DEFAULT_LIMIT, LimitError
 from .words import Word, _multirank, check_word
 
 __all__ = [
@@ -68,10 +69,17 @@ def nc_leq(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> bool:
     lm, lm2 = len(m), len(m2)
     if lm > lm2:
         return False
+    _charge((lm2 - lm + 1) * lm)
     for k in range(lm2 - lm + 1):
         if all(m2[k + t] >= m[t] for t in range(lm)):
             return True
     return False
+
+
+def _charge(comparisons: int) -> None:
+    """Raise `LimitError` if a comparison plans more than `DEFAULT_LIMIT` steps."""
+    if comparisons > DEFAULT_LIMIT:
+        raise LimitError(f"{comparisons} letter comparisons exceed the cap of {DEFAULT_LIMIT}")
 
 
 def nc_leq_oracle(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> bool:

@@ -16,27 +16,26 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .commutative import (
+    _monomial_rank,
     comm_leq,
     comm_successors,
     freeze_monomial,
-    monomial_rank,
     monomials_up_to_rank,
-    to_partition,
 )
 from .ncorder import _covers_up, nc_leq, raisings
-from .variants import p_leq, q_covers, q_leq
+from .variants import p_leq, q_covers, q_leq, swap_successors
 from .words import (
     Word,
-    _multirank,
+    _format_monomial,
+    _suffix_sums,
+    _word_levels,
     check_word,
-    format_monomial,
-    format_word,
     normalize_monomial,
     rank,
-    words_up_to_rank,
 )
 
 FAMILIES = ("nc", "q", "p", "comm")
@@ -202,42 +201,44 @@ def _json_list(items: list[str], depth: int) -> str:
 def hasse(handle: PosetHandle, max_rank: int, limit: int | None = None) -> HasseGraph:
     """Build the Hasse graph of the handle's family up to a rank bound.
 
-    Each element's upper covers come in closed form (`_upper_covers`),
-    and those above the bound are dropped.  No "nc", "q" or "comm" move
-    lowers the rank, so their range is a down-set and its covers are the
-    order's; "p" takes its covers inside the range.
+    Each element's upper covers inside the range come in closed form
+    (`_upper_covers`).  No "nc", "q" or "comm" move lowers the rank, so
+    their range is a down-set and its covers are the order's; "p" takes its
+    covers inside the range.  Word labels and multiranks come with the words.
     """
     if max_rank < 0:
         raise ValueError("max_rank must be >= 0")
     if handle.family == "comm":
         elements = monomials_up_to_rank(max_rank, handle.n, limit)
-        labels = tuple(format_monomial(t) for t in elements)
-        triples = tuple((t, monomial_rank(t), to_partition(t)) for t in elements)
-        keys = [freeze_monomial(t) for t in elements]
+        labels = tuple(map(_format_monomial, elements))
+        triples = tuple(zip(elements, map(_monomial_rank, elements), map(_suffix_sums, elements)))
+        keys = list(map(freeze_monomial, elements))
     else:
-        elements = words_up_to_rank(max_rank, handle.n, limit)
-        labels = tuple(format_word(w) for w in elements)
-        triples = tuple((w, rank(w), _multirank(w)) for w in elements)
-        keys = elements
+        levels, label_levels, multiranks = _word_levels(max_rank, handle.n, limit, True)
+        elements = keys = list(chain.from_iterable(levels))
+        labels = tuple(chain.from_iterable(label_levels))
+        ranks = (r for r, level in enumerate(levels) for _ in level)
+        triples = tuple(zip(elements, ranks, chain.from_iterable(multiranks)))
     index = {key: i for i, key in enumerate(keys)}
-    edges = sorted(
+    edges = [
         (i, j)
         for i, element in enumerate(elements)
-        for up in _upper_covers(handle, element, max_rank)
-        if (j := index.get(up)) is not None
-    )
+        for j in sorted(map(index.__getitem__, _upper_covers(handle, element, max_rank)))
+    ]
     return HasseGraph(handle.family, handle.n, max_rank, triples, labels, tuple(edges))
 
 
 def _upper_covers(handle: PosetHandle, element, max_rank: int | None = None) -> Iterable:
-    """Index keys (words, or frozen monomials) of the covers of ``element``."""
-    if handle.family == "nc":
-        return _covers_up(element, handle.n)
-    if handle.family == "q":
-        return q_covers(element, handle.n)
+    """Index keys (words, or frozen monomials) of the covers of rank <= max_rank if given."""
     if handle.family == "p":
         return _p_covers_up(element, handle.n, max_rank)
-    return map(freeze_monomial, comm_successors(element, handle.n))
+    if handle.family == "comm":
+        top = max_rank is not None and _monomial_rank(element) >= max_rank
+        return () if top else map(freeze_monomial, comm_successors(element, handle.n))
+    if max_rank is not None and rank(element) >= max_rank:
+        # every "nc" and "q" cover adds one to the rank, but a "q" descent sort
+        return swap_successors(element) if handle.family == "q" else ()
+    return (_covers_up if handle.family == "nc" else q_covers)(element, handle.n)
 
 
 def _p_covers_up(w: Word, n: int | None, max_rank: int | None = None) -> list[Word]:
@@ -253,10 +254,10 @@ def _p_covers_up(w: Word, n: int | None, max_rank: int | None = None) -> list[Wo
     some raising u of w has u <= v, letters <= n and rank rank(w) + 1 <=
     rank(v): u is in W.  Hence the covers of equal degree are the raisings
     in W.  x1^(d+1) is the only other candidate, and a cover exactly when
-    no raising is in W (the caller drops it when it falls outside W).
+    it lies in W and no raising does.
     """
     if max_rank is None or rank(w) < max_rank:
         ups = [u for _, u in raisings(w, n)]
         if ups:
             return ups
-    return [(1,) * (len(w) + 1)]
+    return [(1,) * (len(w) + 1)] if max_rank is None or len(w) < max_rank else []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .ncorder import raisings
+from .ncorder import _charge, raisings
 from .words import Word, check_word
 
 __all__ = ["q_leq", "p_leq", "swap_successors", "q_covers"]
@@ -84,6 +84,9 @@ def q_leq(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> bool:
     len(m), first fit succeeds whenever a pick sequence exists.
     """
     m, rest = check_word(m, n), list(check_word(m2, n))
+    if len(m) > len(rest):
+        return False
+    _charge(len(m) * len(rest))
     for c in m:
         j = next((j for j, d in enumerate(rest) if d >= c), None)
         if j is None:

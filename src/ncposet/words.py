@@ -24,7 +24,9 @@ _MON_FACTOR = re.compile(r"x([1-9][0-9]*)(?:\^([1-9][0-9]*))?\Z")
 
 
 def check_word(m: Iterable[int], n: int | None = None) -> Word:
-    """Return ``m`` as a tuple, validating letters (plain ints >= 1) and the bound n."""
+    """Return ``m`` as a tuple, validating letters (plain ints >= 1) and the bound n >= 1."""
+    if n is not None and n < 1:
+        raise ValueError(f"alphabet bound must be >= 1, got {n}")
     w = tuple(m)
     for i in w:
         if type(i) is not int or i < 1:
@@ -96,7 +98,11 @@ def parse_monomial(text: str) -> CommMonomial:
 
 
 def format_monomial(t: Mapping[int, int]) -> str:
-    t = normalize_monomial(t)
+    return _format_monomial(normalize_monomial(t))
+
+
+def _format_monomial(t: CommMonomial) -> str:
+    """`format_monomial` of a normalized monomial, without validating it."""
     if not t:
         return "1"
     return "*".join(
@@ -159,18 +165,22 @@ def multirank(m: Sequence[int]) -> MultiRank:
 
 def _multirank(w: Word) -> MultiRank:
     """`multirank` of a valid word, without validating it."""
-    if not w:
-        return ()
-    top = max(w)
-    counts = [0] * (top + 1)
+    counts = dict.fromkeys(w, 0)
     for i in w:
         counts[i] += 1
-    components = []
+    return _suffix_sums(counts)
+
+
+def _suffix_sums(t: Mapping[int, int]) -> tuple[int, ...]:
+    """Part j sums the letter counts t[i] of i >= j: a multirank, or a partition."""
+    if not t:
+        return ()
+    parts = []
     running = 0
-    for j in range(top, 0, -1):
-        running += counts[j]
-        components.append(running)
-    return tuple(reversed(components))
+    for j in range(max(t), 0, -1):
+        running += t.get(j, 0)
+        parts.append(running)
+    return tuple(reversed(parts))
 
 
 def format_multirank(components: Sequence[int]) -> str:
@@ -235,8 +245,17 @@ def words_up_to_rank(
     r are therefore each first letter, in that order, followed by the words
     of rank r - letter, already in canonical order.
     """
+    return [w for level in _word_levels(max_rank, n, limit)[0] for w in level]
+
+
+def _word_levels(max_rank: int, n: int | None, limit: int | None, data: bool = False) -> tuple:
+    """Words of rank <= max_rank in `words_up_to_rank` order, one list per rank.
+
+    With ``data`` also their labels and multiranks, from the tail's: a first
+    letter k prepends ``xk*`` and adds one to the first k components.
+    """
     if max_rank < 0:
-        return []
+        return [], [], []
     cap = DEFAULT_LIMIT if limit is None else limit
     top = max_rank if n is None else min(n, max_rank)
     # sizes[r] words of rank r hold lengths[r] letters among them
@@ -259,7 +278,16 @@ def words_up_to_rank(
                 f"{LETTERS_PER_WORD * cap} letters"
             )
     letters = sorted(range(1, top + 1), key=str)
-    by_rank: list[list[Word]] = [[()]]
+    words, labels, multiranks = [[()]], [["1"]], [[()]]
     for r in range(1, max_rank + 1):
-        by_rank.append([(k,) + w for k in letters if k <= r for w in by_rank[r - k]])
-    return [w for words in by_rank for w in words]
+        words.append([(k,) + w for k in letters if k <= r for w in words[r - k]])
+        if data:
+            labels.append([
+                f"x{k}*{s}" if k < r else f"x{k}"
+                for k in letters if k <= r for s in labels[r - k]
+            ])
+            multiranks.append([
+                tuple([c + 1 for c in mr[:k]]) + mr[k:] + (1,) * (k - len(mr))
+                for k in letters if k <= r for mr in multiranks[r - k]
+            ])
+    return words, labels, multiranks

@@ -117,6 +117,19 @@ def test_caps_refuse_before_any_output(capsys, argv, message):
     assert err.startswith("error: enumeration of words") and err.endswith(message)
 
 
+@pytest.mark.parametrize(
+    "poset, a, b",
+    [
+        ("q", "*".join(["x2"] * 3000), "*".join(["x1"] * 3000 + ["x2"] * 3000)),
+        ("nc", "*".join(["x1"] * 2999 + ["x2"]), "*".join(["x1"] * 6000)),
+    ],
+)
+def test_cmp_budgets_quadratic_comparisons(capsys, poset, a, b):
+    code, out, err = _invoke(capsys, "cmp", "--poset", poset, a, b)
+    assert (code, out) == (3, "")
+    assert err.endswith("letter comparisons exceed the cap of 1000000\n")
+
+
 def test_hasse_q_runs_above_the_old_table_cap(capsys):
     code, out, err = _invoke(capsys, "hasse", "--poset", "q", "--max-rank", "15")
     assert (code, err) == (0, "")

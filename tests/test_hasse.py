@@ -1,22 +1,33 @@
 import json
+from types import ModuleType
 
 import pytest
 
+import ncposet
 from ncposet import (
     LimitError,
     PosetHandle,
     comm_leq,
     covers_up,
+    format_monomial,
+    format_word,
     hasse,
+    monomial_rank,
+    monomials_up_to_rank,
+    multirank,
+    normalize_monomial,
     p_leq,
+    rank,
     rank_coefficients,
+    to_partition,
     words_up_to_degree,
     words_up_to_rank,
 )
+from ncposet.commutative import freeze_monomial
 from ncposet.ncorder import _reachable
 from ncposet.posets import HasseGraph, _upper_covers
 from ncposet.variants import swap_successors
-from ncposet.words import check_word
+from ncposet.words import _multirank, check_word
 
 
 def _transitive_reduction(count, raw_edges):
@@ -313,24 +324,114 @@ def test_q_honours_the_callers_limit():
         hasse(PosetHandle("q"), 5, limit=31)
 
 
-def test_hasse_validates_no_vertex(monkeypatch):
-    import ncposet
-
+def _count_calls(monkeypatch, fn):
+    """Replace ``fn`` in every ncposet module that binds it; return the call log."""
     calls = []
 
-    def counting(m, n=None):
-        calls.append(m)
-        return check_word(m, n)
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
 
-    for module in vars(ncposet).values():
-        if getattr(module, "check_word", None) is check_word:
-            monkeypatch.setattr(module, "check_word", counting)
+    modules = [ncposet, *(m for m in vars(ncposet).values() if isinstance(m, ModuleType))]
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_hasse_validates_no_vertex(monkeypatch):
+    checks = _count_calls(monkeypatch, check_word)
+    labels = _count_calls(monkeypatch, format_word)
+    multiranks = _count_calls(monkeypatch, _multirank)
     graph = hasse(PosetHandle("nc"), 10)
     assert len(graph.vertices) == 1024
-    assert calls == []
+    assert checks == labels == multiranks == []
     # the public forms still validate
     assert covers_up((1,)) == {(1, 1), (2,)}
-    assert calls == [(1,)]
+    assert checks == [((1,), None)]
+
+
+def test_hasse_comm_normalizes_no_monomial(monkeypatch):
+    calls = _count_calls(monkeypatch, normalize_monomial)
+    graph = hasse(PosetHandle("comm"), 12)
+    assert len(graph.vertices) == 272
+    assert calls == []
+    # the public forms still validate
+    assert format_monomial({2: 1, 1: 0}) == "x2"
+    assert calls == [({2: 1, 1: 0},)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 11, None])
+def test_word_vertex_data_matches_the_public_statistics(n):
+    # n = 11 puts x10 and x11 between x1 and x2 in canonical order
+    graph = hasse(PosetHandle("nc", n), 12)
+    words = [w for w, _, _ in graph.vertices]
+    assert words == words_up_to_rank(12, n)
+    assert list(graph.labels) == [format_word(w) for w in words]
+    assert [(r, mr) for _, r, mr in graph.vertices] == [(rank(w), multirank(w)) for w in words]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, None])
+def test_monomial_vertex_data_matches_the_public_statistics(n):
+    graph = hasse(PosetHandle("comm", n), 12)
+    monomials = [t for t, _, _ in graph.vertices]
+    assert monomials == monomials_up_to_rank(12, n)
+    assert list(graph.labels) == [format_monomial(t) for t in monomials]
+    assert [(r, p) for _, r, p in graph.vertices] == [
+        (monomial_rank(t), to_partition(t)) for t in monomials
+    ]
+
+
+def _window_covers(handle, max_rank):
+    """(element, index key, covers inside the range) for each element of the range.
+
+    "nc", "q" and "comm" ranges are down-sets, so their covers there are
+    the unwindowed covers that stay inside; "p" takes the transitive
+    reduction of all comparable pairs in the range.
+    """
+    if handle.family == "comm":
+        elements = monomials_up_to_rank(max_rank, handle.n)
+        keys = [freeze_monomial(t) for t in elements]
+    else:
+        elements = keys = words_up_to_rank(max_rank, handle.n)
+    inside = set(keys)
+    if handle.family != "p":
+        return [
+            (e, key, {u for u in _upper_covers(handle, e) if u in inside})
+            for e, key in zip(elements, keys)
+        ]
+    comparable = [
+        (i, j)
+        for i, a in enumerate(keys)
+        for j, b in enumerate(keys)
+        if i != j and p_leq(a, b)
+    ]
+    covers = [set() for _ in keys]
+    for i, j in _transitive_reduction(len(keys), comparable):
+        covers[i].add(keys[j])
+    return list(zip(elements, keys, covers))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, None])
+@pytest.mark.parametrize("family", ["nc", "q", "p", "comm"])
+def test_windowed_covers_are_the_covers_inside_the_range(family, n):
+    handle = PosetHandle(family, n)
+    for max_rank in range(9):
+        window = _window_covers(handle, max_rank)
+        inside = {key for _, key, _ in window}
+        for element, _, expected in window:
+            ups = {u for u in _upper_covers(handle, element, max_rank) if u in inside}
+            assert ups == expected, (element, max_rank)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, None])
+@pytest.mark.parametrize("family", ["nc", "q", "p", "comm"])
+def test_windowed_covers_stay_inside_the_range(family, n):
+    handle = PosetHandle(family, n)
+    for max_rank in range(9):
+        for element, _, expected in _window_covers(handle, max_rank):
+            assert set(_upper_covers(handle, element, max_rank)) == expected, (element, max_rank)
 
 
 @pytest.mark.parametrize("n", [None, 3, True])

@@ -8,6 +8,7 @@ from ncposet import (
     GT,
     INCOMPARABLE,
     LT,
+    LimitError,
     PosetHandle,
     compare,
     covers_up,
@@ -22,7 +23,7 @@ from ncposet import (
 )
 from ncposet.ncorder import dominated
 from ncposet.variants import swap_successors
-from ncposet.words import _multirank
+from ncposet.words import _multirank, check_word
 
 
 def _q_leq_search(m, m2, n):
@@ -207,6 +208,31 @@ def test_bool_letters_are_rejected():
         q_leq((1, False), (1, 1))
     with pytest.raises(ValueError, match="exponents"):
         compare(PosetHandle("comm"), {1: True}, {1: 1})
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_alphabet_bound_below_one_is_rejected(n):
+    # the identity has no letter to exceed the bound, so n itself is checked
+    for call in (
+        lambda: check_word((), n),
+        lambda: covers_up((), n),
+        lambda: nc_leq((), (), n),
+        lambda: q_leq((), (), n),
+    ):
+        with pytest.raises(ValueError, match=f"alphabet bound must be >= 1, got {n}"):
+            call()
+
+
+def test_quadratic_comparisons_are_budgeted():
+    # (6000 - 3000 + 1) * 3000 window letters, and 3000 * 6000 first-fit steps
+    with pytest.raises(LimitError, match="letter comparisons exceed"):
+        nc_leq((1,) * 2999 + (2,), (1,) * 6000)
+    with pytest.raises(LimitError, match="letter comparisons exceed"):
+        q_leq((2,) * 3000, (1,) * 3000 + (2,) * 3000)
+    # at the cap of 10^6 both still answer, and a longer m needs no comparison
+    assert not nc_leq((2,) * 1000, (1,) * 1999)
+    assert not q_leq((2,) * 1000, (1,) * 1000)
+    assert not q_leq((1,) * 6000, (1,) * 3000)
 
 
 def test_q_memo_is_pure():
