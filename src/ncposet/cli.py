@@ -22,7 +22,6 @@ from .series import enumerate_by_rank, rank_coefficients
 from .termorders import contains_poset, parse_order_spec, validate_order
 from .words import (
     abelianize,
-    canonical_key,
     check_word,
     format_monomial,
     format_multirank,
@@ -62,8 +61,9 @@ def _cmd_covers(args) -> int:
     w = parse_word(args.word)
     n = PosetHandle("nc", args.n).n  # rejects an alphabet bound below 1
     out = covers_up(w, n) if args.dir == "up" else covers_down(check_word(w, n))
-    for word in sorted(out, key=canonical_key):
-        print(format_word(word))
+    # every cover is one rank away from w, so text order is canonical order
+    for text in sorted(map(format_word, out)):
+        print(text)
     return 0
 
 
@@ -75,8 +75,9 @@ def _cmd_hasse(args) -> int:
 
 def _cmd_rank(args) -> int:
     w = parse_word(args.word)
+    components = multirank(w)  # before any output, so a cap leaves stdout empty
     print(f"rank: {rank(w)}")
-    print(f"multirank: {format_multirank(multirank(w))}")
+    print(f"multirank: {format_multirank(components)}")
     return 0
 
 

@@ -4,7 +4,10 @@ Monomials are ordered by the smallest multiplicative order in which
 multiplying by x1 and trading an x_i for an x_{i+1} both move upward.
 Reading off suffix sums of the exponent vector identifies this order with
 containment of integer partitions (Young's lattice); a monomial over n
-letters lands on a partition with at most n parts.
+letters lands on a partition with at most n parts.  Inside the library a
+monomial is its partition, which is at once its index key and its
+multirank: both moves add one box (`_box_covers`), and the monomials of
+each rank come as partitions in canonical order (`_partition_levels`).
 
 The pair (abelianize, sort_word) relates the sorted-order variant on words
 to this order: `check_coconnection` verifies the four coconnection laws on
@@ -70,22 +73,17 @@ def from_partition(p: Sequence[int]) -> CommMonomial:
             raise ValueError(f"parts must be weakly decreasing, got {parts}")
     if parts and parts[-1] < 1:
         raise ValueError(f"parts must be positive, got {parts}")
-    out: CommMonomial = {}
-    for i, part in enumerate(parts, start=1):
-        nxt = parts[i] if i < len(parts) else 0
-        if part - nxt:
-            out[i] = part - nxt
-    return out
+    return _exponents(parts)
+
+
+def _exponents(p: Partition) -> CommMonomial:
+    """`from_partition` of a partition, without validating it."""
+    return {i: a - b for i, (a, b) in enumerate(zip(p, p[1:] + (0,)), start=1) if a > b}
 
 
 def monomial_rank(t: Mapping[int, int]) -> int:
     """Sum of letter index times exponent; matches the partition size."""
-    return _monomial_rank(normalize_monomial(t))
-
-
-def _monomial_rank(t: CommMonomial) -> int:
-    """`monomial_rank` of a normalized monomial, without validating it."""
-    return sum(i * e for i, e in t.items())
+    return sum(i * e for i, e in normalize_monomial(t).items())
 
 
 def monomial_product(t: Mapping[int, int], t2: Mapping[int, int]) -> CommMonomial:
@@ -108,76 +106,80 @@ def comm_leq(
     return dominated(_suffix_sums(t), _suffix_sums(t2))
 
 
-def freeze_monomial(t: CommMonomial) -> tuple[tuple[int, int], ...]:
-    """Hashable form of a normalized monomial: its sorted (letter, exponent) pairs."""
-    return tuple(sorted(t.items()))
-
-
 def comm_leq_oracle(t: Mapping[int, int], t2: Mapping[int, int]) -> bool:
     """Rule-based comparability: multiply by x1 or trade an x_i for x_{i+1}.
 
-    A search over frozen monomials, pruned by partition domination; both
-    moves add one box to the partition, so the search space is finite.
+    A search over `_box_covers`, pruned by containment in the target
+    partition; every move adds one box, so the search space is finite.
     """
-    t = normalize_monomial(t)
-    t2 = normalize_monomial(t2)
     target = to_partition(t2)
-
-    def up(f):
-        return [
-            freeze_monomial(s)
-            for s in comm_successors(dict(f))
-            if dominated(to_partition(s), target)
-        ]
-
-    return freeze_monomial(t2) in _reachable(freeze_monomial(t), up)
+    return target in _reachable(
+        to_partition(t), lambda p: [u for u in _box_covers(p) if dominated(u, target)]
+    )
 
 
-def comm_successors(t: CommMonomial, n: int | None = None) -> list[CommMonomial]:
-    """Multiply a normalized ``t`` by x1, or trade an x_i for x_{i+1} (i < n).
+def _box_covers(p: Partition, n: int | None = None) -> list[Partition]:
+    """The partitions one box above ``p`` with at most n rows: its covers.
 
-    Each move adds one box to the partition: these are the covers of ``t``.
+    A box fits in the first row, and in row i+1 when row i is longer.  On
+    monomials the first row is "multiply by x1" and row i+1 is "trade x_i
+    for x_{i+1}": this is the one generator of both moves.
     """
-    up = dict(t)
-    up[1] = up.get(1, 0) + 1
-    out = [up]
-    for i in t:
-        if n is None or i < n:
-            succ = dict(t)
-            succ[i] -= 1
-            if succ[i] == 0:
-                del succ[i]
-            succ[i + 1] = succ.get(i + 1, 0) + 1
-            out.append(succ)
-    return out
+    rows = len(p) + 1 if n is None else min(len(p) + 1, n)
+    padded = p + (0,)
+    return [
+        p[:i] + (padded[i] + 1,) + p[i + 1 :]
+        for i in range(rows)
+        if i == 0 or p[i - 1] > padded[i]
+    ]
 
 
 def monomials_up_to_rank(
     max_rank: int, n: int | None = None, limit: int | None = None
 ) -> list[CommMonomial]:
-    """All monomials of rank <= max_rank over x1..xn, in canonical order."""
+    """All monomials of rank <= max_rank over x1..xn, in canonical order.
+
+    They are counted against the element cap before any is built; beyond
+    it `LimitError` is raised.  None for a negative bound.
+    """
+    return [_exponents(p) for level in _partition_levels(max_rank, n, limit)[0] for p in level]
+
+
+def _partition_levels(max_rank: int, n: int | None, limit: int | None) -> tuple:
+    """Partitions of rank <= max_rank with at most n rows, one list per rank, and their labels.
+
+    Each rank lists its partitions in the canonical text order of their
+    monomials, the labels.  Rank r + 1 holds the `_box_covers` of rank r.
+    """
     if max_rank < 0:
-        return []
+        return [], []
     cap = DEFAULT_LIMIT if limit is None else limit
     top = max_rank if n is None else min(n, max_rank)
-    out: list[CommMonomial] = []
-    stack: list[tuple[CommMonomial, int, int]] = [({}, 1, max_rank)]
-    while stack:
-        exponents, start, budget = stack.pop()
-        out.append(exponents)
-        if len(out) > cap:
+    # row[k] counts the partitions of r with at most k <= min(top, r) rows:
+    # those with exactly k rows lose their first column to one of r - k with
+    # at most k rows.  counts keeps the rows of the last top ranks, r - k at -k.
+    counts: list[list[int]] = []
+    total = 0
+    for r in range(max_rank + 1):
+        row = [int(r == 0)]
+        for k in range(1, min(top, r) + 1):
+            row.append(row[-1] + counts[-k][min(k, r - k)])
+        counts.append(row)
+        if len(counts) > top:
+            del counts[0]
+        total += row[-1]
+        if total > cap:
             raise LimitError(
                 f"enumeration of monomials up to rank {max_rank} exceeded the cap of {cap}"
             )
-        for letter in range(start, top + 1):
-            if letter > budget:
-                break
-            for e in range(1, budget // letter + 1):
-                stack.append(
-                    ({**exponents, letter: e}, letter + 1, budget - letter * e)
-                )
-    out.sort(key=lambda t: (_monomial_rank(t), _format_monomial(t)))
-    return out
+    levels: list[list[Partition]] = []
+    labels: list[list[str]] = []
+    for r in range(max_rank + 1):
+        level = {u for p in levels[-1] for u in _box_covers(p, n)} if r else {()}
+        pairs = sorted((_format_monomial(_exponents(p)), p) for p in level)
+        labels.append([label for label, _ in pairs])
+        levels.append([p for _, p in pairs])
+    return levels, labels
 
 
 @dataclass(frozen=True)
@@ -269,7 +271,7 @@ def check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
     raised.
 
     Both orders are generated by their covers (`q_covers`,
-    `comm_successors`), which never lower the rank, so the range holds
+    `_box_covers`), which never lower the rank, so the range holds
     every chain between its elements.  A descent sort keeps the rank and
     makes the word lexicographically smaller, so listing the words by
     rank descending, then lexicographically, puts every cover first.
@@ -283,23 +285,21 @@ def check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
     # sort_word maps the monomials into the words one to one, so capping the
     # words caps both tables
     words = words_up_to_rank(max_rank, n, TABLE_LIMIT)
-    monomials = monomials_up_to_rank(max_rank, n)
-    frozen = [freeze_monomial(t) for t in monomials]
+    levels = _partition_levels(max_rank, n, None)[0]
     q_order = sorted(words, key=lambda w: (-sum(w), w))
     q_index, q_edges, q_up = _reachability(q_order, lambda w: q_covers(w, n))
-    c_order = sorted(frozen, key=lambda f: -sum(i * e for i, e in f))
-    c_index, c_edges, c_up = _reachability(
-        c_order, lambda f: map(freeze_monomial, comm_successors(dict(f), n))
-    )
+    c_order = [p for level in reversed(levels) for p in level]
+    c_index, c_edges, c_up = _reachability(c_order, lambda p: _box_covers(p, n))
 
     def q_reaches(m: Word, m2: Word) -> bool:
         return bool(q_up[q_index[m]] >> q_index[m2] & 1)
 
-    def c_reaches(f, f2) -> bool:
-        return bool(c_up[c_index[f]] >> c_index[f2] & 1)
+    def c_reaches(p: Partition, p2: Partition) -> bool:
+        return bool(c_up[c_index[p]] >> c_index[p2] & 1)
 
     parts = {m: to_partition(abelianize(m)) for m in words}
-    sorted_words = {f: sort_word(dict(f)) for f in frozen}
+    monomials = {p: _exponents(p) for level in levels for p in level}
+    sorted_words = {p: sort_word(t) for p, t in monomials.items()}
 
     sigma_witness = None
     if not all(
@@ -321,12 +321,12 @@ def check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
         for j in out
     ):
         sigma_plus_witness = next(
-            f"{format_monomial(dict(f))} <= {format_monomial(dict(f2))}"
-            for f in frozen
-            for f2 in frozen
-            if f2 != f
-            and c_reaches(f, f2)
-            and not q_reaches(sorted_words[f], sorted_words[f2])
+            f"{format_monomial(t)} <= {format_monomial(monomials[p2])}"
+            for p, t in monomials.items()
+            for p2 in monomials
+            if p2 != p
+            and c_reaches(p, p2)
+            and not q_reaches(sorted_words[p], sorted_words[p2])
         )
 
     ascend_witness = next(
@@ -334,11 +334,10 @@ def check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
         None,
     )
 
-    roundtrip_witness = None
-    for t in monomials:
-        if abelianize(sort_word(t)) != t:
-            roundtrip_witness = format_monomial(t)
-            break
+    roundtrip_witness = next(
+        (format_monomial(t) for p, t in monomials.items() if abelianize(sorted_words[p]) != t),
+        None,
+    )
 
     laws = (
         LawCheck(

@@ -18,3 +18,9 @@ class ParseError(ValueError):
 
 class LimitError(RuntimeError):
     """An enumeration or a table would exceed its configured cap."""
+
+
+def _charge(amount: int, what: str) -> None:
+    """Raise `LimitError` if a call plans more than `DEFAULT_LIMIT` units of work or output."""
+    if amount > DEFAULT_LIMIT:
+        raise LimitError(f"{amount} {what} exceed the cap of {DEFAULT_LIMIT}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Sequence
 
-from .errors import DEFAULT_LIMIT, LimitError
+from .errors import _charge
 from .words import Word, _multirank, check_word
 
 __all__ = [
@@ -69,17 +69,11 @@ def nc_leq(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> bool:
     lm, lm2 = len(m), len(m2)
     if lm > lm2:
         return False
-    _charge((lm2 - lm + 1) * lm)
+    _charge((lm2 - lm + 1) * lm, "letter comparisons")
     for k in range(lm2 - lm + 1):
         if all(m2[k + t] >= m[t] for t in range(lm)):
             return True
     return False
-
-
-def _charge(comparisons: int) -> None:
-    """Raise `LimitError` if a comparison plans more than `DEFAULT_LIMIT` steps."""
-    if comparisons > DEFAULT_LIMIT:
-        raise LimitError(f"{comparisons} letter comparisons exceed the cap of {DEFAULT_LIMIT}")
 
 
 def nc_leq_oracle(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> bool:
@@ -102,9 +96,12 @@ def covers_up(m: Sequence[int], n: int | None = None) -> set[Word]:
 
     For m = x1^k the two paddings coincide, so the set has k+1 elements
     (k+1 on the unbounded alphabet and for n >= 2; 1 for n = 1); otherwise
-    it has 2 + (number of raisable letters) elements.
+    it has 2 + (number of raisable letters) elements.  Their letters are
+    charged against `DEFAULT_LIMIT` before any is built.
     """
-    return _covers_up(check_word(m, n), n)
+    w = check_word(m, n)
+    _charge((len(w) + 2) * (len(w) + 1), "output letters")
+    return _covers_up(w, n)
 
 
 def _covers_up(w: Word, n: int | None) -> set[Word]:
@@ -117,9 +114,11 @@ def _covers_up(w: Word, n: int | None) -> set[Word]:
 def covers_down(m: Sequence[int]) -> set[Word]:
     """The words covered by ``m``: strip a marginal x1, or lower one letter.
 
-    The same set over bounded and unbounded alphabets.
+    The same set over bounded and unbounded alphabets.  At most len(m)
+    words of at most len(m) letters, charged against `DEFAULT_LIMIT`.
     """
     w = check_word(m)
+    _charge(len(w) * len(w), "output letters")
     out: set[Word] = set()
     if w and w[0] == 1:
         out.add(w[1:])
@@ -141,10 +140,12 @@ def walk(m: Sequence[int], dim: int | None = None) -> list[tuple[int, ...]]:
 
     Returns the d+1 visited points, truncated to the max-letter dimension
     (or to ``dim`` if given); the endpoint is the multirank of the word.
+    Their components are charged against `DEFAULT_LIMIT` before any is built.
     """
     w = check_word(m)
     if dim is None:
         dim = max(w, default=0)
+    _charge((len(w) + 1) * dim, "walk point components")
     point = (0,) * dim
     points = [point]
     for letter in w:

@@ -19,24 +19,10 @@ from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
-from .commutative import (
-    _monomial_rank,
-    comm_leq,
-    comm_successors,
-    freeze_monomial,
-    monomials_up_to_rank,
-)
+from .commutative import _box_covers, _exponents, _partition_levels, comm_leq
 from .ncorder import _covers_up, nc_leq, raisings
 from .variants import p_leq, q_covers, q_leq, swap_successors
-from .words import (
-    Word,
-    _format_monomial,
-    _suffix_sums,
-    _word_levels,
-    check_word,
-    normalize_monomial,
-    rank,
-)
+from .words import Word, _word_levels, check_word, normalize_monomial, rank
 
 FAMILIES = ("nc", "q", "p", "comm")
 
@@ -201,44 +187,44 @@ def _json_list(items: list[str], depth: int) -> str:
 def hasse(handle: PosetHandle, max_rank: int, limit: int | None = None) -> HasseGraph:
     """Build the Hasse graph of the handle's family up to a rank bound.
 
-    Each element's upper covers inside the range come in closed form
+    The elements come one list per rank with their labels and multiranks:
+    words from `_word_levels`, and monomials as partitions from
+    `_partition_levels`, a partition being its monomial's multirank.  Each
+    element's upper covers inside the range come in closed form
     (`_upper_covers`).  No "nc", "q" or "comm" move lowers the rank, so
     their range is a down-set and its covers are the order's; "p" takes its
-    covers inside the range.  Word labels and multiranks come with the words.
+    covers inside the range.
     """
     if max_rank < 0:
         raise ValueError("max_rank must be >= 0")
     if handle.family == "comm":
-        elements = monomials_up_to_rank(max_rank, handle.n, limit)
-        labels = tuple(map(_format_monomial, elements))
-        triples = tuple(zip(elements, map(_monomial_rank, elements), map(_suffix_sums, elements)))
-        keys = list(map(freeze_monomial, elements))
+        levels, label_levels = _partition_levels(max_rank, handle.n, limit)
+        multiranks = levels
     else:
         levels, label_levels, multiranks = _word_levels(max_rank, handle.n, limit, True)
-        elements = keys = list(chain.from_iterable(levels))
-        labels = tuple(chain.from_iterable(label_levels))
-        ranks = (r for r, level in enumerate(levels) for _ in level)
-        triples = tuple(zip(elements, ranks, chain.from_iterable(multiranks)))
+    keys = list(chain.from_iterable(levels))
+    elements = map(_exponents, keys) if handle.family == "comm" else keys
+    ranks = (r for r, level in enumerate(levels) for _ in level)
+    triples = tuple(zip(elements, ranks, chain.from_iterable(multiranks)))
     index = {key: i for i, key in enumerate(keys)}
     edges = [
         (i, j)
-        for i, element in enumerate(elements)
-        for j in sorted(map(index.__getitem__, _upper_covers(handle, element, max_rank)))
+        for i, key in enumerate(keys)
+        for j in sorted(map(index.__getitem__, _upper_covers(handle, key, max_rank)))
     ]
+    labels = tuple(chain.from_iterable(label_levels))
     return HasseGraph(handle.family, handle.n, max_rank, triples, labels, tuple(edges))
 
 
-def _upper_covers(handle: PosetHandle, element, max_rank: int | None = None) -> Iterable:
-    """Index keys (words, or frozen monomials) of the covers of rank <= max_rank if given."""
+def _upper_covers(handle: PosetHandle, key, max_rank: int | None = None) -> Iterable:
+    """Covers of rank <= max_rank if given, as index keys: words, or partitions for "comm"."""
     if handle.family == "p":
-        return _p_covers_up(element, handle.n, max_rank)
-    if handle.family == "comm":
-        top = max_rank is not None and _monomial_rank(element) >= max_rank
-        return () if top else map(freeze_monomial, comm_successors(element, handle.n))
-    if max_rank is not None and rank(element) >= max_rank:
-        # every "nc" and "q" cover adds one to the rank, but a "q" descent sort
-        return swap_successors(element) if handle.family == "q" else ()
-    return (_covers_up if handle.family == "nc" else q_covers)(element, handle.n)
+        return _p_covers_up(key, handle.n, max_rank)
+    if max_rank is not None and sum(key) >= max_rank:
+        # every "nc", "q" and "comm" cover adds one to the rank, but a "q" descent sort
+        return swap_successors(key) if handle.family == "q" else ()
+    covers = {"nc": _covers_up, "q": q_covers, "comm": _box_covers}[handle.family]
+    return covers(key, handle.n)
 
 
 def _p_covers_up(w: Word, n: int | None, max_rank: int | None = None) -> list[Word]:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .ncorder import _charge, raisings
+from .errors import _charge
+from .ncorder import raisings
 from .words import Word, check_word
 
 __all__ = ["q_leq", "p_leq", "swap_successors", "q_covers"]
@@ -86,7 +87,7 @@ def q_leq(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> bool:
     m, rest = check_word(m, n), list(check_word(m2, n))
     if len(m) > len(rest):
         return False
-    _charge(len(m) * len(rest))
+    _charge(len(m) * len(rest), "letter comparisons")
     for c in m:
         j = next((j for j, d in enumerate(rest) if d >= c), None)
         if j is None:

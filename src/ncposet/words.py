@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DEFAULT_LIMIT, LETTERS_PER_WORD, LimitError, ParseError
+from .errors import DEFAULT_LIMIT, LETTERS_PER_WORD, LimitError, ParseError, _charge
 
 Word = tuple[int, ...]
 CommMonomial = dict[int, int]
@@ -172,12 +172,18 @@ def _multirank(w: Word) -> MultiRank:
 
 
 def _suffix_sums(t: Mapping[int, int]) -> tuple[int, ...]:
-    """Part j sums the letter counts t[i] of i >= j: a multirank, or a partition."""
+    """Part j sums the letter counts t[i] of i >= j: a multirank, or a partition.
+
+    There are as many parts as the largest letter index, which is charged
+    against `DEFAULT_LIMIT` before any is built.
+    """
     if not t:
         return ()
+    top = max(t)
+    _charge(top, "multirank components")
     parts = []
     running = 0
-    for j in range(max(t), 0, -1):
+    for j in range(top, 0, -1):
         running += t.get(j, 0)
         parts.append(running)
     return tuple(reversed(parts))

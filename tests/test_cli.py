@@ -1,8 +1,12 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncposet.cli import build_parser, run
 
@@ -128,6 +132,79 @@ def test_cmp_budgets_quadratic_comparisons(capsys, poset, a, b):
     code, out, err = _invoke(capsys, "cmp", "--poset", poset, a, b)
     assert (code, out) == (3, "")
     assert err.endswith("letter comparisons exceed the cap of 1000000\n")
+
+
+def _power(letter, length):
+    return "*".join([f"x{letter}"] * length)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("rank", "x1000001"), "1000001 multirank components"),
+        (("cmp", "--poset", "comm", "x1000001", "x1"), "1000001 multirank components"),
+        (("walk", "x1000000*x1000000*x1000000"), "4000000 walk point components"),
+        (("walk", "x500001"), "1000002 walk point components"),
+        (("covers", "--dir", "up", _power(1, 4000)), "16012002 output letters"),
+        (("covers", "--dir", "up", _power(1, 999)), "1001000 output letters"),
+        (("covers", "--dir", "down", _power(2, 1001)), "1002001 output letters"),
+    ],
+)
+def test_letter_index_and_output_caps_refuse_before_any_output(capsys, argv, message):
+    code, out, err = _invoke(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: {message} exceed the cap of 1000000\n"
+
+
+def test_outputs_at_the_caps_still_print(capsys):
+    code, out, err = _invoke(capsys, "rank", "x1000000")
+    assert (code, err) == (0, "")
+    assert out == "rank: 1000000\nmultirank: [" + ",".join(["1"] * 10**6) + "]\n"
+    code, out, err = _invoke(capsys, "walk", "x500000")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["(" + ",".join([c] * 500000) + ")" for c in "01"]
+    code, out, err = _invoke(capsys, "covers", "--dir", "up", _power(1, 998))
+    assert (code, err, len(out.splitlines())) == (0, "", 999)
+    code, out, err = _invoke(capsys, "covers", "--dir", "down", _power(2, 1000))
+    assert (code, err, len(out.splitlines())) == (0, "", 1000)
+
+
+_LETTERS = st.one_of(st.integers(1, 12), st.integers(1, 10**12))
+_TEXTS = st.one_of(
+    st.lists(_LETTERS, min_size=1, max_size=40).map(lambda w: "*".join(f"x{i}" for i in w)),
+    st.builds(_power, _LETTERS, st.integers(1, 5000)),
+    st.sampled_from(
+        ("1", "", " ", "x0", "x-1", "x+1", "-x1", "+x1", " x1", "x1 ", "x1\t", "x 1",
+         "x01", "x1*", "*x1", "x1**x2", "x1^2", "x1^0", "x2^1000000000000")
+    ),
+    st.text(alphabet="x0123456789*^+- \t", max_size=12),
+)
+
+
+@st.composite
+def _adversarial_argv(draw):
+    command = draw(st.sampled_from(("rank", "walk", "sort", "abelianize", "covers", "cmp")))
+    if command not in ("covers", "cmp"):
+        return [command, draw(_TEXTS)]
+    if command == "covers":
+        argv = ["covers", "--dir", draw(st.sampled_from(("up", "down")))]
+    else:
+        argv = ["cmp", "--poset", draw(st.sampled_from(("nc", "q", "p", "comm")))]
+    if draw(st.booleans()):
+        argv += ["-n", str(draw(st.one_of(st.integers(-2, 12), st.integers(1, 10**12))))]
+    return argv + [draw(_TEXTS) for _ in range(2 if command == "cmp" else 1)]
+
+
+@settings(deadline=1000, max_examples=150)
+@given(_adversarial_argv())
+def test_adversarial_argv_exits_cleanly(argv):
+    # huge indices, x0, signs, whitespace and words of up to 5000 letters:
+    # each run answers within the deadline, or refuses with nothing on stdout
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 2, 3)
+    assert code == 0 or out.getvalue() == ""
 
 
 def test_hasse_q_runs_above_the_old_table_cap(capsys):

@@ -1,14 +1,18 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ncposet import (
+    DEFAULT_LIMIT,
     LimitError,
     abelianize,
     check_coconnection,
     comm_leq,
     comm_leq_oracle,
     from_partition,
+    monomial_canonical_key,
     monomial_product,
     monomial_rank,
     monomials_up_to_rank,
@@ -21,13 +25,78 @@ from ncposet import (
     words_up_to_degree,
     words_up_to_rank,
 )
-from ncposet.commutative import comm_successors
+from ncposet.commutative import _box_covers
+from ncposet.ncorder import _reachable, dominated
 
 monomials = st.dictionaries(
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=1, max_value=3),
     max_size=4,
 )
+
+
+def comm_successors(t, n=None):
+    """Multiply a normalized ``t`` by x1, or trade an x_i for x_{i+1} (i < n).
+
+    The dict form of the two moves, the reference for `_box_covers`.
+    """
+    up = dict(t)
+    up[1] = up.get(1, 0) + 1
+    out = [up]
+    for i in t:
+        if n is None or i < n:
+            succ = dict(t)
+            succ[i] -= 1
+            if succ[i] == 0:
+                del succ[i]
+            succ[i + 1] = succ.get(i + 1, 0) + 1
+            out.append(succ)
+    return out
+
+
+def freeze_monomial(t):
+    """Hashable form of a normalized monomial: its sorted (letter, exponent) pairs."""
+    return tuple(sorted(t.items()))
+
+
+def comm_leq_dict_search(t, t2):
+    """Search over frozen monomials by `comm_successors`, pruned by partition domination."""
+    target = to_partition(t2)
+
+    def up(f):
+        return [
+            freeze_monomial(s)
+            for s in comm_successors(dict(f))
+            if dominated(to_partition(s), target)
+        ]
+
+    return freeze_monomial(t2) in _reachable(freeze_monomial(t), up)
+
+
+def stack_and_sort_monomials(max_rank, n=None, limit=None):
+    """Every exponent dict by a stack of letter choices, then one global sort."""
+    if max_rank < 0:
+        return []
+    cap = DEFAULT_LIMIT if limit is None else limit
+    top = max_rank if n is None else min(n, max_rank)
+    out = []
+    stack = [({}, 1, max_rank)]
+    while stack:
+        exponents, start, budget = stack.pop()
+        out.append(exponents)
+        if len(out) > cap:
+            raise LimitError(
+                f"enumeration of monomials up to rank {max_rank} exceeded the cap of {cap}"
+            )
+        for letter in range(start, top + 1):
+            if letter > budget:
+                break
+            for e in range(1, budget // letter + 1):
+                stack.append(
+                    ({**exponents, letter: e}, letter + 1, budget - letter * e)
+                )
+    out.sort(key=monomial_canonical_key)
+    return out
 
 
 def _all_monomials(max_letter, max_total_degree):
@@ -87,19 +156,30 @@ def test_comm_oracle_examples():
     assert comm_leq_oracle({}, {3: 2})
 
 
-def test_comm_successors_respect_the_alphabet_bound():
-    t = {1: 1, 2: 1}
-    assert comm_successors(t) == [{1: 2, 2: 1}, {2: 2}, {1: 1, 3: 1}]
-    assert comm_successors(t, 2) == [{1: 2, 2: 1}, {2: 2}]
-    assert comm_successors({1: 2}, 1) == [{1: 3}]
-    assert t == {1: 1, 2: 1}
+def test_box_covers_respect_the_alphabet_bound():
+    # x1*x2: multiply by x1, trade x1 for x2, trade x2 for x3
+    p = to_partition({1: 1, 2: 1})
+    assert _box_covers(p) == [(3, 1), (2, 2), (2, 1, 1)]
+    assert [from_partition(u) for u in _box_covers(p)] == [{1: 2, 2: 1}, {2: 2}, {1: 1, 3: 1}]
+    assert _box_covers(p, 2) == [(3, 1), (2, 2)]
+    assert _box_covers((2,), 1) == [(3,)]
+    assert _box_covers(()) == _box_covers((), 1) == [(1,)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, None])
+def test_box_covers_are_the_dict_moves(n):
+    for t in stack_and_sort_monomials(10):
+        expected = {to_partition(s) for s in comm_successors(t, n)}
+        assert set(_box_covers(to_partition(t), n)) == expected, (t, n)
 
 
 def test_comm_leq_matches_oracle_exhaustive():
     universe = _all_monomials(3, 5)
     for t in universe:
         for t2 in universe:
-            assert comm_leq(t, t2) == comm_leq_oracle(t, t2), (t, t2)
+            expected = comm_leq(t, t2)
+            assert comm_leq_oracle(t, t2) == expected, (t, t2)
+            assert comm_leq_dict_search(t, t2) == expected, (t, t2)
 
 
 @given(monomials, monomials)
@@ -136,6 +216,36 @@ def test_monomials_up_to_rank_counts():
     assert len(monomials_up_to_rank(6, 2)) == 16
     assert len(monomials_up_to_rank(0, 3)) == 1
     assert monomials_up_to_rank(-1) == monomials_up_to_rank(-3, 2) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 11, None])
+def test_monomials_up_to_rank_matches_stack_and_sort(n):
+    # n = 11 puts x10 and x11 between x1 and x2 in canonical order
+    for max_rank in range(15):
+        assert monomials_up_to_rank(max_rank, n) == stack_and_sort_monomials(max_rank, n)
+
+
+@pytest.mark.parametrize("max_rank, n, size", [(6, 2, 16), (9, None, 97), (12, 1, 13)])
+def test_monomial_cap_edges(max_rank, n, size):
+    assert len(monomials_up_to_rank(max_rank, n, size)) == size
+    message = f"^enumeration of monomials up to rank {max_rank} exceeded the cap of {size - 1}$"
+    for enumerate_ in (monomials_up_to_rank, stack_and_sort_monomials):
+        with pytest.raises(LimitError, match=message):
+            enumerate_(max_rank, n, size - 1)
+    with pytest.raises(LimitError, match="up to rank 0 exceeded the cap of 0$"):
+        monomials_up_to_rank(0, n, 0)
+
+
+def test_monomial_cap_is_charged_before_anything_is_built():
+    # about 4e12 partitions up to rank 200; building the first million took 1.2 s
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitError, match="cap of 1000000$"):
+            monomials_up_to_rank(200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_coconnection_report_clean():

@@ -23,11 +23,10 @@ from ncposet import (
     words_up_to_degree,
     words_up_to_rank,
 )
-from ncposet.commutative import freeze_monomial
 from ncposet.ncorder import _reachable
 from ncposet.posets import HasseGraph, _upper_covers
 from ncposet.variants import swap_successors
-from ncposet.words import _multirank, check_word
+from ncposet.words import _format_monomial, _multirank, check_word
 
 
 def _transitive_reduction(count, raw_edges):
@@ -362,6 +361,12 @@ def test_hasse_comm_normalizes_no_monomial(monkeypatch):
     assert calls == [({2: 1, 1: 0},)]
 
 
+def test_hasse_comm_formats_each_vertex_once(monkeypatch):
+    calls = _count_calls(monkeypatch, _format_monomial)
+    graph = hasse(PosetHandle("comm"), 16)
+    assert len(calls) == len(graph.vertices) == 915
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 11, None])
 def test_word_vertex_data_matches_the_public_statistics(n):
     # n = 11 puts x10 and x11 between x1 and x2 in canonical order
@@ -392,13 +397,13 @@ def _window_covers(handle, max_rank):
     """
     if handle.family == "comm":
         elements = monomials_up_to_rank(max_rank, handle.n)
-        keys = [freeze_monomial(t) for t in elements]
+        keys = [to_partition(t) for t in elements]
     else:
         elements = keys = words_up_to_rank(max_rank, handle.n)
     inside = set(keys)
     if handle.family != "p":
         return [
-            (e, key, {u for u in _upper_covers(handle, e) if u in inside})
+            (e, key, {u for u in _upper_covers(handle, key) if u in inside})
             for e, key in zip(elements, keys)
         ]
     comparable = [
@@ -420,8 +425,8 @@ def test_windowed_covers_are_the_covers_inside_the_range(family, n):
     for max_rank in range(9):
         window = _window_covers(handle, max_rank)
         inside = {key for _, key, _ in window}
-        for element, _, expected in window:
-            ups = {u for u in _upper_covers(handle, element, max_rank) if u in inside}
+        for element, key, expected in window:
+            ups = {u for u in _upper_covers(handle, key, max_rank) if u in inside}
             assert ups == expected, (element, max_rank)
 
 
@@ -430,8 +435,8 @@ def test_windowed_covers_are_the_covers_inside_the_range(family, n):
 def test_windowed_covers_stay_inside_the_range(family, n):
     handle = PosetHandle(family, n)
     for max_rank in range(9):
-        for element, _, expected in _window_covers(handle, max_rank):
-            assert set(_upper_covers(handle, element, max_rank)) == expected, (element, max_rank)
+        for element, key, expected in _window_covers(handle, max_rank):
+            assert set(_upper_covers(handle, key, max_rank)) == expected, (element, max_rank)
 
 
 @pytest.mark.parametrize("n", [None, 3, True])

@@ -1,9 +1,11 @@
 import itertools
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ncposet import (
+    LimitError,
     abelianize,
     covers_down,
     covers_up,
@@ -16,6 +18,7 @@ from ncposet import (
     words_of_degree,
     words_up_to_degree,
 )
+from ncposet.ncorder import _covers_up
 
 words = st.lists(st.integers(min_value=1, max_value=4), max_size=5).map(tuple)
 
@@ -58,6 +61,20 @@ def test_covers_down_examples():
     assert covers_down((1, 1, 1)) == {(1, 1)}
     assert covers_down(()) == set()
     assert covers_down((2,)) == {(1,)}
+
+
+def test_public_covers_charge_their_output_letters():
+    # x1^999 has 1000 covers of 1000 letters; the unvalidated kernel behind
+    # hasse charges nothing
+    with pytest.raises(LimitError, match="^1001000 output letters exceed the cap"):
+        covers_up((1,) * 999)
+    assert len(_covers_up((1,) * 999, None)) == 1000
+    with pytest.raises(LimitError, match="^1002001 output letters exceed the cap"):
+        covers_down((2,) * 1001)
+    with pytest.raises(LimitError, match="^1000001 multirank components exceed"):
+        multirank((10**6 + 1,))
+    with pytest.raises(LimitError, match="^1000002 walk point components exceed"):
+        walk((500001,))
 
 
 def _is_power_of_x1(w):
