@@ -17,9 +17,8 @@ a rank-bounded range.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any
 
 from .errors import DEFAULT_LIMIT, TABLE_LIMIT, LimitError
 from .ncorder import _reachable, dominated
@@ -27,6 +26,7 @@ from .variants import q_covers
 from .words import (
     CommMonomial,
     Word,
+    _check_alphabet,
     _format_monomial,
     _suffix_sums,
     abelianize,
@@ -140,19 +140,24 @@ def monomials_up_to_rank(
     """All monomials of rank <= max_rank over x1..xn, in canonical order.
 
     They are counted against the element cap before any is built; beyond
-    it `LimitError` is raised.  None for a negative bound.
+    it `LimitError` is raised.  None for a negative bound; `ValueError` for
+    an alphabet bound below 1.
     """
-    return [_exponents(p) for level in _partition_levels(max_rank, n, limit)[0] for p in level]
+    return _partition_levels(max_rank, n, limit)[2]
 
 
 def _partition_levels(max_rank: int, n: int | None, limit: int | None) -> tuple:
-    """Partitions of rank <= max_rank with at most n rows, one list per rank, and their labels.
+    """Partitions of rank <= max_rank with at most n rows, their labels, monomials and covers.
 
-    Each rank lists its partitions in the canonical text order of their
-    monomials, the labels.  Rank r + 1 holds the `_box_covers` of rank r.
+    Partitions and labels come one row per rank, in the canonical text
+    order of the monomials, the labels; monomials (exponent dicts) and
+    covers come in one list in that order.  A partition's covers are the
+    ascending indices of its `_box_covers`, none at the top rank: rank
+    r + 1 holds those of rank r, so each is computed once.
     """
+    _check_alphabet(n)
     if max_rank < 0:
-        return [], []
+        return [], [], [], []
     cap = DEFAULT_LIMIT if limit is None else limit
     top = max_rank if n is None else min(n, max_rank)
     # row[k] counts the partitions of r with at most k <= min(top, r) rows:
@@ -168,18 +173,26 @@ def _partition_levels(max_rank: int, n: int | None, limit: int | None) -> tuple:
         if len(counts) > top:
             del counts[0]
         total += row[-1]
-        if total > cap:
+        # each rank left holds at least x1^r, so refuse as soon as the cap must fall
+        if total + max_rank - r > cap:
             raise LimitError(
                 f"enumeration of monomials up to rank {max_rank} exceeded the cap of {cap}"
             )
-    levels: list[list[Partition]] = []
-    labels: list[list[str]] = []
+    levels, labels, monomials, covers = [], [], [], []
+    level: list[Partition] = [()]
     for r in range(max_rank + 1):
-        level = {u for p in levels[-1] for u in _box_covers(p, n)} if r else {()}
-        pairs = sorted((_format_monomial(_exponents(p)), p) for p in level)
-        labels.append([label for label, _ in pairs])
-        levels.append([p for _, p in pairs])
-    return levels, labels
+        exponents = list(map(_exponents, level))
+        rows = sorted(zip(map(_format_monomial, exponents), level, exponents))
+        label_row, level_row, monomial_row = zip(*rows)
+        if r:
+            index = {p: len(monomials) + i for i, p in enumerate(level_row)}
+            covers += [sorted(map(index.__getitem__, ups)) for ups in box]
+        labels.append(label_row)
+        levels.append(level_row)
+        monomials += monomial_row
+        box = [_box_covers(p, n) for p in level_row] if r < max_rank else []
+        level = list({u for ups in box for u in ups})
+    return levels, labels, monomials, covers + [()] * len(levels[-1])
 
 
 @dataclass(frozen=True)
@@ -240,26 +253,19 @@ class CoconnectionReport:
         return json.dumps(payload, indent=2)
 
 
-def _reachability(
-    elements: list, successors: Callable[[Any], Iterable]
-) -> tuple[dict, list[list[int]], list[int]]:
-    """Move graph and up-sets over ``elements``, which list every successor first.
+def _up_sets(edges: list[list[int]]) -> list[int]:
+    """Per element, an int with bit j set iff element j is reachable in zero or more moves.
 
-    Returns the position of each element, the move edges as successor
-    positions (successors outside ``elements`` dropped), and for each
-    element an int whose bit j is set iff element j is reachable in zero or
-    more moves.  Element i only reaches positions <= i, so the table takes
-    at most N(N+1)/2 bits.
+    ``edges[i]`` lists the positions one move above element i, all below i,
+    so the table takes at most N(N+1)/2 bits.
     """
-    index = {e: i for i, e in enumerate(elements)}
-    edges = [[index[s] for s in successors(e) if s in index] for e in elements]
     up: list[int] = []
     for i, out in enumerate(edges):
         bits = 1 << i
         for j in out:
             bits |= up[j]
         up.append(bits)
-    return index, edges, up
+    return up
 
 
 def check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
@@ -274,32 +280,35 @@ def check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
     `_box_covers`), which never lower the rank, so the range holds
     every chain between its elements.  A descent sort keeps the rank and
     makes the word lexicographically smaller, so listing the words by
-    rank descending, then lexicographically, puts every cover first.
-    Reachability tables over the covers give the comparable pairs; the
-    monotonicity laws are checked on the covers alone, which suffices by
-    transitivity, and only a failure scans the comparable pairs in
-    canonical order for the first witness.
+    rank descending, then lexicographically, puts every cover first, as
+    does reverse canonical order for the monomials, whose covers come from
+    `_partition_levels`.  Reachability tables over the covers (`_up_sets`)
+    give the comparable pairs; the monotonicity laws are checked on the
+    covers alone, which suffices by transitivity, and only a failure scans
+    the comparable pairs in canonical order for the first witness.
     More than `TABLE_LIMIT` words raise `LimitError`.
     """
     check_range(n, max_rank, "max_rank")
     # sort_word maps the monomials into the words one to one, so capping the
     # words caps both tables
     words = words_up_to_rank(max_rank, n, TABLE_LIMIT)
-    levels = _partition_levels(max_rank, n, None)[0]
+    _, _, monomials, c_edges = _partition_levels(max_rank, n, None)
     q_order = sorted(words, key=lambda w: (-sum(w), w))
-    q_index, q_edges, q_up = _reachability(q_order, lambda w: q_covers(w, n))
-    c_order = [p for level in reversed(levels) for p in level]
-    c_index, c_edges, c_up = _reachability(c_order, lambda p: _box_covers(p, n))
+    q_index = {w: i for i, w in enumerate(q_order)}
+    q_edges = [[q_index[u] for u in q_covers(w, n) if u in q_index] for w in q_order]
+    q_up = _up_sets(q_edges)
+    # canonical index g sits at position last - g of the table
+    last = len(monomials) - 1
+    c_up = _up_sets([[last - j for j in out] for out in reversed(c_edges)])
 
     def q_reaches(m: Word, m2: Word) -> bool:
         return bool(q_up[q_index[m]] >> q_index[m2] & 1)
 
-    def c_reaches(p: Partition, p2: Partition) -> bool:
-        return bool(c_up[c_index[p]] >> c_index[p2] & 1)
+    def c_reaches(a: int, b: int) -> bool:
+        return bool(c_up[last - a] >> (last - b) & 1)
 
     parts = {m: to_partition(abelianize(m)) for m in words}
-    monomials = {p: _exponents(p) for level in levels for p in level}
-    sorted_words = {p: sort_word(t) for p, t in monomials.items()}
+    sorted_words = [sort_word(t) for t in monomials]
 
     sigma_witness = None
     if not all(
@@ -316,17 +325,15 @@ def check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
 
     sigma_plus_witness = None
     if not all(
-        q_reaches(sorted_words[c_order[i]], sorted_words[c_order[j]])
-        for i, out in enumerate(c_edges)
-        for j in out
+        q_reaches(sorted_words[a], sorted_words[b]) for a, out in enumerate(c_edges) for b in out
     ):
         sigma_plus_witness = next(
-            f"{format_monomial(t)} <= {format_monomial(monomials[p2])}"
-            for p, t in monomials.items()
-            for p2 in monomials
-            if p2 != p
-            and c_reaches(p, p2)
-            and not q_reaches(sorted_words[p], sorted_words[p2])
+            f"{format_monomial(monomials[a])} <= {format_monomial(monomials[b])}"
+            for a in range(len(monomials))
+            for b in range(len(monomials))
+            if b != a
+            and c_reaches(a, b)
+            and not q_reaches(sorted_words[a], sorted_words[b])
         )
 
     ascend_witness = next(
@@ -335,7 +342,7 @@ def check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
     )
 
     roundtrip_witness = next(
-        (format_monomial(t) for p, t in monomials.items() if abelianize(sorted_words[p]) != t),
+        (format_monomial(t) for t, w in zip(monomials, sorted_words) if abelianize(w) != t),
         None,
     )
 

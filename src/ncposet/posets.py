@@ -16,13 +16,13 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 
-from .commutative import _box_covers, _exponents, _partition_levels, comm_leq
+from .commutative import _box_covers, _partition_levels, comm_leq
 from .ncorder import _covers_up, nc_leq, raisings
 from .variants import p_leq, q_covers, q_leq, swap_successors
-from .words import Word, _word_levels, check_word, normalize_monomial, rank
+from .words import Word, _check_alphabet, _word_levels, check_word, normalize_monomial, rank
 
 FAMILIES = ("nc", "q", "p", "comm")
 
@@ -55,8 +55,7 @@ class PosetHandle:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown poset family {self.family!r}; expected one of {FAMILIES}")
-        if self.n is not None and self.n < 1:
-            raise ValueError(f"alphabet bound must be >= 1, got {self.n}")
+        _check_alphabet(self.n)
 
 
 def _check_element(handle: PosetHandle, value):
@@ -189,31 +188,77 @@ def hasse(handle: PosetHandle, max_rank: int, limit: int | None = None) -> Hasse
 
     The elements come one list per rank with their labels and multiranks:
     words from `_word_levels`, and monomials as partitions from
-    `_partition_levels`, a partition being its monomial's multirank.  Each
-    element's upper covers inside the range come in closed form
-    (`_upper_covers`).  No "nc", "q" or "comm" move lowers the rank, so
-    their range is a down-set and its covers are the order's; "p" takes its
-    covers inside the range.
+    `_partition_levels`, a partition being its monomial's multirank.  No
+    "nc", "q" or "comm" move lowers the rank, so their range is a down-set
+    and its covers are the order's; "p" takes its covers inside the range.
+    "nc" covers follow from the positions in the level recursion
+    (`_nc_edges`) and "comm" covers come with the partitions, so neither
+    hashes a cover; "q" and "p" look up their `_upper_covers` by key.
     """
     if max_rank < 0:
         raise ValueError("max_rank must be >= 0")
     if handle.family == "comm":
-        levels, label_levels = _partition_levels(max_rank, handle.n, limit)
+        levels, label_levels, elements, covers = _partition_levels(max_rank, handle.n, limit)
         multiranks = levels
     else:
         levels, label_levels, multiranks = _word_levels(max_rank, handle.n, limit, True)
-    keys = list(chain.from_iterable(levels))
-    elements = map(_exponents, keys) if handle.family == "comm" else keys
+        elements = chain.from_iterable(levels)
     ranks = (r for r, level in enumerate(levels) for _ in level)
     triples = tuple(zip(elements, ranks, chain.from_iterable(multiranks)))
-    index = {key: i for i, key in enumerate(keys)}
-    edges = [
-        (i, j)
-        for i, key in enumerate(keys)
-        for j in sorted(map(index.__getitem__, _upper_covers(handle, key, max_rank)))
-    ]
+    # edge ends share one int object per vertex, not one per edge
+    ids = list(range(len(triples)))
+    if handle.family == "nc":
+        edges = _nc_edges(levels, handle.n, ids)
+    else:
+        if handle.family != "comm":
+            index = dict(zip(chain.from_iterable(levels), ids))
+            covers = (sorted(map(index.__getitem__, _upper_covers(handle, key, max_rank)))
+                      for key in index)
+        edges = [(ids[i], ids[j]) for i, targets in enumerate(covers) for j in targets]
     labels = tuple(chain.from_iterable(label_levels))
     return HasseGraph(handle.family, handle.n, max_rank, triples, labels, tuple(edges))
+
+
+def _nc_edges(levels: list, n: int | None, ids: list[int]) -> list[tuple[int, int]]:
+    """The "nc" Hasse edges over `_word_levels` output, each source's targets ascending.
+
+    Rank r lists, for each first letter k, k followed by the words of rank
+    r - k, and x1 first.  So if w = k*t is word i of rank r and t is word j
+    of rank r - k, the covers of w below the top rank lie in rank r + 1:
+    x1*w at i, (k+1)*t at j in block k + 1, and in block k, w*x1 = k*(t*x1)
+    and k*c for each raising c of t: t's edges but x1*t (at j) and t*x1.
+    Each word keeps two ints: the index of w*x1 and where its edges end.
+    """
+    max_rank = len(levels) - 1
+    top = max_rank if n is None else min(n, max_rank)
+    letters = sorted(range(1, top + 1), key=str)
+    base = [0, *accumulate(map(len, levels))]
+    edges = [(ids[0], ids[1])] if max_rank else []
+    # above[k]: where the words of rank r + 1 starting with xk begin
+    times_x1, ends, above = [0], [0, len(edges)], {1: 0}
+    for r in range(1, max_rank):
+        firsts = [k for k in letters if k <= r + 1]
+        starts = accumulate((len(levels[r + 1 - k]) for k in firsts), initial=0)
+        here, above, up = above, dict(zip(firsts, starts)), base[r + 1]
+        for k, start in here.items():
+            block, raised, tails = above[k], above.get(k + 1), base[r - k + 1]
+            for j, t in enumerate(range(base[r - k], tails)):
+                i = start + j
+                tx = times_x1[t]
+                wx = block + tx
+                targets = [i] if wx == i else [i, wx]
+                if raised is not None:
+                    targets.append(raised + j)
+                for _, c in edges[ends[t]:ends[t + 1]]:
+                    c -= tails
+                    if c != j and c != tx:
+                        targets.append(block + c)
+                targets.sort()
+                v = ids[base[r] + i]
+                edges += [(v, ids[up + c]) for c in targets]
+                times_x1.append(wx)
+                ends.append(len(edges))
+    return edges
 
 
 def _upper_covers(handle: PosetHandle, key, max_rank: int | None = None) -> Iterable:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import _charge
 from .words import check_range, rank, words_up_to_rank
 
 __all__ = ["CoefficientTable", "rank_coefficients", "enumerate_by_rank"]
@@ -33,6 +34,8 @@ def rank_coefficients(terms: int, n: int | None = None) -> CoefficientTable:
     c_{k-n-1}.
     """
     check_range(n, terms, "terms")
+    # coefficient k has at most k bits, and one for n = 1; all are charged first
+    _charge(terms + 1 if n == 1 else terms * (terms + 1) // 2, "coefficient bits")
     coefficients = [1]
     for k in range(1, terms + 1):
         if k == 1:

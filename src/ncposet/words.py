@@ -23,10 +23,15 @@ _WORD_TERM = re.compile(r"x([1-9][0-9]*)\Z")
 _MON_FACTOR = re.compile(r"x([1-9][0-9]*)(?:\^([1-9][0-9]*))?\Z")
 
 
-def check_word(m: Iterable[int], n: int | None = None) -> Word:
-    """Return ``m`` as a tuple, validating letters (plain ints >= 1) and the bound n >= 1."""
+def _check_alphabet(n: int | None) -> None:
+    """Reject an alphabet bound below 1; None is the unbounded alphabet."""
     if n is not None and n < 1:
         raise ValueError(f"alphabet bound must be >= 1, got {n}")
+
+
+def check_word(m: Iterable[int], n: int | None = None) -> Word:
+    """Return ``m`` as a tuple, validating letters (plain ints >= 1) and the bound n >= 1."""
+    _check_alphabet(n)
     w = tuple(m)
     for i in w:
         if type(i) is not int or i < 1:
@@ -38,8 +43,7 @@ def check_word(m: Iterable[int], n: int | None = None) -> Word:
 
 def check_range(n: int | None, bound: int, name: str) -> None:
     """Reject an alphabet bound below 1 and a negative degree or rank bound."""
-    if n is not None and n < 1:
-        raise ValueError(f"alphabet bound must be >= 1, got {n}")
+    _check_alphabet(n)
     if bound < 0:
         raise ValueError(f"{name} must be >= 0, got {bound}")
 
@@ -243,7 +247,7 @@ def words_up_to_rank(
     the enumeration is finite either way.  The words of each rank and their
     letters are counted before any word is built: more than the element cap
     of words, or more than `LETTERS_PER_WORD` times it of letters, raise
-    `LimitError`.
+    `LimitError`.  An alphabet bound below 1 raises `ValueError`.
 
     No two words of one rank are prefixes of each other, and ``*`` sorts
     below every digit, so within a rank the canonical text order is the
@@ -260,6 +264,7 @@ def _word_levels(max_rank: int, n: int | None, limit: int | None, data: bool = F
     With ``data`` also their labels and multiranks, from the tail's: a first
     letter k prepends ``xk*`` and adds one to the first k components.
     """
+    _check_alphabet(n)
     if max_rank < 0:
         return [], [], []
     cap = DEFAULT_LIMIT if limit is None else limit

@@ -5,10 +5,11 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from ncposet.cli import build_parser, run
+from ncposet.errors import DEFAULT_LIMIT, LETTERS_PER_WORD, TABLE_LIMIT
 
 
 def _invoke(capsys, *argv):
@@ -205,6 +206,99 @@ def test_adversarial_argv_exits_cleanly(argv):
         code = run(argv)
     assert code in (0, 2, 3)
     assert code == 0 or out.getvalue() == ""
+
+
+# A drawn run that the caps admit may build at most this many elements.  The
+# caps admit up to 10^6: such runs legitimately take seconds (hasse --poset
+# comm -n 1 --max-rank 999999: 1.5 GB), so they are not run here.
+_BUILD_BUDGET = 2000
+
+
+def _range_size(family, n, max_rank, stop):
+    """Elements of rank <= max_rank (words, or monomials for "comm") and the words' letters.
+
+    Counting stops once the elements pass ``stop``.  Over one letter both
+    have closed forms.
+    """
+    if n == 1:
+        return max_rank + 1, 0 if family == "comm" else max_rank * (max_rank + 1) // 2
+    # rank r holds sizes[r] words with lengths[r] letters: a first letter k,
+    # then a word of rank r - k; parts[r][k] counts the partitions of r with
+    # parts of size <= k, conjugate to the monomials over x1..xk
+    elements, letters, sizes, lengths, parts = 1, 0, [1], [0], [[1]]
+    for r in range(1, max_rank + 1):
+        if elements > stop:
+            break
+        top = r if n is None else min(n, r)
+        if family == "comm":
+            row = [0]
+            for k in range(1, top + 1):
+                row.append(row[-1] + parts[r - k][min(k, r - k)])
+            parts.append(row)
+            elements += row[-1]
+        else:
+            sizes.append(sum(sizes[r - k] for k in range(1, top + 1)))
+            lengths.append(sum(sizes[r - k] + lengths[r - k] for k in range(1, top + 1)))
+            elements, letters = elements + sizes[-1], letters + lengths[-1]
+    return elements, letters
+
+
+def _admits(family, n, max_rank, cap):
+    """Whether the caps admit the range; None if it is also larger than the budget."""
+    elements, letters = _range_size(family, n, max_rank, cap)
+    if elements > cap or letters > LETTERS_PER_WORD * cap:
+        return False
+    return elements <= _BUILD_BUDGET and letters <= LETTERS_PER_WORD * _BUILD_BUDGET or None
+
+
+_ALPHABETS = st.sampled_from((1, 2, 3, None))
+_BOUNDS = st.integers(0, 10**6)
+_RANKS = st.integers(0, 40) | _BOUNDS
+
+
+@st.composite
+def _enumerating_argv(draw):
+    """(argv, expected exit code or None) for hasse, series and coconnection."""
+    command = draw(st.sampled_from(("hasse", "series", "coconnection")))
+    n = draw(_ALPHABETS)
+    bound = draw(_RANKS)
+    limit = draw(st.none() | _BOUNDS)
+    n_args = [] if n is None else ["-n", str(n)]
+    if command == "coconnection":
+        if n is not None:
+            assume(_admits("nc", n, bound, TABLE_LIMIT) is not None)
+        return ["coconnection", *n_args, "--max-rank", str(bound)], None
+    cap = DEFAULT_LIMIT if limit is None else limit
+    limit_args = [] if limit is None else ["--limit", str(limit)]
+    if command == "series":
+        verify = draw(st.booleans())
+        # the table charges its coefficient bits first; admitted, it has bound + 1 rows
+        bits = bound + 1 if n == 1 else bound * (bound + 1) // 2
+        assume(bits > DEFAULT_LIMIT or bound < _BUILD_BUDGET)
+        if verify:
+            assume(_admits("nc", n, bound, cap) is not None)
+        argv = ["series", *n_args, "--terms", str(bound), *limit_args]
+        return argv + ["--verify"] * verify, None
+    family = draw(st.sampled_from(("nc", "q", "p", "comm")))
+    admitted = _admits(family, n, bound, cap)
+    assume(admitted is not None)
+    argv = ["hasse", "--poset", family, *n_args, "--max-rank", str(bound), *limit_args]
+    return argv + ["--format", draw(st.sampled_from(("json", "dot")))], 0 if admitted else 3
+
+
+@settings(deadline=1000, max_examples=150)
+@given(_enumerating_argv())
+def test_enumerating_commands_exit_cleanly(case):
+    # ranks, terms and caps up to 10^6 in all four families: each run answers
+    # within the deadline, or refuses with nothing on stdout
+    argv, expected = case
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 2, 3)
+    assert code == 0 or out.getvalue() == ""
+    assert expected is None or code == expected
 
 
 def test_hasse_q_runs_above_the_old_table_cap(capsys):

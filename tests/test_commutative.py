@@ -27,6 +27,7 @@ from ncposet import (
 )
 from ncposet.commutative import _box_covers
 from ncposet.ncorder import _reachable, dominated
+from ncposet.words import check_word
 
 monomials = st.dictionaries(
     st.integers(min_value=1, max_value=4),
@@ -216,6 +217,16 @@ def test_monomials_up_to_rank_counts():
     assert len(monomials_up_to_rank(6, 2)) == 16
     assert len(monomials_up_to_rank(0, 3)) == 1
     assert monomials_up_to_rank(-1) == monomials_up_to_rank(-3, 2) == []
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_monomials_up_to_rank_rejects_an_alphabet_bound_below_1(n):
+    # the message of check_word; once the identity alone came back
+    with pytest.raises(ValueError) as expected:
+        check_word((), n)
+    for max_rank in (0, 3):
+        with pytest.raises(ValueError, match=f"^{expected.value}$"):
+            monomials_up_to_rank(max_rank, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 11, None])

@@ -7,6 +7,7 @@ import ncposet
 from ncposet import (
     LimitError,
     PosetHandle,
+    check_coconnection,
     comm_leq,
     covers_up,
     format_monomial,
@@ -23,7 +24,9 @@ from ncposet import (
     words_up_to_degree,
     words_up_to_rank,
 )
-from ncposet.ncorder import _reachable
+from ncposet import commutative
+from ncposet.commutative import _box_covers, _exponents
+from ncposet.ncorder import _covers_up, _reachable
 from ncposet.posets import HasseGraph, _upper_covers
 from ncposet.variants import swap_successors
 from ncposet.words import _format_monomial, _multirank, check_word
@@ -365,6 +368,76 @@ def test_hasse_comm_formats_each_vertex_once(monkeypatch):
     calls = _count_calls(monkeypatch, _format_monomial)
     graph = hasse(PosetHandle("comm"), 16)
     assert len(calls) == len(graph.vertices) == 915
+
+
+def _lookup_edges(handle, max_rank):
+    """The reference edges: an index over the range and `_upper_covers` of each element.
+
+    Each source's targets ascending.  `hasse` still builds "q" and "p"
+    edges this way, and built "nc" and "comm" edges this way too.
+    """
+    if handle.family == "comm":
+        keys = [to_partition(t) for t in monomials_up_to_rank(max_rank, handle.n)]
+    else:
+        keys = words_up_to_rank(max_rank, handle.n)
+    index = {key: i for i, key in enumerate(keys)}
+    return tuple(
+        (i, j)
+        for i, key in enumerate(keys)
+        for j in sorted(map(index.__getitem__, _upper_covers(handle, key, max_rank)))
+    )
+
+
+@pytest.mark.parametrize("n", [None, 1, 2, 3, 4, 11])
+@pytest.mark.parametrize("family, top_rank", [("nc", 12), ("comm", 18)])
+def test_level_edges_match_the_cover_lookup(family, top_rank, n):
+    # n = 11 puts x10 and x11 between x1 and x2 in each rank's block order
+    if family == "nc" and n is None:
+        top_rank = 14
+    handle = PosetHandle(family, n)
+    for max_rank in range(top_rank + 1):
+        assert hasse(handle, max_rank).edges == _lookup_edges(handle, max_rank), max_rank
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, None])
+def test_coconnection_comm_moves_are_the_box_covers(monkeypatch, n):
+    up_sets = commutative._up_sets
+    tables = []
+
+    def recording(edges):
+        tables.append(edges)
+        return up_sets(edges)
+
+    monkeypatch.setattr(commutative, "_up_sets", recording)
+    for max_rank in range(9):
+        tables.clear()
+        assert check_coconnection(n, max_rank).ok
+        _, c_table = tables
+        # the table lists the monomials in reverse canonical order
+        keys = [to_partition(t) for t in monomials_up_to_rank(max_rank, n)][::-1]
+        position = {p: i for i, p in enumerate(keys)}
+        expected = [sorted(position[u] for u in _box_covers(p, n) if u in position) for p in keys]
+        assert [sorted(out) for out in c_table] == expected, max_rank
+
+
+def test_hasse_nc_builds_no_cover_word(monkeypatch):
+    covers = _count_calls(monkeypatch, _covers_up)
+    lookups = _count_calls(monkeypatch, _upper_covers)
+    graph = hasse(PosetHandle("nc"), 12)
+    assert len(graph.vertices) == 4096
+    # the cover lookup called _covers_up once per word below rank 12: 2048 times
+    assert covers == lookups == []
+
+
+def test_hasse_comm_computes_each_cover_once(monkeypatch):
+    boxes = _count_calls(monkeypatch, _box_covers)
+    exponents = _count_calls(monkeypatch, _exponents)
+    lookups = _count_calls(monkeypatch, _upper_covers)
+    graph = hasse(PosetHandle("comm"), 16)
+    # one _box_covers per partition below rank 16 (915 - 231), one _exponents
+    # per partition; the cover lookup called each twice as often
+    assert (len(boxes), len(exponents), len(graph.vertices)) == (684, 915, 915)
+    assert lookups == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 11, None])

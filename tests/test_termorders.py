@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from ncposet import (
@@ -189,3 +191,26 @@ def test_multiplicativity_scan_charges_the_budget(monkeypatch):
     # 255 words: 21590 pairs, over it
     with pytest.raises(LimitError, match="multiplicativity scan exceeded the cap of 10000"):
         validate_order(DEG_LEFT_LEX, 2, 7, cofactor_degree=0)
+
+
+@pytest.mark.parametrize("n, max_degree", [(2, 4), (3, 3)])
+def test_containment_classifies_like_the_axioms_and_flags(n, max_degree):
+    # the paper's three claims on one range: the total extensions of nc are
+    # the term orders, p classifies the degree-compatible ones and q the
+    # sorted ones.  Every weight vector from 1..8 over n letters is checked;
+    # a mismatch is a finding, not a reason to narrow the menu.
+    specs = [DEG_LEFT_LEX, DEG_RIGHT_LEX, *(weight_deg(*w) for w in combinations(range(1, 9), n))]
+    contained = {"nc": [], "p": [], "q": []}
+    for spec in specs:
+        report = validate_order(spec, n, max_degree)
+        claims = {"nc": report.axioms_ok, "p": report.is_degree_compatible, "q": report.is_sorted}
+        for family, claim in claims.items():
+            ok, _ = contains_poset(spec, PosetHandle(family, n), max_degree)
+            assert ok == claim, (spec.describe(), family)
+            if ok:
+                contained[family].append(spec)
+    assert contained["nc"] == specs
+    # both verdicts occur for p: w2 > 2*w1 puts x2 above x1*x1
+    assert 0 < len(contained["p"]) < len(specs)
+    # the weight orders break ties by deglex, so the positive q side has one spec
+    assert contained["q"] == [DEG_RIGHT_LEX]

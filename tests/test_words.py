@@ -23,6 +23,7 @@ from ncposet import (
     words_up_to_degree,
     words_up_to_rank,
 )
+from ncposet.words import check_word
 
 words = st.lists(st.integers(min_value=1, max_value=6), max_size=6).map(tuple)
 
@@ -211,6 +212,16 @@ def test_words_up_to_negative_rank_are_none():
     for n in (None, 2):
         assert words_up_to_rank(-1, n) == []
         assert words_up_to_rank(-3, n, limit=0) == []
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_words_up_to_rank_rejects_an_alphabet_bound_below_1(n):
+    # the message of check_word; once the identity alone came back
+    with pytest.raises(ValueError) as expected:
+        check_word((), n)
+    for max_rank in (0, 3):
+        with pytest.raises(ValueError, match=f"^{expected.value}$"):
+            words_up_to_rank(max_rank, n)
 
 
 def test_words_up_to_rank_letter_budget_edges():
