@@ -11,9 +11,11 @@ nonzero generator never stops.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
+from .errors import _charge
 from .ncorder import covers_up, raisings
 from .words import (
     Word,
@@ -44,8 +46,8 @@ class IdealGens:
     gens: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"alphabet bound must be >= 1, got {self.n}")
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"alphabet bound must be an int >= 1, got {self.n!r}")
         for g in self.gens:
             check_word(g, self.n)
         for g in self.gens:
@@ -81,9 +83,17 @@ def strongly_stable_closure(ideal: IdealGens) -> IdealGens:
     generators live in a finite set and the loop reaches a fixpoint.  At
     the fixpoint every raising of a generator is a member, which forces
     every raising of every member to be a member as well.
+
+    Each round charges its factor tests before it runs them: the raisings
+    against the generators, then the re-minimalizing of the enlarged set
+    (`minimalize` and the antichain check of `IdealGens`, all pairs each).
+    The running total of letters compared is charged against the cap.
     """
     current = minimalize(ideal.gens, ideal.n)
+    work = 0
     while True:
+        work += _raising_work(current.gens, ideal.n)
+        _charge(work, "letter comparisons")
         additions = {
             w
             for g in current.gens
@@ -92,7 +102,24 @@ def strongly_stable_closure(ideal: IdealGens) -> IdealGens:
         }
         if not additions:
             return current
-        current = minimalize(set(current.gens) | additions, ideal.n)
+        merged = set(current.gens) | additions
+        work += 2 * _factor_work(map(len, merged), map(len, merged))
+        _charge(work, "letter comparisons")
+        current = minimalize(merged, ideal.n)
+
+
+def _raising_work(gens: Sequence[Word], n: int) -> int:
+    """Letters compared, at most, in testing each raising of ``gens`` for membership."""
+    return _factor_work(map(len, gens), (len(g) for g in gens for c in g if c < n))
+
+
+def _factor_work(factors: Iterable[int], words: Iterable[int]) -> int:
+    """Letters `is_factor(u, m)` compares at most over all pairs, from the lengths.
+
+    It compares |m| - |u| + 1 windows of |u| letters, and at least one.
+    """
+    us, ms = Counter(factors), Counter(words)
+    return sum(i * j * max(1, (q - p + 1) * p) for p, i in us.items() for q, j in ms.items())
 
 
 @dataclass(frozen=True)
@@ -119,18 +146,21 @@ def is_strongly_stable(ideal: IdealGens, rank_bound: int) -> StabilityCheck:
     """Certify the filter property of the member set on a rank window.
 
     Scans members in canonical order; the witness is the first member
-    together with the first of its covers that escapes the ideal.
+    together with the first of its covers that escapes the ideal.  The
+    generator check is charged first, as one round of the closure.
     """
     check_range(ideal.n, rank_bound, "rank_bound")
+    _charge(_raising_work(ideal.gens, ideal.n), "letter comparisons")
     window_witness = None
     for m in words_up_to_rank(rank_bound, ideal.n):
         if not ideal_member(m, ideal):
             continue
-        for c in sorted(covers_up(m, ideal.n), key=canonical_key):
-            if rank(c) <= rank_bound and not ideal_member(c, ideal):
-                window_witness = (m, c)
-                break
-        if window_witness:
+        escaping = [
+            c for c in covers_up(m, ideal.n)
+            if rank(c) <= rank_bound and not ideal_member(c, ideal)
+        ]
+        if escaping:
+            window_witness = (m, min(escaping, key=canonical_key))
             break
 
     generator_witness = None

@@ -14,6 +14,7 @@ by; `q_covers` keeps only the moves that no such path passes.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import accumulate, chain
@@ -136,18 +137,28 @@ class HasseGraph:
         """``json.dumps(self.to_json_dict(), indent=2)``, written directly.
 
         json's indented encoder runs in pure Python, one generator step per
-        token, so each vertex and each edge is formatted here in one piece.
-        Vertex ranks, multirank components and edge ends are ints, as
-        `hasse` builds them; ``n`` and ``max_rank`` are whatever the caller
-        passed.  For another layout, dump `to_json_dict` with the indent
-        wanted.
+        token.  Here each piece of text is made once per graph: a vertex is
+        its escaped label plus the tail of its (rank, multirank), formatted
+        once per distinct pair, and an edge is the head of its lower end
+        plus the end of its upper end.  Vertex ranks, multirank components
+        and edge ends are ints, and multiranks tuples, as `hasse` builds
+        them; ``n`` and ``max_rank`` are whatever the caller passed.  For
+        another layout, dump `to_json_dict` with the indent wanted.
         """
-        vertices = [
-            f'{{\n      "word": {encode_basestring_ascii(label)},\n      "rank": {r},\n'
-            f'      "multirank": {_json_list([str(c) for c in mr], 6)}\n    }}'
-            for label, (_, r, mr) in zip(self.labels, self.vertices)
-        ]
-        edges = [f"[\n      {a},\n      {b}\n    ]" for a, b in self.edges]
+        tails: dict[tuple, str] = {}
+        vertices = []
+        for label, (_, r, mr) in zip(self.labels, self.vertices):
+            tail = tails.get((r, mr))
+            if tail is None:
+                tail = tails[r, mr] = (
+                    f',\n      "rank": {r},\n      "multirank": '
+                    f'{_json_list([str(c) for c in mr], 6)}\n    }}'
+                )
+            vertices.append('{\n      "word": ' + encode_basestring_ascii(label) + tail)
+        ids = [str(i) for i in range(len(self.vertices))]
+        heads = ["[\n      " + i + ",\n      " for i in ids]
+        ends = [i + "\n    ]" for i in ids]
+        edges = [heads[a] + ends[b] for a, b in self.edges]
         return (
             f'{{\n  "poset": {encode_basestring_ascii(self.family)},\n'
             f'  "n": {json.dumps(self.n)},\n'
@@ -157,17 +168,14 @@ class HasseGraph:
         )
 
     def to_dot(self) -> str:
+        by_rank: defaultdict[int, list[str]] = defaultdict(list)
+        for i, (label, (_, r, _)) in enumerate(zip(self.labels, self.vertices)):
+            by_rank[r].append(f'v{i} [label="{label}"];')
         lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=none];"]
-        by_rank: dict[int, list[int]] = {}
-        for idx, (_, r, _) in enumerate(self.vertices):
-            by_rank.setdefault(r, []).append(idx)
-        for r in sorted(by_rank):
-            nodes = " ".join(
-                f'v{idx} [label="{self.labels[idx]}"];' for idx in by_rank[r]
-            )
-            lines.append(f"  {{ rank=same; {nodes} }}")
-        for lo, hi in self.edges:
-            lines.append(f"  v{lo} -> v{hi};")
+        lines += [f"  {{ rank=same; {' '.join(by_rank[r])} }}" for r in sorted(by_rank)]
+        heads = [f"  v{i} -> " for i in range(len(self.vertices))]
+        ends = [f"v{i};" for i in range(len(self.vertices))]
+        lines += [heads[a] + ends[b] for a, b in self.edges]
         lines.append("}")
         return "\n".join(lines)
 

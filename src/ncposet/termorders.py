@@ -19,7 +19,14 @@ from math import isqrt
 from .errors import DEFAULT_LIMIT, LimitError, ParseError
 from .ncorder import _reachable
 from .posets import EQ, GT, LT, PosetHandle, _upper_covers
-from .words import Word, canonical_key, check_range, check_word, words_up_to_degree
+from .words import (
+    Word,
+    _count_up_to_degree,
+    canonical_key,
+    check_range,
+    check_word,
+    words_up_to_degree,
+)
 
 KINDS = ("deg_left_lex", "deg_right_lex", "weight_deg")
 
@@ -187,13 +194,23 @@ def validate_order(
     the order of `words_up_to_degree`.
 
     The key comparisons over cofactor pairs are counted against the
-    element cap before they run, and the fallback scan charges the same
-    budget; beyond it `LimitError` is raised.
+    element cap before any word is built, and the fallback scan charges
+    the same budget; beyond it `LimitError` is raised.
     """
     check_range(n, max_degree, "max_degree")
     check_range(n, cofactor_degree, "cofactor_degree")
-    words = words_up_to_degree(n, max_degree)
+    count = _count_up_to_degree(n, max_degree)
     key = _key_function(spec, n)
+    # the checks below visit every pair of cofactors
+    cofactors = words_up_to_degree(n, cofactor_degree, isqrt(DEFAULT_LIMIT))
+    pairs = len(cofactors) ** 2
+    planned = (count - 1) * pairs + n * (n - 1) // 2 * pairs
+    if planned > DEFAULT_LIMIT:
+        raise LimitError(
+            f"validating {spec.describe()} up to degree {max_degree} over {n} letters "
+            f"needs {planned} key comparisons, over the cap of {DEFAULT_LIMIT}"
+        )
+    words = words_up_to_degree(n, max_degree)
     keys = [key(w) for w in words]
 
     ranked = sorted(range(len(words)), key=keys.__getitem__)
@@ -229,15 +246,6 @@ def validate_order(
         None,
     )
 
-    # the checks below visit every pair of cofactors
-    cofactors = words_up_to_degree(n, cofactor_degree, isqrt(DEFAULT_LIMIT))
-    pairs = len(cofactors) ** 2
-    planned = (len(words) - 1) * pairs + n * (n - 1) // 2 * pairs
-    if planned > DEFAULT_LIMIT:
-        raise LimitError(
-            f"validating {spec.describe()} up to degree {max_degree} over {n} letters "
-            f"needs {planned} key comparisons, over the cap of {DEFAULT_LIMIT}"
-        )
     factor = None
     in_key_order = [words[i] for i in ranked]
     if tie is not None or not _adjacent_multiplicative(key, in_key_order, cofactors):

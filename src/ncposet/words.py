@@ -219,23 +219,37 @@ def words_of_degree(n: int, d: int) -> Iterator[Word]:
 def words_up_to_degree(n: int, max_degree: int, limit: int | None = None) -> list[Word]:
     """All words of degree <= max_degree over x1..xn, by degree, then lexicographic.
 
-    The n^0 + ... + n^max_degree words are counted against the element cap
-    before any is built; beyond it `LimitError` is raised.
+    Past the element cap, or `LETTERS_PER_WORD` letters per word of it,
+    `LimitError` is raised before any word is built.
     """
+    _count_up_to_degree(n, max_degree, limit)
+    out: list[Word] = []
+    for d in range(max_degree + 1):
+        out.extend(words_of_degree(n, d))
+    return out
+
+
+def _count_up_to_degree(n: int, max_degree: int, limit: int | None = None) -> int:
+    """Count the n^0 + ... + n^max_degree words of degree <= max_degree and
+    their letters against the caps of `words_up_to_degree`, building none."""
     cap = DEFAULT_LIMIT if limit is None else limit
-    total, size = 0, 1
-    for _ in range(max_degree + 1):
+    total = letters = 0
+    size = 1
+    for d in range(max_degree + 1):
         total += size
+        letters += d * size
         if total > cap:
             raise LimitError(
                 f"enumeration of words up to degree {max_degree} over {n} letters "
                 f"exceeded the cap of {cap}"
             )
+        if letters > LETTERS_PER_WORD * cap:
+            raise LimitError(
+                f"enumeration of words up to degree {max_degree} over {n} letters "
+                f"exceeded the cap of {LETTERS_PER_WORD * cap} letters"
+            )
         size *= n
-    out: list[Word] = []
-    for d in range(max_degree + 1):
-        out.extend(words_of_degree(n, d))
-    return out
+    return total
 
 
 def words_up_to_rank(

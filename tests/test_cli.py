@@ -3,11 +3,13 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from ncposet import errors
 from ncposet.cli import build_parser, run
 from ncposet.errors import DEFAULT_LIMIT, LETTERS_PER_WORD, TABLE_LIMIT
 
@@ -157,6 +159,32 @@ def test_letter_index_and_output_caps_refuse_before_any_output(capsys, argv, mes
     assert err == f"error: {message} exceed the cap of 1000000\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the raising chain x1 -> x2 -> ... adds one generator a round
+        (("closure", "-n", "400", "x1"), "1005048 letter comparisons"),
+        # 3^10 generators of degree 10 at the fixpoint
+        (("closure", "-n", "3", _power(1, 10)), "2054260 letter comparisons"),
+        (("closure", "-n", "2", _power(1, 998)), "1993006000 letter comparisons"),
+        (("is-stable", "-n", "2", "--rank-bound", "0", _power(1, 5000), "x2"),
+         "50000000 letter comparisons"),
+    ],
+)
+def test_ideal_factor_tests_are_charged_before_any_output(capsys, argv, message):
+    code, out, err = _invoke(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: {message} exceed the cap of 1000000\n"
+
+
+def test_closures_under_the_cap_still_print(capsys):
+    code, out, err = _invoke(capsys, "closure", "-n", "50", "x1")
+    assert (code, err, out.split()) == (0, "", [f"x{i}" for i in range(1, 51)])
+    # the largest closure the benchmark's query mix asks for
+    code, out, err = _invoke(capsys, "closure", "-n", "4", "x1*x1*x1")
+    assert (code, err, len(out.split())) == (0, "", 64)
+
+
 def test_outputs_at_the_caps_still_print(capsys):
     code, out, err = _invoke(capsys, "rank", "x1000000")
     assert (code, err) == (0, "")
@@ -299,6 +327,85 @@ def test_enumerating_commands_exit_cleanly(case):
     assert code in (0, 2, 3)
     assert code == 0 or out.getvalue() == ""
     assert expected is None or code == expected
+
+
+# A drawn closure may compare at most this many letters in its factor tests.
+# The cap admits 10^6, about a second of work (closure -n 80 x1), so each
+# closure runs with this budget as the cap: a larger one exits 3 at it.
+_CLOSURE_BUDGET = 20_000
+# An admitted check-order run may plan at most this many key comparisons
+# (the benchmark's largest cell, n = 3 to degree 4, plans about 21,000).
+_ORDER_BUDGET = 50_000
+_SMALL_WORDS = st.lists(st.integers(1, 3), min_size=1, max_size=6).map(
+    lambda w: "*".join(f"x{i}" for i in w)
+)
+_GENS = st.lists(_SMALL_WORDS, min_size=1, max_size=3) | st.lists(
+    _SMALL_WORDS | _TEXTS, min_size=1, max_size=3
+)
+_ORDERS = st.one_of(
+    st.sampled_from(("deglex", "degrevlex", "lex", "weight:", "weight:1,,2", "weight:x")),
+    st.lists(st.integers(1, 8), min_size=1, max_size=5, unique=True).map(
+        lambda w: "weight:" + ",".join(map(str, sorted(w)))
+    ),
+    st.lists(st.integers(-2, 12) | st.integers(1, 10**12), max_size=6).map(
+        lambda w: "weight:" + ",".join(map(str, w))
+    ),
+)
+
+
+def _order_plan(n, max_degree):
+    """Words, letters and planned key comparisons of check-order; None if a cap refuses it first."""
+    words = letters = 0
+    size = 1
+    for d in range(max_degree + 1):
+        words, letters, size = words + size, letters + d * size, size * n
+        if words > DEFAULT_LIMIT or letters > LETTERS_PER_WORD * DEFAULT_LIMIT:
+            return None
+    cofactors = 1 + n + n * n
+    if cofactors > 1000:
+        return None
+    return words, letters, (words - 1 + n * (n - 1) // 2) * cofactors**2
+
+
+@st.composite
+def _ideal_and_order_argv(draw):
+    """argv for closure, is-stable and check-order."""
+    command = draw(st.sampled_from(("closure", "is-stable", "check-order")))
+    n = draw(st.integers(1, 4) | st.integers(-2, 12) | st.integers(1, 10**12))
+    bound = draw(st.integers(-2, 12) | st.integers(-2, 40) | _BOUNDS)
+    if command == "closure":
+        return ["closure", "-n", str(n), *draw(_GENS)]
+    if command == "is-stable":
+        if n >= 1:
+            assume(_admits("nc", n, bound, DEFAULT_LIMIT) is not None)
+        return ["is-stable", "-n", str(n), "--rank-bound", str(bound), *draw(_GENS)]
+    if n >= 1 and bound >= 0:
+        plan = _order_plan(n, bound)
+        if plan is not None and plan[2] <= DEFAULT_LIMIT:
+            words, letters, planned = plan
+            assume(words <= _BUILD_BUDGET and letters <= LETTERS_PER_WORD * _BUILD_BUDGET)
+            assume(planned <= _ORDER_BUDGET)
+    argv = ["check-order", "--order", draw(_ORDERS), "-n", str(n), "--max-degree", str(bound)]
+    contains = draw(st.sampled_from((None, "nc", "q", "p")))
+    return argv + ([] if contains is None else ["--contains", contains])
+
+
+@settings(deadline=1000, max_examples=150)
+@given(_ideal_and_order_argv())
+def test_ideal_and_order_commands_exit_cleanly(argv):
+    # generators of up to 5000 letters or with huge indices, alphabets and
+    # bounds up to 10^12, malformed order specs: each run answers within the
+    # deadline, or refuses with nothing on stdout
+    out, err = io.StringIO(), io.StringIO()
+    budget = _CLOSURE_BUDGET if argv[0] == "closure" else DEFAULT_LIMIT
+    with redirect_stdout(out), redirect_stderr(err), mock.patch.object(
+        errors, "DEFAULT_LIMIT", budget
+    ):
+        code = run(argv)
+    event(f"{argv[0]} exit {code}")
+    # is-stable and check-order print their report with exit 1 on a false verdict
+    assert code in ((0, 2, 3) if argv[0] == "closure" else (0, 1, 2, 3))
+    assert code in (0, 1) or out.getvalue() == ""
 
 
 def test_hasse_q_runs_above_the_old_table_cap(capsys):

@@ -1,4 +1,5 @@
 import json
+from json.encoder import encode_basestring_ascii
 from types import ModuleType
 
 import pytest
@@ -27,9 +28,43 @@ from ncposet import (
 from ncposet import commutative
 from ncposet.commutative import _box_covers, _exponents
 from ncposet.ncorder import _covers_up, _reachable
-from ncposet.posets import HasseGraph, _upper_covers
+from ncposet.posets import HasseGraph, _json_list, _upper_covers
 from ncposet.variants import swap_successors
 from ncposet.words import _format_monomial, _multirank, check_word
+
+
+def _reference_to_json(graph):
+    """The f-string `HasseGraph.to_json`, one piece of text per vertex and per edge."""
+    vertices = [
+        f'{{\n      "word": {encode_basestring_ascii(label)},\n      "rank": {r},\n'
+        f'      "multirank": {_json_list([str(c) for c in mr], 6)}\n    }}'
+        for label, (_, r, mr) in zip(graph.labels, graph.vertices)
+    ]
+    edges = [f"[\n      {a},\n      {b}\n    ]" for a, b in graph.edges]
+    return (
+        f'{{\n  "poset": {encode_basestring_ascii(graph.family)},\n'
+        f'  "n": {json.dumps(graph.n)},\n'
+        f'  "max_rank": {json.dumps(graph.max_rank)},\n'
+        f'  "vertices": {_json_list(vertices, 2)},\n'
+        f'  "edges": {_json_list(edges, 2)}\n}}'
+    )
+
+
+def _reference_to_dot(graph):
+    """The f-string `HasseGraph.to_dot`, one line per edge."""
+    lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=none];"]
+    by_rank: dict[int, list[int]] = {}
+    for idx, (_, r, _) in enumerate(graph.vertices):
+        by_rank.setdefault(r, []).append(idx)
+    for r in sorted(by_rank):
+        nodes = " ".join(
+            f'v{idx} [label="{graph.labels[idx]}"];' for idx in by_rank[r]
+        )
+        lines.append(f"  {{ rank=same; {nodes} }}")
+    for lo, hi in graph.edges:
+        lines.append(f"  v{lo} -> v{hi};")
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def _transitive_reduction(count, raw_edges):
@@ -532,3 +567,43 @@ def test_comm_graph_partitions_as_multirank():
         assert sum(partition) == r
         assert all(a >= b for a, b in zip(partition, partition[1:]))
         assert len(partition) <= 2
+
+
+# the cells of the golden table in tests/test_golden.py
+_GOLDEN_CELLS = [
+    (family, n, max_rank)
+    for family in ("nc", "q", "p", "comm")
+    for n in (1, 2, 3, 4, None)
+    for max_rank in (0, 1, 2, 5, 8)
+]
+
+
+@pytest.mark.parametrize("family, n, max_rank", _GOLDEN_CELLS)
+def test_serialisers_match_the_f_string_references(family, n, max_rank):
+    graph = hasse(PosetHandle(family, n), max_rank)
+    assert graph.to_json() == _reference_to_json(graph)
+    assert graph.to_dot() == _reference_to_dot(graph)
+
+
+@pytest.mark.parametrize("n", [None, 3, True])
+def test_serialisers_match_the_references_on_a_hand_built_graph(n):
+    # ranks out of order, a multirank shared by two ranks, repeated
+    # (rank, multirank) pairs, edges in no particular order, and labels with
+    # a quote, a backslash, a newline and non-ASCII text
+    graph = HasseGraph(
+        family="q\"",
+        n=n,
+        max_rank=3,
+        vertices=(
+            ((), 0, ()),
+            ((2,), 2, (1, 1)),
+            ((1,), 1, (1,)),
+            ((1, 1), 2, (1,)),
+            ((3,), 2, (1, 1)),
+        ),
+        labels=('say "1"', "back\\slash\nnew line", "\u00e9t\u00e9 \u2202", "x1*x1", "\u00fc"),
+        edges=((0, 2), (2, 4), (2, 1), (2, 3), (3, 1)),
+    )
+    assert graph.to_json() == _reference_to_json(graph)
+    assert graph.to_json() == json.dumps(graph.to_json_dict(), indent=2)
+    assert graph.to_dot() == _reference_to_dot(graph)

@@ -4,12 +4,16 @@ import pytest
 
 from ncposet import (
     IdealGens,
+    LimitError,
     ideal_member,
     is_strongly_stable,
     minimalize,
     strongly_stable_closure,
     words_up_to_rank,
 )
+from ncposet import ideals
+from ncposet.ncorder import covers_up
+from ncposet.words import canonical_key, rank
 
 
 def test_minimalize_examples():
@@ -133,3 +137,75 @@ def test_generator_check_is_equivalent_to_window_check_on_sample():
 def test_negative_rank_bound_is_rejected():
     with pytest.raises(ValueError, match="rank_bound"):
         is_strongly_stable(minimalize([(1,)], 2), -1)
+
+
+@pytest.mark.parametrize("n", [None, "3", True, False, 2.5, 0, -1])
+def test_alphabet_bound_must_be_a_positive_int(n):
+    with pytest.raises(ValueError, match="alphabet bound must be an int >= 1"):
+        IdealGens(n, ())
+
+
+def _sorted_scan_witness(ideal, rank_bound):
+    """The window witness as first found: each member's covers sorted canonically."""
+    for m in words_up_to_rank(rank_bound, ideal.n):
+        if ideal_member(m, ideal):
+            for c in sorted(covers_up(m, ideal.n), key=canonical_key):
+                if rank(c) <= rank_bound and not ideal_member(c, ideal):
+                    return m, c
+    return None
+
+
+def test_window_witness_is_the_first_escaping_cover_in_canonical_order():
+    # several covers escape here, and the set of covers lists another one first
+    assert is_strongly_stable(minimalize([(1, 1, 1)], 2), 6).window_witness == (
+        (1, 1, 1),
+        (1, 1, 2),
+    )
+    assert is_strongly_stable(minimalize([(2, 1)], 3), 6).window_witness == ((2, 1), (2, 2))
+    ideals_seen = _sample_ideals(40, seed=4242) + [minimalize([(1, 2), (2, 1, 1)], 3)]
+    verdicts = set()
+    for ideal in ideals_seen:
+        for rank_bound in (3, 6, 8):
+            check = is_strongly_stable(ideal, rank_bound)
+            assert check.window_witness == _sorted_scan_witness(ideal, rank_bound)
+            verdicts.add(check.window_closed)
+    assert verdicts == {True, False}
+
+
+def test_stable_scan_keys_no_cover(monkeypatch):
+    ideal = minimalize([(2,)], 2)
+    calls = []
+    monkeypatch.setattr(ideals, "canonical_key", lambda w: calls.append(w) or canonical_key(w))
+    assert is_strongly_stable(ideal, 8)
+    assert calls == [(2,)]  # the generator sort alone
+
+
+def _factor_letters(u, m):
+    """Letters `is_factor(u, m)` may compare, as the closure's charge counts them."""
+    return max(1, (len(m) - len(u) + 1) * len(u))
+
+
+def test_closure_charge_bounds_its_factor_tests(monkeypatch):
+    total = 0
+    for ideal in _sample_ideals(25, seed=1013) + [minimalize([(1, 1, 1)], 4)]:
+        spent, charged = [], []
+        real = ideals.is_factor
+        monkeypatch.setattr(
+            ideals, "is_factor", lambda u, m: spent.append(_factor_letters(u, m)) or real(u, m)
+        )
+        monkeypatch.setattr(ideals, "_charge", lambda amount, what: charged.append(amount))
+        strongly_stable_closure(ideal)
+        monkeypatch.undo()
+        assert sum(spent) <= charged[-1]
+        assert charged == sorted(charged)
+        total += sum(spent)
+    assert total > 0
+
+
+def test_closure_refuses_past_the_cap():
+    # 3^10 generators of degree 10 at the fixpoint
+    with pytest.raises(LimitError, match="letter comparisons exceed the cap of 1000000"):
+        strongly_stable_closure(minimalize([(1,) * 10], 3))
+    # the generator check of is_strongly_stable is charged the same way
+    with pytest.raises(LimitError, match="letter comparisons"):
+        is_strongly_stable(minimalize([(1,) * 5000, (2,)], 2), 0)

@@ -156,6 +156,31 @@ def test_words_up_to_degree_charges_the_cap_first():
         words_up_to_degree(10, 9)  # about 1.1e9 words: refused before building
 
 
+def test_words_up_to_degree_charges_letters():
+    # over x1 alone degree d holds d letters: 0 + 1 + ... + 40 = 820 = 20 * 41
+    assert len(words_up_to_degree(1, 40, limit=41)) == 41
+    with pytest.raises(LimitError, match="cap of 840 letters"):
+        words_up_to_degree(1, 41, limit=42)
+    # 100001 words are under the element cap, their 5e9 letters are not
+    with pytest.raises(LimitError, match="cap of 20000000 letters"):
+        words_up_to_degree(1, 100_000)
+
+
+def test_validate_order_plans_before_building_any_word(monkeypatch):
+    built = []
+    real = termorders.words_up_to_degree
+
+    def spy(n, max_degree, limit=None):
+        built.append(max_degree)
+        return real(n, max_degree, limit)
+
+    monkeypatch.setattr(termorders, "words_up_to_degree", spy)
+    # 524,287 words under the element cap, 25,690,063 planned key comparisons
+    with pytest.raises(LimitError, match="needs 25690063 key comparisons"):
+        validate_order(DEG_LEFT_LEX, 2, 18)
+    assert built == [2]  # the cofactors alone
+
+
 def test_containment_runs_no_search(monkeypatch):
     from ncposet import posets, variants
 
