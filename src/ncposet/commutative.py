@@ -20,7 +20,7 @@ import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .errors import DEFAULT_LIMIT, TABLE_LIMIT, LimitError
+from .errors import DEFAULT_LIMIT, TABLE_LIMIT, _check_enumeration
 from .ncorder import _reachable, dominated
 from .variants import q_covers
 from .words import (
@@ -174,10 +174,7 @@ def _partition_levels(max_rank: int, n: int | None, limit: int | None) -> tuple:
             del counts[0]
         total += row[-1]
         # each rank left holds at least x1^r, so refuse as soon as the cap must fall
-        if total + max_rank - r > cap:
-            raise LimitError(
-                f"enumeration of monomials up to rank {max_rank} exceeded the cap of {cap}"
-            )
+        _check_enumeration(f"monomials up to rank {max_rank}", total + max_rank - r, cap)
     levels, labels, monomials, covers = [], [], [], []
     level: list[Partition] = [()]
     for r in range(max_rank + 1):

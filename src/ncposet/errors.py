@@ -24,3 +24,14 @@ def _charge(amount: int, what: str) -> None:
     """Raise `LimitError` if a call plans more than `DEFAULT_LIMIT` units of work or output."""
     if amount > DEFAULT_LIMIT:
         raise LimitError(f"{amount} {what} exceed the cap of {DEFAULT_LIMIT}")
+
+
+def _check_enumeration(what: str, elements: int, cap: int, letters: int = 0) -> None:
+    """Raise `LimitError` if an enumeration of ``what`` holds more than ``cap``
+    elements, or more than `LETTERS_PER_WORD` times it of letters."""
+    if elements > cap:
+        raise LimitError(f"enumeration of {what} exceeded the cap of {cap}")
+    if letters > LETTERS_PER_WORD * cap:
+        raise LimitError(
+            f"enumeration of {what} exceeded the cap of {LETTERS_PER_WORD * cap} letters"
+        )

@@ -16,7 +16,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import _charge
-from .ncorder import covers_up, raisings
+from .ncorder import raisings
 from .words import (
     Word,
     canonical_key,
@@ -25,7 +25,6 @@ from .words import (
     format_word,
     is_factor,
     rank,
-    words_up_to_rank,
 )
 
 __all__ = [
@@ -143,35 +142,31 @@ class StabilityCheck:
 
 
 def is_strongly_stable(ideal: IdealGens, rank_bound: int) -> StabilityCheck:
-    """Certify the filter property of the member set on a rank window.
+    """Certify the filter property of the member set on a rank window, from the generators.
 
-    Scans members in canonical order; the witness is the first member
-    together with the first of its covers that escapes the ideal.  The
-    generator check is charged first, as one round of the closure.
+    The covers of a word are its x1-paddings and its raisings.  Padding a
+    member keeps it a member, and so does raising a letter outside a
+    generator occurrence.  So an escaping cover of a member m = a*g*b is
+    a*g'*b for a raising g -> g' inside g, and g' escapes too (else a*g'*b
+    would be a member): g, of rank <= rank(m), is a member with an escaping
+    cover g' of rank <= rank(m) + 1.  At the least such rank, m = g.  Hence
+    a scan of the window in canonical order first meets the first generator
+    of rank < rank_bound with an escaping raising, and its least escaping
+    cover is its least escaping raising.  The generator witness is the
+    first generator with one, raisings in position order.  The membership
+    tests of the raisings are charged first, as one round of the closure.
     """
     check_range(ideal.n, rank_bound, "rank_bound")
     _charge(_raising_work(ideal.gens, ideal.n), "letter comparisons")
-    window_witness = None
-    for m in words_up_to_rank(rank_bound, ideal.n):
-        if not ideal_member(m, ideal):
-            continue
-        escaping = [
-            c for c in covers_up(m, ideal.n)
-            if rank(c) <= rank_bound and not ideal_member(c, ideal)
-        ]
-        if escaping:
-            window_witness = (m, min(escaping, key=canonical_key))
-            break
-
-    generator_witness = None
-    for g in sorted(ideal.gens, key=canonical_key):
-        for _, w in raisings(g, ideal.n):
-            if not ideal_member(w, ideal):
-                generator_witness = (g, w)
-                break
-        if generator_witness:
-            break
-
+    escaping = [
+        (g, [w for _, w in raisings(g, ideal.n) if not ideal_member(w, ideal)])
+        for g in sorted(ideal.gens, key=canonical_key)
+    ]
+    generator_witness = next(((g, ws[0]) for g, ws in escaping if ws), None)
+    window_witness = next(
+        ((g, min(ws, key=canonical_key)) for g, ws in escaping if ws and rank(g) < rank_bound),
+        None,
+    )
     return StabilityCheck(
         rank_bound=rank_bound,
         window_closed=window_witness is None,

@@ -329,17 +329,17 @@ def contains_poset(
     The partial order is generated by its covers (`_upper_covers`).  No
     cover lowers the degree, so a chain between two words of the range
     stays inside it, and the key order is transitive: checking each cover
-    inside the range decides the question.  If a cover fails, the witness
-    is the first pair in canonical order (`canonical_key`, outer then inner
-    word) that the order puts the other way, found by a search over the
-    covers.
+    inside the range decides the question, in any order of the words.  If
+    a cover fails, the witness is the first pair in canonical order
+    (`canonical_key`, outer then inner word) that the order puts the other
+    way, found by a search over the covers; only then are the words sorted.
     """
     if handle.family not in ("nc", "q", "p"):
         raise ValueError(f"containment checks cover word posets, not {handle.family!r}")
     if handle.n is None:
         raise ValueError("containment checks need a bounded alphabet")
     check_range(handle.n, max_degree, "max_degree")
-    words = sorted(words_up_to_degree(handle.n, max_degree), key=canonical_key)
+    words = words_up_to_degree(handle.n, max_degree)
     # at degree 0 only the identity is keyed
     key = _key_function(spec, handle.n if max_degree else 0)
     keys = {w: key(w) for w in words}
@@ -351,6 +351,6 @@ def contains_poset(
         return True, None
     return False, next(
         (a, min(late, key=canonical_key))
-        for a in words
+        for a in sorted(words, key=canonical_key)
         if (late := [b for b in _reachable(a, up) if b != a and not keys[a] < keys[b]])
     )

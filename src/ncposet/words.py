@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DEFAULT_LIMIT, LETTERS_PER_WORD, LimitError, ParseError, _charge
+from .errors import DEFAULT_LIMIT, ParseError, _charge, _check_enumeration
 
 Word = tuple[int, ...]
 CommMonomial = dict[int, int]
@@ -24,8 +24,12 @@ _MON_FACTOR = re.compile(r"x([1-9][0-9]*)(?:\^([1-9][0-9]*))?\Z")
 
 
 def _check_alphabet(n: int | None) -> None:
-    """Reject an alphabet bound below 1; None is the unbounded alphabet."""
-    if n is not None and n < 1:
+    """Reject an alphabet bound that is not an int >= 1; None is the unbounded alphabet."""
+    if n is None:
+        return
+    if type(n) is not int:
+        raise ValueError(f"alphabet bound must be an int >= 1, got {n!r}")
+    if n < 1:
         raise ValueError(f"alphabet bound must be >= 1, got {n}")
 
 
@@ -238,16 +242,9 @@ def _count_up_to_degree(n: int, max_degree: int, limit: int | None = None) -> in
     for d in range(max_degree + 1):
         total += size
         letters += d * size
-        if total > cap:
-            raise LimitError(
-                f"enumeration of words up to degree {max_degree} over {n} letters "
-                f"exceeded the cap of {cap}"
-            )
-        if letters > LETTERS_PER_WORD * cap:
-            raise LimitError(
-                f"enumeration of words up to degree {max_degree} over {n} letters "
-                f"exceeded the cap of {LETTERS_PER_WORD * cap} letters"
-            )
+        _check_enumeration(
+            f"words up to degree {max_degree} over {n} letters", total, cap, letters
+        )
         size *= n
     return total
 
@@ -293,15 +290,7 @@ def _word_levels(max_rank: int, n: int | None, limit: int | None, data: bool = F
         lengths.append(sum(sizes[s] + lengths[s] for s in below))
         total_words += sizes[r]
         total_letters += lengths[r]
-        if total_words > cap:
-            raise LimitError(
-                f"enumeration of words up to rank {max_rank} exceeded the cap of {cap}"
-            )
-        if total_letters > LETTERS_PER_WORD * cap:
-            raise LimitError(
-                f"enumeration of words up to rank {max_rank} exceeded the cap of "
-                f"{LETTERS_PER_WORD * cap} letters"
-            )
+        _check_enumeration(f"words up to rank {max_rank}", total_words, cap, total_letters)
     letters = sorted(range(1, top + 1), key=str)
     words, labels, multiranks = [[()]], [["1"]], [[()]]
     for r in range(1, max_rank + 1):

@@ -376,8 +376,6 @@ def _ideal_and_order_argv(draw):
     if command == "closure":
         return ["closure", "-n", str(n), *draw(_GENS)]
     if command == "is-stable":
-        if n >= 1:
-            assume(_admits("nc", n, bound, DEFAULT_LIMIT) is not None)
         return ["is-stable", "-n", str(n), "--rank-bound", str(bound), *draw(_GENS)]
     if n >= 1 and bound >= 0:
         plan = _order_plan(n, bound)
@@ -466,6 +464,28 @@ def test_is_stable_verdicts(capsys):
     assert "generator-raisings: violated (x1 -> x2)" in out
     assert "filter-window (rank <= 6): violated (x1 -> x2)" in out
     assert out.endswith("stable: no\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code, window",
+    [
+        # 318k words in the window: the scan took 28 s before stability was
+        # decided from the generators
+        (("-n", "2", "--rank-bound", "25", "x2"), 0, "closed"),
+        # past the element cap and the letter cap of an enumeration
+        (("-n", "2", "--rank-bound", "1000000", "x1"), 1, "violated (x1 -> x2)"),
+        (("-n", "1", "--rank-bound", "7000", "x1"), 0, "closed"),
+    ],
+)
+def test_is_stable_answers_any_rank_bound(capsys, argv, code, window):
+    verdict = "yes" if code == 0 else "no"
+    assert _invoke(capsys, "is-stable", *argv) == (
+        code,
+        f"generator-raisings: {window}\n"
+        f"filter-window (rank <= {argv[3]}): {window}\n"
+        f"stable: {verdict}\n",
+        "",
+    )
 
 
 def test_check_order_report(capsys):

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -12,7 +14,8 @@ from ncposet import (
     words_up_to_rank,
 )
 from ncposet import ideals
-from ncposet.ncorder import covers_up
+from ncposet.ideals import StabilityCheck
+from ncposet.ncorder import covers_up, raisings
 from ncposet.words import canonical_key, rank
 
 
@@ -145,14 +148,88 @@ def test_alphabet_bound_must_be_a_positive_int(n):
         IdealGens(n, ())
 
 
-def _sorted_scan_witness(ideal, rank_bound):
-    """The window witness as first found: each member's covers sorted canonically."""
+def _window_scan(ideal, rank_bound):
+    """The rank-window scan `is_strongly_stable` once ran, as the reference for both witnesses.
+
+    The window witness is the first member in canonical order with a cover
+    of rank <= rank_bound outside the ideal, paired with the least such
+    cover; the generator witness is the first generator in canonical order
+    with a raising outside the ideal, raisings in position order.
+    """
+    window_witness = None
     for m in words_up_to_rank(rank_bound, ideal.n):
-        if ideal_member(m, ideal):
-            for c in sorted(covers_up(m, ideal.n), key=canonical_key):
-                if rank(c) <= rank_bound and not ideal_member(c, ideal):
-                    return m, c
-    return None
+        if not ideal_member(m, ideal):
+            continue
+        escaping = [
+            c for c in covers_up(m, ideal.n)
+            if rank(c) <= rank_bound and not ideal_member(c, ideal)
+        ]
+        if escaping:
+            window_witness = (m, min(escaping, key=canonical_key))
+            break
+    generator_witness = next(
+        (
+            (g, w)
+            for g in sorted(ideal.gens, key=canonical_key)
+            for _, w in raisings(g, ideal.n)
+            if not ideal_member(w, ideal)
+        ),
+        None,
+    )
+    return StabilityCheck(
+        rank_bound=rank_bound,
+        window_closed=window_witness is None,
+        window_witness=window_witness,
+        generators_closed=generator_witness is None,
+        generator_witness=generator_witness,
+    )
+
+
+def _small_ideals():
+    """Every ideal of 1-3 generators of rank <= 5 (<= 6 for n = 1; 1-2 generators for n = 3)."""
+    for n, top, most in ((1, 6, 3), (2, 5, 3), (3, 5, 2)):
+        words = words_up_to_rank(top, n)
+        seen = set()
+        for size in range(1, most + 1):
+            for gens in combinations(words, size):
+                ideal = minimalize(gens, n)
+                if ideal not in seen:
+                    seen.add(ideal)
+                    yield ideal
+
+
+def test_stability_matches_the_window_scan():
+    # both witnesses and both verdicts, on every rank bound up to 8
+    verdicts = Counter()
+    for ideal in _small_ideals():
+        for rank_bound in range(9):
+            check = is_strongly_stable(ideal, rank_bound)
+            assert check == _window_scan(ideal, rank_bound), (ideal, rank_bound)
+            verdicts[check.window_closed, check.generators_closed] += 1
+    assert set(verdicts) == {(True, True), (True, False), (False, False)}
+
+
+def test_ideal_member_runs_once_per_generator_raising(monkeypatch):
+    calls = []
+    real = ideals.ideal_member
+    monkeypatch.setattr(ideals, "ideal_member", lambda w, ideal: calls.append(w) or real(w, ideal))
+    for gens, n in (([(1, 2), (2, 1, 1)], 3), ([(2,)], 2), ([(1,), (2, 2)], 3), ([], 2)):
+        ideal = minimalize(gens, n)
+        calls.clear()
+        is_strongly_stable(ideal, 10**6)
+        assert sorted(calls) == sorted(w for g in ideal.gens for _, w in raisings(g, n))
+
+
+def test_rank_bounds_past_the_enumeration_cap_are_answered():
+    assert is_strongly_stable(minimalize([(2,)], 2), 10**6)
+    # every generator lies below rank 8, so the witnesses are those of the window up to 8
+    ideal = minimalize([(1, 2), (2, 1, 1)], 3)
+    check, scan = is_strongly_stable(ideal, 10**12), _window_scan(ideal, 8)
+    assert (check.window_witness, check.generator_witness) == (
+        scan.window_witness,
+        scan.generator_witness,
+    )
+    assert not check
 
 
 def test_window_witness_is_the_first_escaping_cover_in_canonical_order():
@@ -167,7 +244,7 @@ def test_window_witness_is_the_first_escaping_cover_in_canonical_order():
     for ideal in ideals_seen:
         for rank_bound in (3, 6, 8):
             check = is_strongly_stable(ideal, rank_bound)
-            assert check.window_witness == _sorted_scan_witness(ideal, rank_bound)
+            assert check == _window_scan(ideal, rank_bound)
             verdicts.add(check.window_closed)
     assert verdicts == {True, False}
 

@@ -5,14 +5,18 @@ from hypothesis import strategies as st
 from ncposet import (
     LimitError,
     ParseError,
+    PosetHandle,
     abelianize,
     canonical_key,
+    check_coconnection,
     degree,
     format_monomial,
     format_multirank,
     format_word,
     is_factor,
+    monomials_up_to_rank,
     multirank,
+    nc_leq,
     normalize_monomial,
     parse_monomial,
     parse_word,
@@ -222,6 +226,33 @@ def test_words_up_to_rank_rejects_an_alphabet_bound_below_1(n):
     for max_rank in (0, 3):
         with pytest.raises(ValueError, match=f"^{expected.value}$"):
             words_up_to_rank(max_rank, n)
+
+
+@pytest.mark.parametrize("n", [True, 2.5, "3"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: PosetHandle("nc", n),
+        lambda n: check_word((1,), n),
+        lambda n: words_up_to_rank(3, n),
+        lambda n: monomials_up_to_rank(3, n),
+        lambda n: nc_leq((1,), (1, 1), n),
+        lambda n: check_coconnection(n, 3),
+    ],
+    ids=[
+        "PosetHandle",
+        "check_word",
+        "words_up_to_rank",
+        "monomials_up_to_rank",
+        "nc_leq",
+        "check_coconnection",
+    ],
+)
+def test_an_alphabet_bound_that_is_not_an_int_is_rejected(call, n):
+    # once True was taken as 1 and 2.5 compared as a number
+    with pytest.raises(ValueError) as raised:
+        call(n)
+    assert str(raised.value) == f"alphabet bound must be an int >= 1, got {n!r}"
 
 
 def test_words_up_to_rank_letter_budget_edges():
