@@ -23,7 +23,9 @@ from json.encoder import encode_basestring_ascii
 from .commutative import _box_covers, _partition_levels, comm_leq
 from .ncorder import _covers_up, nc_leq, raisings
 from .variants import p_leq, q_covers, q_leq, swap_successors
-from .words import Word, _check_alphabet, _word_levels, check_word, normalize_monomial, rank
+from .words import (
+    Word, _check_alphabet, _word_levels, check_range, check_word, normalize_monomial, rank
+)
 
 FAMILIES = ("nc", "q", "p", "comm")
 
@@ -203,8 +205,7 @@ def hasse(handle: PosetHandle, max_rank: int, limit: int | None = None) -> Hasse
     (`_nc_edges`) and "comm" covers come with the partitions, so neither
     hashes a cover; "q" and "p" look up their `_upper_covers` by key.
     """
-    if max_rank < 0:
-        raise ValueError("max_rank must be >= 0")
+    check_range(handle.n, max_rank, "max_rank")
     if handle.family == "comm":
         levels, label_levels, elements, covers = _partition_levels(max_rank, handle.n, limit)
         multiranks = levels

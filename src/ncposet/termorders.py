@@ -56,7 +56,8 @@ class TermOrderSpec:
             w = self.weights
             if not w:
                 raise ValueError("weight_deg needs at least one weight")
-            if any(x < 1 for x in w) or any(a >= b for a, b in zip(w, w[1:])):
+            # plain ints with 0 < w1 < w2 < ...
+            if any(type(x) is not int for x in w) or any(a >= b for a, b in zip((0, *w), w)):
                 raise ValueError(
                     f"weights must be strictly increasing positive integers, got {w}"
                 )

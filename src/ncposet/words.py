@@ -46,8 +46,10 @@ def check_word(m: Iterable[int], n: int | None = None) -> Word:
 
 
 def check_range(n: int | None, bound: int, name: str) -> None:
-    """Reject an alphabet bound below 1 and a negative degree or rank bound."""
+    """Reject an alphabet bound below 1 and a degree or rank bound that is not an int >= 0."""
     _check_alphabet(n)
+    if type(bound) is not int:
+        raise ValueError(f"{name} must be an int >= 0, got {bound!r}")
     if bound < 0:
         raise ValueError(f"{name} must be >= 0, got {bound}")
 

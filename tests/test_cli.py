@@ -162,11 +162,12 @@ def test_letter_index_and_output_caps_refuse_before_any_output(capsys, argv, mes
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # the raising chain x1 -> x2 -> ... adds one generator a round
-        (("closure", "-n", "400", "x1"), "1005048 letter comparisons"),
+        # the raising chain x1 -> x2 -> ...: 21 a word, one lookup and one kept word
+        (("closure", "-n", "47620", "x1"), "1000019 letter comparisons"),
         # 3^10 generators of degree 10 at the fixpoint
-        (("closure", "-n", "3", _power(1, 10)), "2054260 letter comparisons"),
-        (("closure", "-n", "2", _power(1, 998)), "1993006000 letter comparisons"),
+        (("closure", "-n", "3", _power(1, 10)), "1000030 letter comparisons"),
+        # the first word's 998 raisings are admitted, the second word's are not
+        (("closure", "-n", "2", _power(1, 998)), "1991050 letter comparisons"),
         (("is-stable", "-n", "2", "--rank-bound", "0", _power(1, 5000), "x2"),
          "50000000 letter comparisons"),
     ],
@@ -180,6 +181,11 @@ def test_ideal_factor_tests_are_charged_before_any_output(capsys, argv, message)
 def test_closures_under_the_cap_still_print(capsys):
     code, out, err = _invoke(capsys, "closure", "-n", "50", "x1")
     assert (code, err, out.split()) == (0, "", [f"x{i}" for i in range(1, 51)])
+    code, out, err = _invoke(capsys, "closure", "-n", "400", "x1")
+    assert (code, err, out.split()) == (0, "", [f"x{i}" for i in range(1, 401)])
+    # every word of degree 6 over three letters
+    code, out, err = _invoke(capsys, "closure", "-n", "3", _power(1, 6))
+    assert (code, err, len(out.split())) == (0, "", 729)
     # the largest closure the benchmark's query mix asks for
     code, out, err = _invoke(capsys, "closure", "-n", "4", "x1*x1*x1")
     assert (code, err, len(out.split())) == (0, "", 64)
@@ -329,9 +335,10 @@ def test_enumerating_commands_exit_cleanly(case):
     assert expected is None or code == expected
 
 
-# A drawn closure may compare at most this many letters in its factor tests.
-# The cap admits 10^6, about a second of work (closure -n 80 x1), so each
-# closure runs with this budget as the cap: a larger one exits 3 at it.
+# A drawn closure may look up at most this many letters, kept words
+# included.  The cap admits 10^6, about a second of work (closure -n 47619
+# x1), so each closure runs with this budget as the cap: a larger one exits
+# 3 at it.
 _CLOSURE_BUDGET = 20_000
 # An admitted check-order run may plan at most this many key comparisons
 # (the benchmark's largest cell, n = 3 to degree 4, plans about 21,000).

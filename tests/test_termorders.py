@@ -51,6 +51,16 @@ def test_weight_spec_validation():
         order_compare(weight_deg(1, 2), (3,), (1,))
 
 
+@pytest.mark.parametrize("weights", [(True, 2), (1.5, 2), ("1", "2"), (1, 2.0)])
+def test_weights_must_be_plain_positive_ints(weights):
+    # once True and 1.5 were accepted as weights and "1" raised a bare TypeError
+    with pytest.raises(ValueError) as raised:
+        weight_deg(*weights)
+    assert str(raised.value) == (
+        f"weights must be strictly increasing positive integers, got {weights}"
+    )
+
+
 def test_parse_order_spec():
     assert parse_order_spec("deglex") is DEG_LEFT_LEX
     assert parse_order_spec("degrevlex") is DEG_RIGHT_LEX

@@ -3,17 +3,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncposet import (
+    DEG_LEFT_LEX,
     LimitError,
     ParseError,
     PosetHandle,
     abelianize,
     canonical_key,
     check_coconnection,
+    contains_poset,
     degree,
     format_monomial,
     format_multirank,
     format_word,
+    hasse,
     is_factor,
+    is_strongly_stable,
+    minimalize,
     monomials_up_to_rank,
     multirank,
     nc_leq,
@@ -22,8 +27,10 @@ from ncposet import (
     parse_word,
     raise_letter,
     rank,
+    rank_coefficients,
     sort_word,
     sorted_form,
+    validate_order,
     words_up_to_degree,
     words_up_to_rank,
 )
@@ -253,6 +260,35 @@ def test_an_alphabet_bound_that_is_not_an_int_is_rejected(call, n):
     with pytest.raises(ValueError) as raised:
         call(n)
     assert str(raised.value) == f"alphabet bound must be an int >= 1, got {n!r}"
+
+
+@pytest.mark.parametrize("bound", [True, 2.5, "3"])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda b: hasse(PosetHandle("nc", 2), b), "max_rank"),
+        (lambda b: is_strongly_stable(minimalize([(1,)], 2), b), "rank_bound"),
+        (lambda b: validate_order(DEG_LEFT_LEX, 2, b), "max_degree"),
+        (lambda b: validate_order(DEG_LEFT_LEX, 2, 2, cofactor_degree=b), "cofactor_degree"),
+        (lambda b: contains_poset(DEG_LEFT_LEX, PosetHandle("q", 2), b), "max_degree"),
+        (lambda b: check_coconnection(2, b), "max_rank"),
+        (lambda b: rank_coefficients(b, 2), "terms"),
+    ],
+    ids=[
+        "hasse",
+        "is_strongly_stable",
+        "validate_order",
+        "cofactor_degree",
+        "contains_poset",
+        "check_coconnection",
+        "rank_coefficients",
+    ],
+)
+def test_a_rank_or_degree_bound_that_is_not_an_int_is_rejected(call, name, bound):
+    # once hasse printed "max_rank": true and is_strongly_stable kept rank_bound=2.5
+    with pytest.raises(ValueError) as raised:
+        call(bound)
+    assert str(raised.value) == f"{name} must be an int >= 0, got {bound!r}"
 
 
 def test_words_up_to_rank_letter_budget_edges():
