@@ -14,7 +14,7 @@ import os
 import sys
 
 from .commutative import check_coconnection
-from .errors import DEFAULT_LIMIT, LimitError, ParseError
+from .errors import LimitError, ParseError
 from .ideals import is_strongly_stable, minimalize, strongly_stable_closure
 from .ncorder import covers_down, covers_up, walk
 from .posets import FAMILIES, PosetHandle, compare, hasse
@@ -35,16 +35,13 @@ from .words import (
 
 
 def _resolve_limit(args) -> int | None:
-    limit = getattr(args, "limit", None)
-    if limit is not None:
-        return limit
     env = os.environ.get("NCPOSET_LIMIT")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParseError(f"NCPOSET_LIMIT must be an integer, got {env!r}") from exc
-    return DEFAULT_LIMIT
+    if args.limit is not None or env is None:
+        return args.limit
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise ParseError(f"NCPOSET_LIMIT must be an integer, got {env!r}") from exc
 
 
 def _cmd_cmp(args) -> int:

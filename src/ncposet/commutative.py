@@ -20,7 +20,7 @@ import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .errors import DEFAULT_LIMIT, TABLE_LIMIT, _check_enumeration
+from .errors import TABLE_LIMIT, _check_enumeration
 from .ncorder import _reachable, dominated
 from .variants import q_covers
 from .words import (
@@ -158,7 +158,6 @@ def _partition_levels(max_rank: int, n: int | None, limit: int | None) -> tuple:
     _check_alphabet(n)
     if max_rank < 0:
         return [], [], [], []
-    cap = DEFAULT_LIMIT if limit is None else limit
     top = max_rank if n is None else min(n, max_rank)
     # row[k] counts the partitions of r with at most k <= min(top, r) rows:
     # those with exactly k rows lose their first column to one of r - k with
@@ -174,7 +173,7 @@ def _partition_levels(max_rank: int, n: int | None, limit: int | None) -> tuple:
             del counts[0]
         total += row[-1]
         # each rank left holds at least x1^r, so refuse as soon as the cap must fall
-        _check_enumeration(f"monomials up to rank {max_rank}", total + max_rank - r, cap)
+        _check_enumeration(f"monomials up to rank {max_rank}", total + max_rank - r, limit)
     levels, labels, monomials, covers = [], [], [], []
     level: list[Partition] = [()]
     for r in range(max_rank + 1):

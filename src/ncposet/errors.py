@@ -1,4 +1,4 @@
-"""Shared exception types and the default resource caps."""
+"""Shared exception types and the resource caps, read at call time: `LimitError` is raised here."""
 
 DEFAULT_LIMIT = 1_000_000
 
@@ -20,15 +20,21 @@ class LimitError(RuntimeError):
     """An enumeration or a table would exceed its configured cap."""
 
 
+def _cap(limit: int | None = None) -> int:
+    """The element cap: ``limit``, or `DEFAULT_LIMIT` when it is None."""
+    return DEFAULT_LIMIT if limit is None else limit
+
+
 def _charge(amount: int, what: str) -> None:
     """Raise `LimitError` if a call plans more than `DEFAULT_LIMIT` units of work or output."""
     if amount > DEFAULT_LIMIT:
         raise LimitError(f"{amount} {what} exceed the cap of {DEFAULT_LIMIT}")
 
 
-def _check_enumeration(what: str, elements: int, cap: int, letters: int = 0) -> None:
-    """Raise `LimitError` if an enumeration of ``what`` holds more than ``cap``
-    elements, or more than `LETTERS_PER_WORD` times it of letters."""
+def _check_enumeration(what: str, elements: int, limit: int | None, letters: int = 0) -> None:
+    """Raise `LimitError` if an enumeration of ``what`` holds more elements than
+    ``_cap(limit)``, or more than `LETTERS_PER_WORD` times it of letters."""
+    cap = _cap(limit)
     if elements > cap:
         raise LimitError(f"enumeration of {what} exceeded the cap of {cap}")
     if letters > LETTERS_PER_WORD * cap:

@@ -11,7 +11,7 @@ nonzero generator never stops.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,12 +48,8 @@ class IdealGens:
             raise ValueError(f"alphabet bound must be an int >= 1, got {self.n!r}")
         for g in self.gens:
             check_word(g, self.n)
-        gens, lengths = self._lookup
-        for g in self.gens:
-            if _has_factor(g, gens, [p for p in lengths if p < len(g)]):
-                raise ValueError(
-                    f"generators are not an antichain: {format_word(g)} is divisible"
-                )
+        if (g := next(_divisible(self.gens), None)) is not None:
+            raise ValueError(f"generators are not an antichain: {format_word(g)} is divisible")
 
     @cached_property
     def _lookup(self) -> tuple[set[Word], set[int]]:
@@ -66,13 +62,21 @@ def _has_factor(w: Word, gens: Collection[Word], lengths: Iterable[int]) -> bool
     return any(w[k : k + p] in gens for p in lengths for k in range(len(w) - p + 1))
 
 
+def _divisible(gens: Collection[Word], work: int = 0) -> Iterator[Word]:
+    """The ``gens`` that have a shorter one as a factor, in order.  The letters looked
+    up, `_window_work` over the shorter lengths, are added to ``work`` and charged first."""
+    lookup = set(gens)
+    lengths = {len(g) for g in lookup}
+    shorter = [(g, [p for p in lengths if p < len(g)]) for g in gens]
+    _charge(work + sum(_window_work(g, ps) for g, ps in shorter), "letter comparisons")
+    return (g for g, ps in shorter if _has_factor(g, lookup, ps))
+
+
 def minimalize(gens: Iterable[Sequence[int]], n: int) -> IdealGens:
     """Drop every generator that has another one as a factor."""
     unique = {check_word(g, n) for g in gens}
-    lengths = {len(g) for g in unique}
-    kept = [g for g in unique if not _has_factor(g, unique, [p for p in lengths if p < len(g)])]
-    kept.sort(key=canonical_key)
-    return IdealGens(n=n, gens=tuple(kept))
+    divisible = set(_divisible(unique))
+    return IdealGens(n=n, gens=tuple(sorted(unique - divisible, key=canonical_key)))
 
 
 def ideal_member(m: Sequence[int], ideal: IdealGens) -> bool:
@@ -85,15 +89,17 @@ def strongly_stable_closure(ideal: IdealGens) -> IdealGens:
 
     A worklist from the generators: pop a word, raise each letter and keep
     every raising that is not yet a member of the ideal of the found words;
-    then minimalize once.  Raising keeps the length, so the loop stops and
-    the lengths looked up never change.  At the end every raising of a
-    found word is a member, and a raising outside a generator occurrence
-    keeps that occurrence, so the ideal of the found words is closed under
-    raising.  Each found word is a chain of raisings above a generator, so
-    this is the least such ideal, and its minimal antichain is unique.
-    Before a word's raisings are built, their lookups (`_raising_work`) and
-    the cost of keeping the word (`_KEPT_WORD_WORK`) join a running total
-    charged against the cap.
+    then drop the found words that have another one as a factor.  Raising
+    keeps the length, so the loop stops and the lengths looked up never
+    change.  At the end every raising of a found word is a member, and a
+    raising outside a generator occurrence keeps that occurrence, so the
+    ideal of the found words is closed under raising.  Each found word is
+    a chain of raisings above a generator, so this is the least such
+    ideal, and its minimal antichain is unique.  Before a word's raisings
+    are built, their lookups (`_raising_work`) and the cost of keeping the
+    word (`_KEPT_WORD_WORK`) join a running total charged against the cap,
+    as do the lookups of the last step, whose antichain of valid words is
+    not checked again.
     """
     found = set(ideal.gens)
     lengths = {len(g) for g in found}
@@ -107,14 +113,22 @@ def strongly_stable_closure(ideal: IdealGens) -> IdealGens:
             if not _has_factor(w, found, lengths):
                 found.add(w)
                 stack.append(w)
-    return minimalize(found, ideal.n)
+    closed = object.__new__(IdealGens)
+    object.__setattr__(closed, "n", ideal.n)
+    kept = found - set(_divisible(found, work))
+    object.__setattr__(closed, "gens", tuple(sorted(kept, key=canonical_key)))
+    return closed
+
+
+def _window_work(w: Word, lengths: Iterable[int]) -> int:
+    """Letters `_has_factor` looks up, at most, in a word of |w| letters: |w| - p + 1
+    windows of p letters for each of the ``lengths`` p <= |w|, and at least one."""
+    return sum(max(1, (len(w) - p + 1) * p) for p in lengths if p <= len(w))
 
 
 def _raising_work(g: Word, n: int, lengths: Iterable[int]) -> int:
-    """Letters `_has_factor` looks up, at most, over the raisings of ``g``: per raising,
-    |g| - p + 1 windows of p letters for each length p <= |g|, and at least one."""
-    windows = sum(max(1, (len(g) - p + 1) * p) for p in lengths if p <= len(g))
-    return sum(c < n for c in g) * windows
+    """Letters `_has_factor` looks up, at most, over the raisings of ``g``."""
+    return sum(c < n for c in g) * _window_work(g, lengths)
 
 
 @dataclass(frozen=True)

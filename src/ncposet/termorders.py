@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import pairwise, product
 from math import isqrt
 
-from .errors import DEFAULT_LIMIT, LimitError, ParseError
+from .errors import ParseError, _cap, _charge
 from .ncorder import _reachable
 from .posets import EQ, GT, LT, PosetHandle, _upper_covers
 from .words import (
@@ -194,23 +194,20 @@ def validate_order(
     the first one in the canonical scan: outer word, then inner word, in
     the order of `words_up_to_degree`.
 
-    The key comparisons over cofactor pairs are counted against the
-    element cap before any word is built, and the fallback scan charges
-    the same budget; beyond it `LimitError` is raised.
+    The key comparisons over cofactor pairs are charged against the cap
+    before any word is built, and the fallback scan charges a running total
+    that starts from them; beyond it `LimitError` is raised.  The cofactors
+    are held to the square root of the cap.
     """
     check_range(n, max_degree, "max_degree")
     check_range(n, cofactor_degree, "cofactor_degree")
     count = _count_up_to_degree(n, max_degree)
     key = _key_function(spec, n)
     # the checks below visit every pair of cofactors
-    cofactors = words_up_to_degree(n, cofactor_degree, isqrt(DEFAULT_LIMIT))
+    cofactors = words_up_to_degree(n, cofactor_degree, isqrt(_cap()))
     pairs = len(cofactors) ** 2
     planned = (count - 1) * pairs + n * (n - 1) // 2 * pairs
-    if planned > DEFAULT_LIMIT:
-        raise LimitError(
-            f"validating {spec.describe()} up to degree {max_degree} over {n} letters "
-            f"needs {planned} key comparisons, over the cap of {DEFAULT_LIMIT}"
-        )
+    _charge(planned, f"key comparisons to validate {spec.describe()} up to degree {max_degree}")
     words = words_up_to_degree(n, max_degree)
     keys = [key(w) for w in words]
 
@@ -250,9 +247,7 @@ def validate_order(
     factor = None
     in_key_order = [words[i] for i in ranked]
     if tie is not None or not _adjacent_multiplicative(key, in_key_order, cofactors):
-        factor = _first_non_multiplicative(
-            key, words, keys, cofactors, DEFAULT_LIMIT - planned
-        )
+        factor = _first_non_multiplicative(key, words, keys, cofactors, planned)
 
     unsorted = _first_unsorted(key, n, cofactors)
 
@@ -287,22 +282,18 @@ def _adjacent_multiplicative(key, ranked, cofactors) -> bool:
     )
 
 
-def _first_non_multiplicative(key, words, keys, cofactors, budget):
+def _first_non_multiplicative(key, words, keys, cofactors, work):
     """The all-pairs scan: the first s < t and cofactors (a, b) with a*s*b not below a*t*b.
 
-    Each pair s < t charges its cofactor pairs to ``budget`` before they
-    are compared.
+    Each pair s < t adds its cofactor pairs to the running total ``work``,
+    charged before they are compared.
     """
     pairs = len(cofactors) ** 2
     for s, ks in zip(words, keys):
         for t, kt in zip(words, keys):
             if ks < kt:
-                budget -= pairs
-                if budget < 0:
-                    raise LimitError(
-                        f"the multiplicativity scan exceeded the cap of {DEFAULT_LIMIT} "
-                        f"key comparisons"
-                    )
+                work += pairs
+                _charge(work, "key comparisons of the multiplicativity scan")
                 for a, b in product(cofactors, repeat=2):
                     if not key(a + s + b) < key(a + t + b):
                         return (s, t, a, b)

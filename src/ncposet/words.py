@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DEFAULT_LIMIT, ParseError, _charge, _check_enumeration
+from .errors import ParseError, _charge, _check_enumeration
 
 Word = tuple[int, ...]
 CommMonomial = dict[int, int]
@@ -238,14 +238,13 @@ def words_up_to_degree(n: int, max_degree: int, limit: int | None = None) -> lis
 def _count_up_to_degree(n: int, max_degree: int, limit: int | None = None) -> int:
     """Count the n^0 + ... + n^max_degree words of degree <= max_degree and
     their letters against the caps of `words_up_to_degree`, building none."""
-    cap = DEFAULT_LIMIT if limit is None else limit
     total = letters = 0
     size = 1
     for d in range(max_degree + 1):
         total += size
         letters += d * size
         _check_enumeration(
-            f"words up to degree {max_degree} over {n} letters", total, cap, letters
+            f"words up to degree {max_degree} over {n} letters", total, limit, letters
         )
         size *= n
     return total
@@ -280,7 +279,6 @@ def _word_levels(max_rank: int, n: int | None, limit: int | None, data: bool = F
     _check_alphabet(n)
     if max_rank < 0:
         return [], [], []
-    cap = DEFAULT_LIMIT if limit is None else limit
     top = max_rank if n is None else min(n, max_rank)
     # sizes[r] words of rank r hold lengths[r] letters among them
     sizes: list[int] = []
@@ -292,7 +290,7 @@ def _word_levels(max_rank: int, n: int | None, limit: int | None, data: bool = F
         lengths.append(sum(sizes[s] + lengths[s] for s in below))
         total_words += sizes[r]
         total_letters += lengths[r]
-        _check_enumeration(f"words up to rank {max_rank}", total_words, cap, total_letters)
+        _check_enumeration(f"words up to rank {max_rank}", total_words, limit, total_letters)
     letters = sorted(range(1, top + 1), key=str)
     words, labels, multiranks = [[()]], [["1"]], [[()]]
     for r in range(1, max_rank + 1):

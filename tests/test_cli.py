@@ -191,6 +191,87 @@ def test_closures_under_the_cap_still_print(capsys):
     assert (code, err, len(out.split())) == (0, "", 64)
 
 
+def test_generator_antichain_check_is_charged_before_any_lookup(capsys, monkeypatch):
+    from ncposet import ideals
+
+    def refuse(*_):
+        raise AssertionError("_has_factor called")
+
+    monkeypatch.setattr(ideals, "_has_factor", refuse)
+    # x1*x2^a*x1 for a = 1..200: 200 lengths, each tested against the shorter ones
+    antichain = ["x1*" + _power(2, a) + "*x1" for a in range(1, 201)]
+    code, out, err = _invoke(capsys, "is-stable", "-n", "2", "--rank-bound", "0", *antichain)
+    assert (code, out) == (3, "")
+    assert err == "error: 71371350 letter comparisons exceed the cap of 1000000\n"
+
+
+def test_largest_one_length_closures_still_print(capsys):
+    # generators of one length test no window for divisibility and charge
+    # nothing for it, so the largest closures the cap admits still print
+    code, out, err = _invoke(capsys, "closure", "-n", "47619", "x1")
+    assert (code, err, out.split()[-1]) == (0, "", "x47619")
+    code, out, err = _invoke(capsys, "closure", "-n", "4", _power(1, 7))
+    assert (code, err, len(out.split())) == (0, "", 4**7)
+
+
+def test_lowering_the_default_cap_lowers_every_cap(capsys, monkeypatch):
+    from ncposet import (
+        DEG_LEFT_LEX,
+        LimitError,
+        monomials_up_to_rank,
+        termorders,
+        validate_order,
+        words_up_to_degree,
+        words_up_to_rank,
+    )
+
+    monkeypatch.delenv("NCPOSET_LIMIT", raising=False)
+    monkeypatch.setattr(errors, "DEFAULT_LIMIT", 100)
+    over = "exceeded the cap of 100"
+    cases = [
+        # 128 words up to rank 7 over the unbounded alphabet
+        (words_up_to_rank, (10,), f"enumeration of words up to rank 10 {over}"),
+        (monomials_up_to_rank, (20,), f"enumeration of monomials up to rank 20 {over}"),
+        (words_up_to_degree, (2, 6), f"enumeration of words up to degree 6 over 2 letters {over}"),
+        # the cofactors are held to isqrt(100) = 10 words: 13 over three letters
+        (
+            validate_order,
+            (DEG_LEFT_LEX, 3, 0),
+            "enumeration of words up to degree 2 over 3 letters exceeded the cap of 10",
+        ),
+        # 3 words and 7 cofactors plan (2 + 1) * 49 key comparisons
+        (
+            validate_order,
+            (DEG_LEFT_LEX, 2, 1),
+            "147 key comparisons to validate deglex up to degree 1 exceed the cap of 100",
+        ),
+    ]
+    for function, args, message in cases:
+        with pytest.raises(LimitError) as info:
+            function(*args)
+        assert str(info.value) == message
+    assert len(words_up_to_rank(6)) == 64
+    assert len(words_up_to_degree(2, 5)) == 63
+    # a key that ties each degree sends validate_order to the all-pairs scan:
+    # 31 words plan 31 key comparisons, and the 70th pair passes the cap
+    monkeypatch.setattr(termorders, "_key_function", lambda spec, top: len)
+    with pytest.raises(LimitError) as info:
+        validate_order(DEG_LEFT_LEX, 2, 4, cofactor_degree=0)
+    message = "101 key comparisons of the multiplicativity scan exceed the cap of 100"
+    assert str(info.value) == message
+    assert not validate_order(DEG_LEFT_LEX, 2, 3, cofactor_degree=0).is_total
+    # the command line without --limit: 143 words over two letters up to rank 9
+    for argv in (
+        ["hasse", "--poset", "nc", "-n", "2", "--max-rank", "9"],
+        ["series", "-n", "2", "--terms", "9", "--verify"],
+    ):
+        code, out, err = _invoke(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "error: enumeration of words up to rank 9 exceeded the cap of 100\n"
+    code, out, err = _invoke(capsys, "hasse", "--poset", "nc", "-n", "2", "--max-rank", "8")
+    assert (code, err, len(json.loads(out)["vertices"])) == (0, "", 88)
+
+
 def test_outputs_at_the_caps_still_print(capsys):
     code, out, err = _invoke(capsys, "rank", "x1000000")
     assert (code, err) == (0, "")

@@ -381,3 +381,50 @@ def test_closure_refuses_past_the_cap():
     # the generator check of is_strongly_stable is charged the same way
     with pytest.raises(LimitError, match="letter comparisons"):
         is_strongly_stable(minimalize([(1,) * 5000, (2,)], 2), 0)
+
+
+def test_antichain_tests_are_charged_before_any_lookup(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("_has_factor called")
+
+    monkeypatch.setattr(ideals, "_has_factor", refuse)
+    message = "^71371350 letter comparisons exceed the cap of 1000000$"
+    # x1*x2^a*x1 for a = 1..200: an antichain of 200 lengths
+    antichain = [(1,) + (2,) * a + (1,) for a in range(1, 201)]
+    with pytest.raises(LimitError, match=message):
+        minimalize(antichain, 2)
+    with pytest.raises(LimitError, match=message):
+        IdealGens(2, tuple(sorted(antichain, key=canonical_key)))
+    # x1, ..., x1^69 would minimalize to x1, but their lookups charge 1026375
+    # letters; x1, ..., x1^68 is the largest such input admitted
+    with pytest.raises(LimitError, match="^1026375 letter comparisons"):
+        minimalize([(1,) * a for a in range(1, 70)], 2)
+    monkeypatch.undo()
+    assert minimalize([(1,) * a for a in range(1, 69)], 2).gens == ((1,),)
+
+
+def test_one_generator_length_charges_no_antichain_test(monkeypatch):
+    charged = []
+    monkeypatch.setattr(ideals, "_charge", lambda amount, what: charged.append(amount))
+    ideal = minimalize(words_of_degree(3, 6), 3)
+    assert len(ideal.gens) == 729
+    assert charged == [0, 0]  # minimalize, then the check of IdealGens
+
+
+def test_antichain_charge_bounds_its_lookups(monkeypatch):
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        words = [
+            tuple(rng.randint(1, n) for _ in range(rng.randint(0, 6)))
+            for _ in range(rng.randint(1, 8))
+        ]
+        spent, charged = [], []
+        monkeypatch.setattr(ideals, "_has_factor", _counting_has_factor(spent))
+        monkeypatch.setattr(ideals, "_charge", lambda amount, what: charged.append(amount))
+        # one charge, made before the first lookup, for every lookup
+        divisible = ideals._divisible(words)
+        assert (len(charged), spent) == (1, [])
+        assert set(divisible) == set(words) - _pairwise_minimal(set(words))
+        monkeypatch.undo()
+        assert sum(spent) <= charged[0]

@@ -18,7 +18,7 @@ from ncposet import (
     weight_deg,
     words_up_to_degree,
 )
-from ncposet import termorders
+from ncposet import errors, termorders
 from ncposet.termorders import sort_key
 
 
@@ -186,9 +186,41 @@ def test_validate_order_plans_before_building_any_word(monkeypatch):
 
     monkeypatch.setattr(termorders, "words_up_to_degree", spy)
     # 524,287 words under the element cap, 25,690,063 planned key comparisons
-    with pytest.raises(LimitError, match="needs 25690063 key comparisons"):
+    message = "25690063 key comparisons to validate deglex up to degree 18"
+    with pytest.raises(LimitError, match=f"^{message} exceed the cap of 1000000$"):
         validate_order(DEG_LEFT_LEX, 2, 18)
     assert built == [2]  # the cofactors alone
+    # the plan is charged against the cap that errors holds: 255 words and 7
+    # cofactors plan (254 + 1) * 49 key comparisons
+    monkeypatch.setattr(errors, "DEFAULT_LIMIT", 10_000)
+    message = "12495 key comparisons to validate deglex up to degree 7"
+    with pytest.raises(LimitError, match=f"^{message} exceed the cap of 10000$"):
+        validate_order(DEG_LEFT_LEX, 2, 7)
+    assert built == [2, 2]
+    assert validate_order(DEG_LEFT_LEX, 2, 6).axioms_ok  # 6223 planned
+
+
+def test_validate_order_holds_the_cofactors_to_the_square_root_of_the_cap(monkeypatch):
+    from ncposet import words
+
+    built = []
+    real = words.words_of_degree
+    monkeypatch.setattr(words, "words_of_degree", lambda n, d: built.append(d) or real(n, d))
+    # 501 cofactors over x1 alone hold 125,250 letters: over 20 per word of isqrt(10^6)
+    message = "enumeration of words up to degree 500 over 1 letters"
+    with pytest.raises(LimitError, match=f"^{message} exceeded the cap of 20000 letters$"):
+        validate_order(DEG_LEFT_LEX, 1, 3, cofactor_degree=500)
+    assert built == []
+    # 1 + 32 + 32^2 = 1057 cofactors, over isqrt(10^6) = 1000
+    message = "enumeration of words up to degree 2 over 32 letters exceeded the cap of 1000"
+    with pytest.raises(LimitError, match=f"^{message}$"):
+        validate_order(DEG_LEFT_LEX, 32, 0)
+    assert built == []
+    # 1 + 31 + 31^2 = 993 cofactors are admitted, and plan 31 * 30 / 2 * 993^2
+    # key comparisons for sortedness
+    with pytest.raises(LimitError, match="^458512785 key comparisons"):
+        validate_order(DEG_LEFT_LEX, 31, 0)
+    assert built == [0, 1, 2]
 
 
 def test_containment_runs_no_search(monkeypatch):
@@ -220,11 +252,14 @@ def test_letter_without_weight_is_reported_once_per_range():
 def test_multiplicativity_scan_charges_the_budget(monkeypatch):
     # a key that ties each degree sends validate_order to the all-pairs scan
     monkeypatch.setattr(termorders, "_key_function", lambda spec, top: len)
-    monkeypatch.setattr(termorders, "DEFAULT_LIMIT", 10_000)
-    # 127 words: 5334 pairs of different degree, under the cap
+    monkeypatch.setattr(errors, "DEFAULT_LIMIT", 10_000)
+    # 127 words: 127 planned key comparisons, then 5334 pairs of different
+    # degree, under the cap
     assert not validate_order(DEG_LEFT_LEX, 2, 6, cofactor_degree=0).is_total
-    # 255 words: 21590 pairs, over it
-    with pytest.raises(LimitError, match="multiplicativity scan exceeded the cap of 10000"):
+    # 255 words: 255 planned and 21590 pairs; the running total passes the
+    # cap at the 9746th pair
+    message = "10001 key comparisons of the multiplicativity scan exceed the cap of 10000"
+    with pytest.raises(LimitError, match=f"^{message}$"):
         validate_order(DEG_LEFT_LEX, 2, 7, cofactor_degree=0)
 
 
