@@ -182,6 +182,11 @@ def _add_word_argument(parser, name="word"):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _parser_and_commands()[0]
+
+
+def _parser_and_commands() -> tuple[argparse.ArgumentParser, dict]:
+    """The full parser, and its sub-parsers by command name."""
     parser = argparse.ArgumentParser(
         prog="ncposet",
         description="Posets classifying term orders on free-monoid words.",
@@ -256,23 +261,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_coconnection)
 
-    return parser
+    return parser, sub.choices
 
 
 # Building the parser costs far more than parsing one argv, so `run` builds
-# it on first use and keeps it for the life of the process.  Each parse
-# starts from a fresh namespace, so nothing carries over between calls.
-_shared_parser = functools.lru_cache(maxsize=1)(build_parser)
+# it on first use and keeps it for the life of the process.  A call that
+# names a command is parsed once, by that command's sub-parser alone; the
+# full parser, whose first pass only finds the command, parses only what
+# the sub-parser cannot take cleanly, and prints the usage error.  Each
+# parse starts from a fresh namespace, so nothing carries over between calls.
+_shared_parser = functools.lru_cache(maxsize=1)(_parser_and_commands)
 
 
 def run(argv) -> int:
     """Parse argv and dispatch; returns the process exit code.
 
     The parser is built once per process, so `run` may be called repeatedly
-    in-process at the cost of a parse.
+    in-process at the cost of one sub-parser pass over the arguments.
     """
+    parser, commands = _shared_parser()
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = _shared_parser().parse_args(argv)
+        if command is not None:
+            args, extras = command.parse_known_args(argv[1:])
+            args.command = argv[0]
+        if command is None or extras:  # no command or leftovers: a usage error
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -44,8 +44,7 @@ class IdealGens:
     gens: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 1:
-            raise ValueError(f"alphabet bound must be an int >= 1, got {self.n!r}")
+        _check_bound(self.n)
         for g in self.gens:
             check_word(g, self.n)
         if (g := next(_divisible(self.gens), None)) is not None:
@@ -55,6 +54,11 @@ class IdealGens:
     def _lookup(self) -> tuple[set[Word], set[int]]:
         """The generators as a set, and their lengths: the arguments of `_has_factor`."""
         return set(self.gens), {len(g) for g in self.gens}
+
+
+def _check_bound(n: int) -> None:
+    if type(n) is not int or n < 1:
+        raise ValueError(f"alphabet bound must be an int >= 1, got {n!r}")
 
 
 def _has_factor(w: Word, gens: Collection[Word], lengths: Iterable[int]) -> bool:
@@ -74,9 +78,17 @@ def _divisible(gens: Collection[Word], work: int = 0) -> Iterator[Word]:
 
 def minimalize(gens: Iterable[Sequence[int]], n: int) -> IdealGens:
     """Drop every generator that has another one as a factor."""
-    unique = {check_word(g, n) for g in gens}
-    divisible = set(_divisible(unique))
-    return IdealGens(n=n, gens=tuple(sorted(unique - divisible, key=canonical_key)))
+    return _minimal(n, {check_word(g, n) for g in gens})
+
+
+def _minimal(n: int, words: set[Word], work: int = 0) -> IdealGens:
+    """The ideal of the minimal ``words``, valid over x1..xn, from one antichain pass:
+    `_divisible` charges its lookups on top of ``work``, and no `IdealGens` check follows."""
+    _check_bound(n)
+    kept = tuple(sorted(words - set(_divisible(words, work)), key=canonical_key))
+    ideal = object.__new__(IdealGens)
+    vars(ideal).update(n=n, gens=kept)  # a frozen instance, past `IdealGens.__post_init__`
+    return ideal
 
 
 def ideal_member(m: Sequence[int], ideal: IdealGens) -> bool:
@@ -113,11 +125,7 @@ def strongly_stable_closure(ideal: IdealGens) -> IdealGens:
             if not _has_factor(w, found, lengths):
                 found.add(w)
                 stack.append(w)
-    closed = object.__new__(IdealGens)
-    object.__setattr__(closed, "n", ideal.n)
-    kept = found - set(_divisible(found, work))
-    object.__setattr__(closed, "gens", tuple(sorted(kept, key=canonical_key)))
-    return closed
+    return _minimal(ideal.n, found, work)
 
 
 def _window_work(w: Word, lengths: Iterable[int]) -> int:

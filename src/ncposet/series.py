@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import _charge
-from .words import check_range, rank, words_up_to_rank
+from .words import _word_levels, check_range
 
 __all__ = ["CoefficientTable", "rank_coefficients", "enumerate_by_rank"]
 
@@ -51,9 +51,6 @@ def rank_coefficients(terms: int, n: int | None = None) -> CoefficientTable:
 def enumerate_by_rank(
     terms: int, n: int | None = None, limit: int | None = None
 ) -> list[int]:
-    """Tally the words of each rank 0..terms by direct generation."""
+    """Tally the words of each rank 0..terms by direct generation, one level per rank."""
     check_range(n, terms, "terms")
-    counts = [0] * (terms + 1)
-    for w in words_up_to_rank(terms, n, limit):
-        counts[rank(w)] += 1
-    return counts
+    return [len(level) for level in _word_levels(terms, n, limit)[0]]

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from ncposet import errors
+from ncposet import cli, errors
 from ncposet.cli import build_parser, run
 from ncposet.errors import DEFAULT_LIMIT, LETTERS_PER_WORD, TABLE_LIMIT
 
@@ -814,3 +815,100 @@ def test_import_builds_no_parser():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert done.stdout == "0\n"
+
+
+# argv that the one-pass dispatch in `run` must parse exactly as the full
+# parser does: no command, a first token that is not one, leftovers, a
+# missing positional, `--`, `=` values, abbreviated and attached options,
+# and invalid choices
+_DISPATCH_CORPUS = (
+    (),
+    ("-h",),
+    ("cmp", "-h"),
+    ("nope",),
+    ("cm",),
+    ("nope", "x1"),
+    ("-h", "rank"),
+    ("--", "rank", "x1"),
+    ("rank", "x1", "x2"),
+    ("cmp", "--poset", "nc", "x1", "x2", "--bogus"),
+    ("cmp", "--poset", "nc", "x1"),
+    ("rank",),
+    ("rank", "--", "x1"),
+    ("rank", "x1", "--", "x2"),
+    ("closure", "-n", "2", "--", "x1", "-h"),
+    ("series", "--terms", "3", "--", "--verify"),
+    ("cmp", "--poset=nc", "x1", "x2"),
+    ("hasse", "--poset", "nc", "--max-rank=3"),
+    ("cmp", "--pos", "q", "x1", "x2"),
+    ("hasse", "--poset", "nc", "--max", "3"),
+    ("series", "-n3", "--terms", "4", "--ver"),
+    ("cmp", "--poset", "zz", "x1", "x2"),
+    ("hasse", "--poset", "nc", "--max-rank", "3", "--format", "svg"),
+    ("hasse", "--poset", "nc", "--max-rank", "three"),
+    ("covers", "--dir", "up", "--dir=down", "x1"),
+    ("cmp", "-n", "-1", "x1", "x2", "--poset", "comm"),
+)
+_DISPATCH_TOKENS = sorted({token for argv in _DISPATCH_CORPUS for token in argv})
+
+
+def _without_handler(args):
+    return None if args is None else {k: v for k, v in vars(args).items() if k != "handler"}
+
+
+def _parse_in_full(argv):
+    """Exit code, stdout, stderr and namespace of the full parser on ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args, code = build_parser().parse_args(argv), 0
+        except SystemExit as exc:
+            args, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), _without_handler(args)
+
+
+def _parse_through_run(argv):
+    """The same four of `run` on ``argv``, each handler replaced by one that records its args."""
+    parser, commands = cli._parser_and_commands()
+    seen = []
+    for command in commands.values():
+        command.set_defaults(handler=lambda args: seen.append(args) or 0)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_shared_parser", lambda: (parser, commands)):
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(list(argv))
+    assert len(seen) <= 1
+    return code, out.getvalue(), err.getvalue(), _without_handler(seen[0] if seen else None)
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_CORPUS)
+def test_dispatch_parses_as_the_full_parser(argv):
+    assert _parse_through_run(argv) == _parse_in_full(argv)
+
+
+@settings(deadline=1000, max_examples=200)
+@given(
+    st.one_of(
+        st.sampled_from(_DISPATCH_CORPUS).flatmap(st.permutations),
+        st.lists(st.sampled_from(_DISPATCH_TOKENS), max_size=8),
+    )
+)
+def test_shuffled_dispatch_tokens_parse_as_the_full_parser(argv):
+    assert _parse_through_run(argv) == _parse_in_full(argv)
+
+
+def test_a_command_is_parsed_in_one_pass(capsys):
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    with mock.patch.object(argparse.ArgumentParser, "parse_known_args", counting):
+        assert _invoke(capsys, "rank", "x2*x1")[:2] == (0, "rank: 3\nmultirank: [2,1]\n")
+        assert calls == ["ncposet rank"]
+        # leftovers go to the full parser, which reports them as it always has
+        code, out, err = _invoke(capsys, "rank", "x1", "x2")
+    assert (code, out) == (2, "")
+    assert err.endswith("ncposet: error: unrecognized arguments: x2\n")

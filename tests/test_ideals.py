@@ -148,6 +148,8 @@ def test_negative_rank_bound_is_rejected():
 def test_alphabet_bound_must_be_a_positive_int(n):
     with pytest.raises(ValueError, match="alphabet bound must be an int >= 1"):
         IdealGens(n, ())
+    with pytest.raises(ValueError, match="alphabet bound must be an int >= 1"):
+        minimalize([], n)
 
 
 def _window_scan(ideal, rank_bound):
@@ -408,7 +410,15 @@ def test_one_generator_length_charges_no_antichain_test(monkeypatch):
     monkeypatch.setattr(ideals, "_charge", lambda amount, what: charged.append(amount))
     ideal = minimalize(words_of_degree(3, 6), 3)
     assert len(ideal.gens) == 729
-    assert charged == [0, 0]  # minimalize, then the check of IdealGens
+    assert charged == [0]  # one antichain pass, and no second check in IdealGens
+
+
+def test_minimalize_tests_each_generator_once(monkeypatch):
+    tested = []
+    monkeypatch.setattr(ideals, "_has_factor", lambda w, *_: tested.append(w) or False)
+    antichain = [(1,) + (2,) * a + (1,) for a in range(1, 30)]
+    assert minimalize(antichain, 2).gens == tuple(sorted(antichain, key=canonical_key))
+    assert sorted(tested) == sorted(antichain)
 
 
 def test_antichain_charge_bounds_its_lookups(monkeypatch):

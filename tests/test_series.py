@@ -1,9 +1,13 @@
+import re
+
 import pytest
 
 from ncposet import (
     LimitError,
     enumerate_by_rank,
+    rank,
     rank_coefficients,
+    words_up_to_rank,
 )
 
 
@@ -22,6 +26,28 @@ def test_enumeration_examples():
     assert enumerate_by_rank(4, 2) == [1, 1, 2, 3, 5]
     assert enumerate_by_rank(3) == [1, 1, 2, 4]
     assert enumerate_by_rank(3, 1) == [1, 1, 1, 1]
+
+
+def _tally_by_rank(terms, n):
+    """The per-word tally `enumerate_by_rank` once ran, as the reference for its level counts."""
+    counts = [0] * (terms + 1)
+    for w in words_up_to_rank(terms, n):
+        counts[rank(w)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, None))
+def test_level_counts_match_the_per_word_tally(n):
+    for terms in range(15):
+        assert enumerate_by_rank(terms, n) == _tally_by_rank(terms, n)
+
+
+def test_level_counts_refuse_as_the_enumeration_does():
+    for terms, n, limit in ((12, None, 100), (45, 1, 50), (20, 2, 5000)):
+        with pytest.raises(LimitError) as refused:
+            words_up_to_rank(terms, n, limit)
+        with pytest.raises(LimitError, match=f"^{re.escape(str(refused.value))}$"):
+            enumerate_by_rank(terms, n, limit)
 
 
 def test_closed_form_unbounded():
