@@ -266,10 +266,12 @@ def _parser_and_commands() -> tuple[argparse.ArgumentParser, dict]:
 
 # Building the parser costs far more than parsing one argv, so `run` builds
 # it on first use and keeps it for the life of the process.  A call that
-# names a command is parsed once, by that command's sub-parser alone; the
-# full parser, whose first pass only finds the command, parses only what
-# the sub-parser cannot take cleanly, and prints the usage error.  Each
-# parse starts from a fresh namespace, so nothing carries over between calls.
+# names a command is parsed once, by that command's sub-parser: the full
+# parser would spend a whole pass only to find the command.  The full
+# parser still takes each call the sub-parser cannot parse cleanly (no
+# command, an unknown one, leftover arguments) and prints its usage error.
+# Each parse starts from a fresh namespace, so nothing carries over between
+# calls.
 _shared_parser = functools.lru_cache(maxsize=1)(_parser_and_commands)
 
 
