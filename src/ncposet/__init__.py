@@ -9,159 +9,21 @@ rank generating functions, term-order validators, and strongly stable
 ideal closures.
 """
 
-from .commutative import (
-    CoconnectionReport,
-    LawCheck,
-    Partition,
-    check_coconnection,
-    comm_leq,
-    comm_leq_oracle,
-    from_partition,
-    monomial_canonical_key,
-    monomial_product,
-    monomial_rank,
-    monomials_up_to_rank,
-    to_partition,
-)
-from .errors import DEFAULT_LIMIT, LimitError, ParseError
-from .ideals import (
-    IdealGens,
-    StabilityCheck,
-    ideal_member,
-    is_strongly_stable,
-    minimalize,
-    strongly_stable_closure,
-)
-from .ncorder import (
-    covers_down,
-    covers_up,
-    nc_leq,
-    nc_leq_oracle,
-    principal_down_set,
-    walk,
-)
-from .posets import (
-    EQ,
-    FAMILIES,
-    GT,
-    INCOMPARABLE,
-    LT,
-    HasseGraph,
-    PosetHandle,
-    compare,
-    hasse,
-    leq,
-)
-from .series import CoefficientTable, enumerate_by_rank, rank_coefficients
-from .termorders import (
-    DEG_LEFT_LEX,
-    DEG_RIGHT_LEX,
-    OrderValidationReport,
-    TermOrderSpec,
-    contains_poset,
-    order_compare,
-    parse_order_spec,
-    validate_order,
-    weight_deg,
-)
-from .variants import p_leq, q_leq
-from .words import (
-    CommMonomial,
-    MultiRank,
-    Word,
-    abelianize,
-    canonical_key,
-    degree,
-    format_monomial,
-    format_multirank,
-    format_word,
-    is_factor,
-    multirank,
-    normalize_monomial,
-    parse_monomial,
-    parse_word,
-    raise_letter,
-    rank,
-    sort_word,
-    sorted_form,
-    words_of_degree,
-    words_up_to_degree,
-    words_up_to_rank,
-)
+from . import commutative, errors, ideals, ncorder, posets, series, termorders, variants, words
+from .commutative import *
+from .errors import *
+from .ideals import *
+from .ncorder import *
+from .posets import *
+from .series import *
+from .termorders import *
+from .variants import *
+from .words import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoconnectionReport",
-    "CoefficientTable",
-    "CommMonomial",
-    "DEFAULT_LIMIT",
-    "DEG_LEFT_LEX",
-    "DEG_RIGHT_LEX",
-    "EQ",
-    "FAMILIES",
-    "GT",
-    "HasseGraph",
-    "IdealGens",
-    "INCOMPARABLE",
-    "LT",
-    "LawCheck",
-    "LimitError",
-    "MultiRank",
-    "OrderValidationReport",
-    "ParseError",
-    "Partition",
-    "PosetHandle",
-    "StabilityCheck",
-    "TermOrderSpec",
-    "Word",
-    "abelianize",
-    "canonical_key",
-    "check_coconnection",
-    "comm_leq",
-    "comm_leq_oracle",
-    "compare",
-    "contains_poset",
-    "covers_down",
-    "covers_up",
-    "degree",
-    "enumerate_by_rank",
-    "format_monomial",
-    "format_multirank",
-    "format_word",
-    "from_partition",
-    "hasse",
-    "ideal_member",
-    "is_factor",
-    "is_strongly_stable",
-    "leq",
-    "minimalize",
-    "monomial_canonical_key",
-    "monomial_product",
-    "monomial_rank",
-    "monomials_up_to_rank",
-    "multirank",
-    "nc_leq",
-    "nc_leq_oracle",
-    "normalize_monomial",
-    "order_compare",
-    "p_leq",
-    "parse_monomial",
-    "parse_order_spec",
-    "parse_word",
-    "principal_down_set",
-    "q_leq",
-    "raise_letter",
-    "rank",
-    "rank_coefficients",
-    "sort_word",
-    "sorted_form",
-    "strongly_stable_closure",
-    "to_partition",
-    "validate_order",
-    "walk",
-    "weight_deg",
-    "words_of_degree",
-    "words_up_to_degree",
-    "words_up_to_rank",
+    name
+    for m in (commutative, errors, ideals, ncorder, posets, series, termorders, variants, words)
+    for name in m.__all__
 ]

@@ -1,5 +1,7 @@
 """Shared exception types and the resource caps, read at call time: `LimitError` is raised here."""
 
+__all__ = ["DEFAULT_LIMIT", "LimitError", "ParseError"]
+
 DEFAULT_LIMIT = 1_000_000
 
 # Letters an enumeration may hold per word of its cap.  Over a small
@@ -21,7 +23,9 @@ class LimitError(RuntimeError):
 
 
 def _cap(limit: int | None = None) -> int:
-    """The element cap: ``limit``, or `DEFAULT_LIMIT` when it is None."""
+    """The element cap: ``limit``, or `DEFAULT_LIMIT` for None; `ValueError` unless an int >= 0."""
+    if limit is not None and (type(limit) is not int or limit < 0):
+        raise ValueError(f"limit must be an int >= 0, got {limit!r}")
     return DEFAULT_LIMIT if limit is None else limit
 
 

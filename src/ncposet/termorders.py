@@ -5,8 +5,8 @@ rightmost-letter, and weighted degree with a deglex tie-break.  All are
 total; `validate_order` certifies the term-order axioms on a bounded range
 instead of assuming them, and `contains_poset` checks that a given order
 refines one of the partial-order families.  Both check generating moves
-and adjacent pairs rather than all pairs, and scan all pairs only to find
-the witness of a failure.
+and adjacent pairs rather than all pairs; only a failed multiplicativity
+check scans all pairs, for its witness.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "weight_deg",
     "parse_order_spec",
     "order_compare",
-    "sort_key",
     "OrderValidationReport",
     "validate_order",
     "contains_poset",
@@ -324,7 +323,11 @@ def contains_poset(
     inside the range decides the question, in any order of the words.  If
     a cover fails, the witness is the first pair in canonical order
     (`canonical_key`, outer then inner word) that the order puts the other
-    way, found by a search over the covers; only then are the words sorted.
+    way.  By degree and rank descending, then lexicographically, each cover
+    precedes its lower end; one pass in that order carries the least key
+    at or above each word, and the outer word is the first in canonical
+    order with a cover whose least key is not above its own.  One search
+    over the covers from it finds the inner word.
     """
     if handle.family not in ("nc", "q", "p"):
         raise ValueError(f"containment checks cover word posets, not {handle.family!r}")
@@ -341,8 +344,13 @@ def contains_poset(
 
     if all(keys[w] < keys[u] for w in words for u in up(w)):
         return True, None
-    return False, next(
-        (a, min(late, key=canonical_key))
-        for a in sorted(words, key=canonical_key)
-        if (late := [b for b in _reachable(a, up) if b != a and not keys[a] < keys[b]])
-    )
+    least: dict = {}
+    marked = []
+    for w in sorted(words, key=lambda w: (-len(w), -sum(w), w)):
+        above = [least[u] for u in up(w)]
+        if any(not keys[w] < low for low in above):
+            marked.append(w)
+        least[w] = min([keys[w], *above])
+    a = min(marked, key=canonical_key)
+    late = (b for b in _reachable(a, up) if b != a and not keys[a] < keys[b])
+    return False, (a, min(late, key=canonical_key))

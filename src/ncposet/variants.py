@@ -15,7 +15,7 @@ from .errors import _charge
 from .ncorder import raisings
 from .words import Word, check_word
 
-__all__ = ["q_leq", "p_leq", "swap_successors", "q_covers"]
+__all__ = ["q_leq", "p_leq"]
 
 
 def swap_successors(w: Word) -> set[Word]:

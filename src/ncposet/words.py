@@ -15,6 +15,30 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, _charge, _check_enumeration
 
+__all__ = [
+    "Word",
+    "CommMonomial",
+    "MultiRank",
+    "parse_word",
+    "format_word",
+    "normalize_monomial",
+    "parse_monomial",
+    "format_monomial",
+    "abelianize",
+    "sort_word",
+    "sorted_form",
+    "raise_letter",
+    "degree",
+    "rank",
+    "multirank",
+    "format_multirank",
+    "is_factor",
+    "canonical_key",
+    "words_of_degree",
+    "words_up_to_degree",
+    "words_up_to_rank",
+]
+
 Word = tuple[int, ...]
 CommMonomial = dict[int, int]
 MultiRank = tuple[int, ...]

@@ -5,6 +5,8 @@ verdicts on generating moves and adjacent pairs.  The scans below are the
 direct definitions: every pair of the range, in canonical order.  They call
 the library through module attributes, so a monkeypatched key or map
 reaches both sides.  Reports, verdicts, witnesses and counts must agree.
+`contains_poset` is also held to a search over the covers from each word,
+which reaches larger ranges than the scan.
 """
 
 from functools import partial
@@ -13,7 +15,8 @@ import pytest
 
 from ncposet import commutative, termorders
 from ncposet.commutative import CoconnectionReport, LawCheck, check_coconnection
-from ncposet.posets import EQ, GT, LT, PosetHandle, leq
+from ncposet.ncorder import _reachable
+from ncposet.posets import EQ, GT, LT, PosetHandle, _upper_covers, leq
 from ncposet.termorders import (
     OrderValidationReport,
     contains_poset,
@@ -92,6 +95,20 @@ def contains_poset_scan(spec, handle, max_degree):
     return True, None
 
 
+def contains_poset_search(spec, handle, max_degree):
+    # from each word in canonical order, search its up-set in the range for
+    # a word the order does not put above it
+    def up(w):
+        return [u for u in _upper_covers(handle, w) if len(u) <= max_degree]
+
+    for a in sorted(words_up_to_degree(handle.n, max_degree), key=canonical_key):
+        key = termorders.sort_key(spec, a)
+        late = [b for b in _reachable(a, up) if b != a and not key < termorders.sort_key(spec, b)]
+        if late:
+            return False, (a, min(late, key=canonical_key))
+    return True, None
+
+
 def check_coconnection_scan(n, max_rank):
     abelianize, sort_word = commutative.abelianize, commutative.sort_word
     comm_leq = commutative.comm_leq
@@ -148,6 +165,17 @@ def test_contains_poset_matches_scan(family):
                 assert fast == contains_poset_scan(spec, handle, d), (text, n, d)
 
 
+@pytest.mark.parametrize("family", ("nc", "q", "p"))
+def test_contains_poset_matches_search(family):
+    for text in SPECS:
+        spec = parse_order_spec(text)
+        for n, top in ((1, 9), (2, 7), (3, 4)):
+            handle = PosetHandle(family, n)
+            for d in range(top + 1):
+                fast = contains_poset(spec, handle, d)
+                assert fast == contains_poset_search(spec, handle, d), (text, n, d)
+
+
 @pytest.mark.parametrize("n", (1, 2, 3, None))
 def test_coconnection_matches_scan(n):
     for r in range(7):
@@ -186,7 +214,9 @@ def test_fallback_reports_match_scan(monkeypatch, key, multiplicative):
             assert report == validate_order_scan(spec, n, d), (n, d)
         for family in ("nc", "q", "p"):
             handle = PosetHandle(family, n)
-            assert contains_poset(spec, handle, 3) == contains_poset_scan(spec, handle, 3)
+            fast = contains_poset(spec, handle, 3)
+            assert fast == contains_poset_scan(spec, handle, 3)
+            assert fast == contains_poset_search(spec, handle, 3)
     assert validate_order(spec, 2, 2).is_multiplicative == multiplicative
 
 

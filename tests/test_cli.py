@@ -514,6 +514,17 @@ def test_limit_env_variable(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["max_rank"] == 12
 
 
+def test_negative_limit_is_a_usage_error(capsys, monkeypatch):
+    argv = ("hasse", "--poset", "nc", "--max-rank", "3")
+    message = "error: limit must be an int >= 0, got -1\n"
+    assert _invoke(capsys, *argv, "--limit", "-1") == (2, "", message)
+    assert _invoke(capsys, "series", "--terms", "3", "--verify", "--limit", "-1") == (2, "", message)
+    monkeypatch.setenv("NCPOSET_LIMIT", "-1")
+    assert _invoke(capsys, *argv) == (2, "", message)
+    # the flag still overrides the environment
+    assert _invoke(capsys, *argv, "--limit", "0")[0] == 3
+
+
 def test_rank(capsys):
     code, out, _ = _invoke(capsys, "rank", "x2*x1*x1*x2*x2")
     assert (code, out) == (0, "rank: 8\nmultirank: [5,3]\n")

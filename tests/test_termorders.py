@@ -235,6 +235,22 @@ def test_containment_runs_no_search(monkeypatch):
     assert contains_poset(DEG_LEFT_LEX, PosetHandle("q", 3), 4)[0] is False
 
 
+def test_containment_searches_once_and_only_on_failure(monkeypatch):
+    searches = []
+    real = termorders._reachable
+    monkeypatch.setattr(
+        termorders, "_reachable", lambda start, moves: searches.append(start) or real(start, moves)
+    )
+    assert contains_poset(DEG_RIGHT_LEX, PosetHandle("q", 3), 4) == (True, None)
+    assert contains_poset(DEG_LEFT_LEX, PosetHandle("p", 2), 4) == (True, None)
+    assert searches == []
+    assert contains_poset(DEG_LEFT_LEX, PosetHandle("q", 2), 7) == (False, ((2, 1), (1, 2)))
+    assert searches == [(2, 1)]
+    # x2 sits below x1*x1 in p, but weight 3 puts it above weight 2
+    assert contains_poset(weight_deg(1, 3), PosetHandle("p", 2), 3) == (False, ((2,), (1, 1)))
+    assert searches == [(2, 1), (2,)]
+
+
 def test_letter_without_weight_is_reported_once_per_range():
     spec = weight_deg(1, 2)
     message = "letter x3 has no weight; the spec covers letters up to x2"

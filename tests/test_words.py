@@ -219,6 +219,14 @@ def test_words_up_to_rank_cap_edges():
         words_up_to_rank(5, limit=31)
 
 
+@pytest.mark.parametrize("limit", (-1, True, 2.0, "5"))
+def test_a_limit_that_is_not_an_int_at_least_0_is_refused(limit):
+    with pytest.raises(ValueError, match=f"^limit must be an int >= 0, got {limit!r}$"):
+        words_up_to_rank(3, 2, limit=limit)
+    with pytest.raises(ValueError, match="^limit must be an int >= 0"):
+        words_up_to_degree(2, 3, limit=limit)
+
+
 def test_words_up_to_negative_rank_are_none():
     for n in (None, 2):
         assert words_up_to_rank(-1, n) == []
