@@ -14,7 +14,7 @@ import os
 import sys
 
 from .commutative import check_coconnection
-from .errors import LimitError, ParseError
+from .errors import LimitError, ParseError, _cap
 from .ideals import is_strongly_stable, minimalize, strongly_stable_closure
 from .ncorder import covers_down, covers_up, walk
 from .posets import FAMILIES, PosetHandle, compare, hasse
@@ -35,13 +35,16 @@ from .words import (
 
 
 def _resolve_limit(args) -> int | None:
+    """The ``--limit`` flag, else ``NCPOSET_LIMIT``, else None; `ValueError` unless an int >= 0."""
     env = os.environ.get("NCPOSET_LIMIT")
-    if args.limit is not None or env is None:
-        return args.limit
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ParseError(f"NCPOSET_LIMIT must be an integer, got {env!r}") from exc
+    limit = args.limit
+    if limit is None and env is not None:
+        try:
+            limit = int(env)
+        except ValueError as exc:
+            raise ParseError(f"NCPOSET_LIMIT must be an integer, got {env!r}") from exc
+    _cap(limit)
+    return limit
 
 
 def _cmd_cmp(args) -> int:
@@ -56,8 +59,7 @@ def _cmd_cmp(args) -> int:
 
 def _cmd_covers(args) -> int:
     w = parse_word(args.word)
-    n = PosetHandle("nc", args.n).n  # rejects an alphabet bound below 1
-    out = covers_up(w, n) if args.dir == "up" else covers_down(check_word(w, n))
+    out = covers_up(w, args.n) if args.dir == "up" else covers_down(check_word(w, args.n))
     # every cover is one rank away from w, so text order is canonical order
     for text in sorted(map(format_word, out)):
         print(text)
@@ -146,9 +148,8 @@ def _cmd_check_order(args) -> int:
 
 def _cmd_series(args) -> int:
     table = rank_coefficients(args.terms, args.n)
-    counts = None
-    if args.verify:  # before any output, so a cap leaves stdout empty
-        counts = enumerate_by_rank(args.terms, args.n, _resolve_limit(args))
+    limit = _resolve_limit(args)  # before any output, so a bad or hit cap leaves stdout empty
+    counts = enumerate_by_rank(args.terms, args.n, limit) if args.verify else None
     for line in table.format_lines():
         print(line)
     summary = " ".join(str(c) for c in table.coefficients)
@@ -293,15 +294,9 @@ def run(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args)
-    except ParseError as exc:
+    except (LimitError, ValueError, TypeError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, LimitError) else 2
 
 
 def main() -> None:

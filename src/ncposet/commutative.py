@@ -20,7 +20,7 @@ import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .errors import TABLE_LIMIT, _check_enumeration
+from .errors import TABLE_LIMIT, _cap, _check_enumeration
 from .ncorder import _reachable, dominated
 from .variants import q_covers
 from .words import (
@@ -156,6 +156,7 @@ def _partition_levels(max_rank: int, n: int | None, limit: int | None) -> tuple:
     r + 1 holds those of rank r, so each is computed once.
     """
     _check_alphabet(n)
+    _cap(limit)
     if max_rank < 0:
         return [], [], [], []
     top = max_rank if n is None else min(n, max_rank)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .errors import _charge
 from .ncorder import raisings
-from .words import Word, canonical_key, check_range, check_word, format_word, rank
+from .words import Word, _has_factor, canonical_key, check_range, check_word, format_word, rank
 
 __all__ = [
     "IdealGens",
@@ -45,8 +45,7 @@ class IdealGens:
 
     def __post_init__(self) -> None:
         _check_bound(self.n)
-        for g in self.gens:
-            check_word(g, self.n)
+        vars(self)["gens"] = tuple(check_word(g, self.n) for g in self.gens)  # frozen
         if (g := next(_divisible(self.gens), None)) is not None:
             raise ValueError(f"generators are not an antichain: {format_word(g)} is divisible")
 
@@ -59,11 +58,6 @@ class IdealGens:
 def _check_bound(n: int) -> None:
     if type(n) is not int or n < 1:
         raise ValueError(f"alphabet bound must be an int >= 1, got {n!r}")
-
-
-def _has_factor(w: Word, gens: Collection[Word], lengths: Iterable[int]) -> bool:
-    """True iff some window of ``w``, of one of the ``lengths``, lies in ``gens``."""
-    return any(w[k : k + p] in gens for p in lengths for k in range(len(w) - p + 1))
 
 
 def _divisible(gens: Collection[Word], work: int = 0) -> Iterator[Word]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Iterable, Sequence
 
 from .errors import _charge
-from .words import Word, _multirank, check_word
+from .words import Word, _multirank, check_range, check_word
 
 __all__ = [
     "nc_leq",
@@ -145,6 +145,7 @@ def walk(m: Sequence[int], dim: int | None = None) -> list[tuple[int, ...]]:
     w = check_word(m)
     if dim is None:
         dim = max(w, default=0)
+    check_range(None, dim, "dim")
     _charge((len(w) + 1) * dim, "walk point components")
     point = (0,) * dim
     points = [point]

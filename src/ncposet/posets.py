@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
@@ -62,17 +62,7 @@ class PosetHandle:
 
 
 def _check_element(handle: PosetHandle, value):
-    if handle.family == "comm":
-        if not isinstance(value, Mapping):
-            raise TypeError(
-                f"the comm family compares monomials (mappings), got {type(value).__name__}"
-            )
-        return normalize_monomial(value, handle.n)
-    if isinstance(value, Mapping):
-        raise TypeError(
-            f"the {handle.family} family compares words (letter tuples), got a mapping"
-        )
-    return check_word(value, handle.n)
+    return (normalize_monomial if handle.family == "comm" else check_word)(value, handle.n)
 
 
 def leq(handle: PosetHandle, a, b) -> bool:

@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 
-from .errors import ParseError, _charge, _check_enumeration
+from .errors import ParseError, _cap, _charge, _check_enumeration
 
 __all__ = [
     "Word",
@@ -58,9 +58,16 @@ def _check_alphabet(n: int | None) -> None:
 
 
 def check_word(m: Iterable[int], n: int | None = None) -> Word:
-    """Return ``m`` as a tuple, validating letters (plain ints >= 1) and the bound n >= 1."""
+    """Return ``m`` as a tuple, validating letters (plain ints >= 1) and the bound n >= 1.
+    A mapping is a monomial, not a word: `TypeError`."""
+    if type(m) is not tuple and isinstance(m, Mapping):
+        raise TypeError(f"a word is a sequence of letter indices, got {type(m).__name__}")
     _check_alphabet(n)
-    w = tuple(m)
+    return _check_letters(tuple(m), n)
+
+
+def _check_letters(w: Word, n: int | None) -> Word:
+    """Return ``w`` once each letter is a plain int >= 1 and, with a bound n, at most n."""
     for i in w:
         if type(i) is not int or i < 1:
             raise ValueError(f"letter indices must be integers >= 1, got {i!r}")
@@ -78,19 +85,25 @@ def check_range(n: int | None, bound: int, name: str) -> None:
         raise ValueError(f"{name} must be >= 0, got {bound}")
 
 
-def parse_word(text: str) -> Word:
-    """Parse ``"x2*x1*x1"`` (or ``"1"`` for the identity) into a word."""
+def _tokens(text: str, pattern: re.Pattern, expected: str) -> list[re.Match]:
+    """The ``pattern`` match of each ``*``-separated token of ``text``, none for ``"1"``;
+    `ParseError` for empty text, or at the first token that does not match."""
     if text == "1":
-        return ()
+        return []
     if not text:
         raise ParseError("empty input")
-    letters = []
+    matches = []
     for pos, token in enumerate(text.split("*"), start=1):
-        match = _WORD_TERM.fullmatch(token)
+        match = pattern.fullmatch(token)
         if match is None:
-            raise ParseError(f"token {pos}: expected xK with K >= 1, got {token!r}")
-        letters.append(int(match.group(1)))
-    return tuple(letters)
+            raise ParseError(f"token {pos}: expected {expected}, got {token!r}")
+        matches.append(match)
+    return matches
+
+
+def parse_word(text: str) -> Word:
+    """Parse ``"x2*x1*x1"`` (or ``"1"`` for the identity) into a word."""
+    return tuple([int(match[1]) for match in _tokens(text, _WORD_TERM, "xK with K >= 1")])
 
 
 def format_word(m: Sequence[int]) -> str:
@@ -98,36 +111,30 @@ def format_word(m: Sequence[int]) -> str:
 
 
 def normalize_monomial(t: Mapping[int, int], n: int | None = None) -> CommMonomial:
-    """Copy ``t`` dropping zero exponents, validating indices and exponents (plain ints)."""
+    """Copy ``t`` dropping zero exponents, validating indices and exponents (plain ints).
+    The first faulty entry is reported, its index (`check_word`'s letter rule) before its
+    exponent before the bound n; anything but a mapping raises `TypeError`."""
+    if type(t) is not dict and not isinstance(t, Mapping):
+        raise TypeError(f"a monomial maps letter indices to exponents, got {type(t).__name__}")
     out: CommMonomial = {}
     for i, e in t.items():
-        if type(i) is not int or i < 1:
-            raise ValueError(f"letter indices must be integers >= 1, got {i!r}")
         if type(e) is not int or e < 0:
+            indices = tuple(t)
+            _check_letters(indices[: indices.index(i)], n)
+            _check_letters((i,), None)
             raise ValueError(f"exponents must be integers >= 0, got {e!r}")
-        if n is not None and i > n:
-            raise ValueError(f"letter x{i} exceeds the alphabet bound n={n}")
         if e:
             out[i] = e
+    _check_letters(tuple(t), n)
     return out
 
 
 def parse_monomial(text: str) -> CommMonomial:
     """Parse ``"x1^2*x2"`` (or ``"1"``) into an exponent dict."""
-    if text == "1":
-        return {}
-    if not text:
-        raise ParseError("empty input")
     out: CommMonomial = {}
-    for pos, token in enumerate(text.split("*"), start=1):
-        match = _MON_FACTOR.fullmatch(token)
-        if match is None:
-            raise ParseError(
-                f"token {pos}: expected xK or xK^E with K, E >= 1, got {token!r}"
-            )
-        index = int(match.group(1))
-        exponent = int(match.group(2)) if match.group(2) else 1
-        out[index] = out.get(index, 0) + exponent
+    for match in _tokens(text, _MON_FACTOR, "xK or xK^E with K, E >= 1"):
+        index = int(match[1])
+        out[index] = out.get(index, 0) + int(match[2] or 1)
     return out
 
 
@@ -169,8 +176,8 @@ def raise_letter(m: Sequence[int], j: int, n: int | None = None) -> Word:
     With an alphabet bound ``n`` the letter must be below ``n``.
     """
     w = check_word(m)
-    if not 1 <= j <= len(w):
-        raise ValueError(f"position {j} out of range for a word of length {len(w)}")
+    if type(j) is not int or not 1 <= j <= len(w):
+        raise ValueError(f"position {j!r} out of range for a word of length {len(w)}")
     if n is not None and w[j - 1] >= n:
         raise ValueError(
             f"letter x{w[j - 1]} at position {j} is already at the alphabet bound n={n}"
@@ -199,10 +206,7 @@ def multirank(m: Sequence[int]) -> MultiRank:
 
 def _multirank(w: Word) -> MultiRank:
     """`multirank` of a valid word, without validating it."""
-    counts = dict.fromkeys(w, 0)
-    for i in w:
-        counts[i] += 1
-    return _suffix_sums(counts)
+    return _suffix_sums(Counter(w))
 
 
 def _suffix_sums(t: Mapping[int, int]) -> tuple[int, ...]:
@@ -229,11 +233,13 @@ def format_multirank(components: Sequence[int]) -> str:
 
 def is_factor(u: Sequence[int], m: Sequence[int]) -> bool:
     """True iff ``u`` occurs as a contiguous subword of ``m``."""
-    u, m = tuple(u), tuple(m)
-    if not u:
-        return True
-    lu = len(u)
-    return any(m[k : k + lu] == u for k in range(len(m) - lu + 1))
+    u = tuple(u)
+    return _has_factor(tuple(m), {u}, {len(u)})
+
+
+def _has_factor(w: Word, gens: Collection[Word], lengths: Iterable[int]) -> bool:
+    """True iff some window of ``w``, of one of the ``lengths``, lies in ``gens``."""
+    return any(w[k : k + p] in gens for p in lengths for k in range(len(w) - p + 1))
 
 
 def canonical_key(m: Sequence[int]) -> tuple[int, str]:
@@ -301,6 +307,7 @@ def _word_levels(max_rank: int, n: int | None, limit: int | None, data: bool = F
     letter k prepends ``xk*`` and adds one to the first k components.
     """
     _check_alphabet(n)
+    _cap(limit)
     if max_rank < 0:
         return [], [], []
     top = max_rank if n is None else min(n, max_rank)

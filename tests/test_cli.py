@@ -519,8 +519,15 @@ def test_negative_limit_is_a_usage_error(capsys, monkeypatch):
     message = "error: limit must be an int >= 0, got -1\n"
     assert _invoke(capsys, *argv, "--limit", "-1") == (2, "", message)
     assert _invoke(capsys, "series", "--terms", "3", "--verify", "--limit", "-1") == (2, "", message)
+    # without --verify nothing is enumerated, but the limit is still checked
+    assert _invoke(capsys, "series", "--terms", "3", "--limit", "-1") == (2, "", message)
     monkeypatch.setenv("NCPOSET_LIMIT", "-1")
     assert _invoke(capsys, *argv) == (2, "", message)
+    assert _invoke(capsys, "series", "--terms", "3") == (2, "", message)
+    monkeypatch.setenv("NCPOSET_LIMIT", "abc")
+    assert _invoke(capsys, "series", "--terms", "3") == (
+        2, "", "error: NCPOSET_LIMIT must be an integer, got 'abc'\n"
+    )
     # the flag still overrides the environment
     assert _invoke(capsys, *argv, "--limit", "0")[0] == 3
 

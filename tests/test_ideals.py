@@ -42,6 +42,15 @@ def test_antichain_invariant_enforced():
         IdealGens(0, ())
 
 
+def test_ideal_gens_keeps_the_words_it_checked():
+    # a list of generators was once kept as given: unhashable, and unequal
+    # to the same generators as a tuple; a list generator failed as unhashable
+    ideal = IdealGens(2, [[1], (2, 2)])
+    assert ideal.gens == ((1,), (2, 2))
+    assert ideal == IdealGens(2, ((1,), (2, 2)))
+    assert hash(ideal) == hash(IdealGens(2, ((1,), (2, 2))))
+
+
 def test_whole_algebra_collapses_to_identity_generator():
     ideal = minimalize([(), (1, 2), (2,)], 2)
     assert ideal.gens == ((),)

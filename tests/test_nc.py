@@ -201,3 +201,18 @@ def test_walk_ends_at_multirank():
 
 def test_walk_with_explicit_dimension():
     assert walk((1,), dim=3) == [(0, 0, 0), (1, 0, 0)]
+
+
+@pytest.mark.parametrize(
+    "dim, message",
+    [
+        (-3, "dim must be >= 0, got -3"),
+        ("a", "dim must be an int >= 0, got 'a'"),
+        (True, "dim must be an int >= 0, got True"),
+    ],
+    ids=["negative", "str", "bool"],
+)
+def test_walk_takes_a_dimension_that_is_an_int_at_least_0(dim, message):
+    # once -3 gave [(), ()] and "a" a bare TypeError from a comparison
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        walk((2,), dim)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -114,6 +116,13 @@ def test_raise_letter():
         raise_letter((1, 2), 2, n=2)
 
 
+@pytest.mark.parametrize("j", [True, 1.0, "1"])
+def test_raise_letter_takes_a_plain_int_position(j):
+    # True once raised the first letter, and 1.0 failed inside a slice
+    with pytest.raises(ValueError, match=f"^position {re.escape(repr(j))} out of range"):
+        raise_letter((1, 2), j)
+
+
 def test_degree_and_rank():
     assert degree(()) == 0
     assert degree((2, 1, 1, 2, 2)) == 5
@@ -225,6 +234,11 @@ def test_a_limit_that_is_not_an_int_at_least_0_is_refused(limit):
         words_up_to_rank(3, 2, limit=limit)
     with pytest.raises(ValueError, match="^limit must be an int >= 0"):
         words_up_to_degree(2, 3, limit=limit)
+    # a negative bound enumerates nothing, but the limit is still checked
+    with pytest.raises(ValueError, match="^limit must be an int >= 0"):
+        words_up_to_rank(-1, limit=limit)
+    with pytest.raises(ValueError, match="^limit must be an int >= 0"):
+        monomials_up_to_rank(-1, limit=limit)
 
 
 def test_words_up_to_negative_rank_are_none():
