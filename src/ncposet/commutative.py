@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import TABLE_LIMIT, _cap, _check_enumeration
 from .ncorder import _reachable, dominated
@@ -28,6 +29,7 @@ from .words import (
     Word,
     _check_alphabet,
     _format_monomial,
+    _levels,
     _suffix_sums,
     abelianize,
     check_range,
@@ -150,10 +152,10 @@ def _partition_levels(max_rank: int, n: int | None, limit: int | None) -> tuple:
     """Partitions of rank <= max_rank with at most n rows, their labels, monomials and covers.
 
     Partitions and labels come one row per rank, in the canonical text
-    order of the monomials, the labels; monomials (exponent dicts) and
-    covers come in one list in that order.  A partition's covers are the
-    ascending indices of its `_box_covers`, none at the top rank: rank
-    r + 1 holds those of rank r, so each is computed once.
+    order of the monomials, the labels; monomials (exponent dicts) and covers
+    come in one list in that order.  A partition's covers are the ascending
+    indices of its `_box_covers`, none at the top rank: rank r + 1 holds those
+    of rank r.  `_levels` keeps the ranks per n, for every caller.
     """
     _check_alphabet(n)
     _cap(limit)
@@ -175,21 +177,23 @@ def _partition_levels(max_rank: int, n: int | None, limit: int | None) -> tuple:
         total += row[-1]
         # each rank left holds at least x1^r, so refuse as soon as the cap must fall
         _check_enumeration(f"monomials up to rank {max_rank}", total + max_rank - r, limit)
-    levels, labels, monomials, covers = [], [], [], []
-    level: list[Partition] = [()]
-    for r in range(max_rank + 1):
-        exponents = list(map(_exponents, level))
-        rows = sorted(zip(map(_format_monomial, exponents), level, exponents))
-        label_row, level_row, monomial_row = zip(*rows)
-        if r:
-            index = {p: len(monomials) + i for i, p in enumerate(level_row)}
-            covers += [sorted(map(index.__getitem__, ups)) for ups in box]
-        labels.append(label_row)
-        levels.append(level_row)
-        monomials += monomial_row
-        box = [_box_covers(p, n) for p in level_row] if r < max_rank else []
-        level = list({u for ups in box for u in ups})
-    return levels, labels, monomials, covers + [()] * len(levels[-1])
+
+    def extend(levels: list) -> tuple:
+        box = [_box_covers(p, n) for p in levels[-1][0]] if levels else []
+        level = list({u for ups in box for u in ups}) if levels else [()]
+        dicts = list(map(_exponents, level))
+        labels, partitions, dicts = zip(*sorted(zip(map(_format_monomial, dicts), level, dicts)))
+        index = {p: i for i, p in enumerate(partitions, sum(len(below[0]) for below in levels))}
+        covers = tuple(tuple(sorted(map(index.__getitem__, ups))) for ups in box)
+        return partitions, labels, dicts, covers
+
+    # the store keeps each exponent dict as its items, and each call gets new dicts
+    levels, labels, exponents, covers = zip(*_levels(
+        max_rank, extend, ("partitions", n), total,
+        lambda level: (*level[:2], tuple(tuple(t.items()) for t in level[2]), level[3]),
+        lambda level: (*level[:2], [dict(items) for items in level[2]], level[3])))
+    monomials = [*chain.from_iterable(exponents)]
+    return levels, labels, monomials, [*chain.from_iterable(covers), *[()] * len(levels[-1])]
 
 
 @dataclass(frozen=True)

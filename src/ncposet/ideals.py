@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .errors import _charge
 from .ncorder import raisings
-from .words import Word, _has_factor, canonical_key, check_range, check_word, format_word, rank
+from .words import Word, _canonical_key, _has_factor, check_range, check_word, format_word
 
 __all__ = [
     "IdealGens",
@@ -79,7 +79,7 @@ def _minimal(n: int, words: set[Word], work: int = 0) -> IdealGens:
     """The ideal of the minimal ``words``, valid over x1..xn, from one antichain pass:
     `_divisible` charges its lookups on top of ``work``, and no `IdealGens` check follows."""
     _check_bound(n)
-    kept = tuple(sorted(words - set(_divisible(words, work)), key=canonical_key))
+    kept = tuple(sorted(words - set(_divisible(words, work)), key=_canonical_key))
     ideal = object.__new__(IdealGens)
     vars(ideal).update(n=n, gens=kept)  # a frozen instance, past `IdealGens.__post_init__`
     return ideal
@@ -173,11 +173,11 @@ def is_strongly_stable(ideal: IdealGens, rank_bound: int) -> StabilityCheck:
     _charge(sum(_raising_work(g, ideal.n, lengths) for g in ideal.gens), "letter comparisons")
     escaping = [
         (g, [w for _, w in raisings(g, ideal.n) if not ideal_member(w, ideal)])
-        for g in sorted(ideal.gens, key=canonical_key)
+        for g in sorted(ideal.gens, key=_canonical_key)
     ]
     generator_witness = next(((g, ws[0]) for g, ws in escaping if ws), None)
     window_witness = next(
-        ((g, min(ws, key=canonical_key)) for g, ws in escaping if ws and rank(g) < rank_bound),
+        ((g, min(ws, key=_canonical_key)) for g, ws in escaping if ws and sum(g) < rank_bound),
         None,
     )
     return StabilityCheck(

@@ -24,7 +24,7 @@ from .commutative import _box_covers, _partition_levels, comm_leq
 from .ncorder import _covers_up, nc_leq, raisings
 from .variants import p_leq, q_covers, q_leq, swap_successors
 from .words import (
-    Word, _check_alphabet, _word_levels, check_range, check_word, normalize_monomial, rank
+    Word, _check_alphabet, _word_levels, check_range, check_word, normalize_monomial
 )
 
 FAMILIES = ("nc", "q", "p", "comm")
@@ -194,6 +194,7 @@ def hasse(handle: PosetHandle, max_rank: int, limit: int | None = None) -> Hasse
     "nc" covers follow from the positions in the level recursion
     (`_nc_edges`) and "comm" covers come with the partitions, so neither
     hashes a cover; "q" and "p" look up their `_upper_covers` by key.
+    Once the caps pass, level data comes from a store of <= `TABLE_LIMIT` elements.
     """
     check_range(handle.n, max_rank, "max_rank")
     if handle.family == "comm":
@@ -286,7 +287,7 @@ def _p_covers_up(w: Word, n: int | None, max_rank: int | None = None) -> list[Wo
     in W.  x1^(d+1) is the only other candidate, and a cover exactly when
     it lies in W and no raising does.
     """
-    if max_rank is None or rank(w) < max_rank:
+    if max_rank is None or sum(w) < max_rank:
         ups = [u for _, u in raisings(w, n)]
         if ups:
             return ups

@@ -21,8 +21,8 @@ from .ncorder import _reachable
 from .posets import EQ, GT, LT, PosetHandle, _upper_covers
 from .words import (
     Word,
+    _canonical_key,
     _count_up_to_degree,
-    canonical_key,
     check_range,
     check_word,
     words_up_to_degree,
@@ -351,6 +351,6 @@ def contains_poset(
         if any(not keys[w] < low for low in above):
             marked.append(w)
         least[w] = min([keys[w], *above])
-    a = min(marked, key=canonical_key)
+    a = min(marked, key=_canonical_key)
     late = (b for b in _reachable(a, up) if b != a and not keys[a] < keys[b])
-    return False, (a, min(late, key=canonical_key))
+    return False, (a, min(late, key=_canonical_key))

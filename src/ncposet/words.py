@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
-from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
-from .errors import ParseError, _cap, _charge, _check_enumeration
+from .errors import LETTERS_PER_WORD, TABLE_LIMIT, ParseError, _cap, _charge, _check_enumeration
 
 __all__ = [
     "Word",
@@ -46,6 +46,10 @@ MultiRank = tuple[int, ...]
 _WORD_TERM = re.compile(r"x([1-9][0-9]*)\Z")
 _MON_FACTOR = re.compile(r"x([1-9][0-9]*)(?:\^([1-9][0-9]*))?\Z")
 
+# The rank levels kept by `_levels` with their size in elements, per (kind, alphabet bound):
+# the word levels that `hasse` draws, and the partition levels
+_KEPT: dict[tuple, tuple[int, list]] = {}
+
 
 def _check_alphabet(n: int | None) -> None:
     """Reject an alphabet bound that is not an int >= 1; None is the unbounded alphabet."""
@@ -60,10 +64,16 @@ def _check_alphabet(n: int | None) -> None:
 def check_word(m: Iterable[int], n: int | None = None) -> Word:
     """Return ``m`` as a tuple, validating letters (plain ints >= 1) and the bound n >= 1.
     A mapping is a monomial, not a word: `TypeError`."""
-    if type(m) is not tuple and isinstance(m, Mapping):
-        raise TypeError(f"a word is a sequence of letter indices, got {type(m).__name__}")
+    _check_sequence(m)
     _check_alphabet(n)
     return _check_letters(tuple(m), n)
+
+
+def _check_sequence(m: Iterable[int]) -> Iterable[int]:
+    """Return ``m`` unless it is a mapping, a monomial and not a word: then `TypeError`."""
+    if type(m) is not tuple and isinstance(m, Mapping):
+        raise TypeError(f"a word is a sequence of letter indices, got {type(m).__name__}")
+    return m
 
 
 def _check_letters(w: Word, n: int | None) -> Word:
@@ -107,15 +117,16 @@ def parse_word(text: str) -> Word:
 
 
 def format_word(m: Sequence[int]) -> str:
-    return "*".join(f"x{i}" for i in m) if m else "1"
+    return "*".join(f"x{i}" for i in _check_sequence(m)) or "1"
 
 
 def normalize_monomial(t: Mapping[int, int], n: int | None = None) -> CommMonomial:
-    """Copy ``t`` dropping zero exponents, validating indices and exponents (plain ints).
-    The first faulty entry is reported, its index (`check_word`'s letter rule) before its
-    exponent before the bound n; anything but a mapping raises `TypeError`."""
+    """Copy ``t`` dropping zero exponents, validating the bound n as `check_word` does, then
+    the first faulty entry: its index (`check_word`'s letter rule) before its exponent
+    before the bound n.  Anything but a mapping raises `TypeError`, before all else."""
     if type(t) is not dict and not isinstance(t, Mapping):
         raise TypeError(f"a monomial maps letter indices to exponents, got {type(t).__name__}")
+    _check_alphabet(n)
     out: CommMonomial = {}
     for i, e in t.items():
         if type(e) is not int or e < 0:
@@ -187,12 +198,12 @@ def raise_letter(m: Sequence[int], j: int, n: int | None = None) -> Word:
 
 def degree(m: Sequence[int]) -> int:
     """Total degree: the number of letters."""
-    return len(m)
+    return len(_check_sequence(m))
 
 
 def rank(m: Sequence[int]) -> int:
     """Sum of the letter indices of a word."""
-    return sum(m)
+    return sum(_check_sequence(m))
 
 
 def multirank(m: Sequence[int]) -> MultiRank:
@@ -233,8 +244,8 @@ def format_multirank(components: Sequence[int]) -> str:
 
 def is_factor(u: Sequence[int], m: Sequence[int]) -> bool:
     """True iff ``u`` occurs as a contiguous subword of ``m``."""
-    u = tuple(u)
-    return _has_factor(tuple(m), {u}, {len(u)})
+    u = tuple(_check_sequence(u))
+    return _has_factor(tuple(_check_sequence(m)), {u}, {len(u)})
 
 
 def _has_factor(w: Word, gens: Collection[Word], lengths: Iterable[int]) -> bool:
@@ -244,7 +255,12 @@ def _has_factor(w: Word, gens: Collection[Word], lengths: Iterable[int]) -> bool
 
 def canonical_key(m: Sequence[int]) -> tuple[int, str]:
     """Sort key (rank ascending, then canonical text ascending)."""
-    return (rank(m), format_word(m))
+    return _canonical_key(_check_sequence(m))
+
+
+def _canonical_key(w: Word) -> tuple[int, str]:
+    """`canonical_key` of a word, without `rank`'s check."""
+    return (sum(w), format_word(w))
 
 
 def words_of_degree(n: int, d: int) -> Iterator[Word]:
@@ -303,8 +319,8 @@ def words_up_to_rank(
 def _word_levels(max_rank: int, n: int | None, limit: int | None, data: bool = False) -> tuple:
     """Words of rank <= max_rank in `words_up_to_rank` order, one list per rank.
 
-    With ``data`` also their labels and multiranks, from the tail's: a first
-    letter k prepends ``xk*`` and adds one to the first k components.
+    With ``data`` also their labels and multiranks, from the tail's (``xk*`` prepended, one
+    added to the first k components), kept per n by `_levels`; the words are rebuilt each call.
     """
     _check_alphabet(n)
     _cap(limit)
@@ -323,16 +339,42 @@ def _word_levels(max_rank: int, n: int | None, limit: int | None, data: bool = F
         total_letters += lengths[r]
         _check_enumeration(f"words up to rank {max_rank}", total_words, limit, total_letters)
     letters = sorted(range(1, top + 1), key=str)
-    words, labels, multiranks = [[()]], [["1"]], [[()]]
+    words = [[()]]
     for r in range(1, max_rank + 1):
         words.append([(k,) + w for k in letters if k <= r for w in words[r - k]])
-        if data:
-            labels.append([
-                f"x{k}*{s}" if k < r else f"x{k}"
-                for k in letters if k <= r for s in labels[r - k]
-            ])
-            multiranks.append([
-                tuple([c + 1 for c in mr[:k]]) + mr[k:] + (1,) * (k - len(mr))
-                for k in letters if k <= r for mr in multiranks[r - k]
-            ])
-    return words, labels, multiranks
+    if not data:
+        return words, [], []
+
+    def extend(levels: list) -> tuple:
+        r = len(levels)
+        below = [(k, levels[r - k]) for k in letters if k <= r]
+        labels = [f"x{k}*{s}" if k < r else f"x{k}" for k, level in below for s in level[1]]
+        shared: dict = {}  # one tuple per distinct multirank: words with the same letters share it
+        multiranks = [shared.setdefault(m, m) for m in (tuple([c + 1 for c in mr[:k]]) + mr[k:]
+                      + (1,) * (k - len(mr)) for k, level in below for mr in level[0])]
+        return (multiranks, labels) if r else ([()], ["1"])
+
+    # the store keeps a rank's labels as one text, at a byte per character.  The labels grow
+    # with the letters: LETTERS_PER_WORD letters count as one element, as in the caps, so
+    # x1^0..x1^6324 (2*10^7 letters, 60 MB of labels) is never kept
+    kept = _levels(max_rank, extend, ("words", n),
+                   max(total_words, total_letters // LETTERS_PER_WORD),
+                   lambda level: (tuple(level[0]), " ".join(level[1])),
+                   lambda level: (level[0], level[1].split(" ")))
+    return words, [labels for _, labels in kept], [multiranks for multiranks, _ in kept]
+
+
+def _levels(max_rank: int, extend: Callable, key: tuple, size: int,
+            pack: Callable, unpack: Callable) -> list:
+    """Levels 0..max_rank, each ``extend(levels below it)``, kept under ``key`` as ``pack``
+    makes them (``unpack`` undoes it), with their ``size`` in elements.  All keys keep at most
+    `TABLE_LIMIT`: a build past it drops the others, and one past it alone is not kept."""
+    kept = _KEPT.get(key, (0, []))[1][: max_rank + 1]
+    levels = [*map(unpack, kept)]
+    while len(levels) <= max_rank:
+        levels.append(extend(levels))
+    if len(kept) < len(levels) and size <= TABLE_LIMIT:
+        if size + sum(held for k, (held, _) in [*_KEPT.items()] if k != key) > TABLE_LIMIT:
+            _KEPT.clear()
+        _KEPT[key] = size, [*kept, *map(pack, levels[len(kept):])]
+    return levels

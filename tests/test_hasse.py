@@ -1,4 +1,5 @@
 import json
+import random
 from json.encoder import encode_basestring_ascii
 from types import ModuleType
 
@@ -6,6 +7,7 @@ import pytest
 
 import ncposet
 from ncposet import (
+    FAMILIES,
     LimitError,
     PosetHandle,
     check_coconnection,
@@ -25,8 +27,9 @@ from ncposet import (
     words_up_to_degree,
     words_up_to_rank,
 )
-from ncposet import commutative
+from ncposet import commutative, errors, words
 from ncposet.commutative import _box_covers, _exponents
+from ncposet.errors import TABLE_LIMIT
 from ncposet.ncorder import _covers_up, _reachable
 from ncposet.posets import HasseGraph, _json_list, _upper_covers
 from ncposet.variants import swap_successors
@@ -399,10 +402,33 @@ def test_hasse_comm_normalizes_no_monomial(monkeypatch):
     assert calls == [({2: 1, 1: 0},)]
 
 
-def test_hasse_comm_formats_each_vertex_once(monkeypatch):
+@pytest.fixture
+def cold_store(monkeypatch):
+    """An empty store of `hasse` levels for one test; the process's own store is put back after."""
+    store = {}
+    monkeypatch.setattr(words, "_KEPT", store)
+    return store
+
+
+def _snapshot(store):
+    """A store's keys, sizes and levels, copied so that a later change to it shows."""
+    return {key: (size, list(levels)) for key, (size, levels) in store.items()}
+
+
+def _held(store):
+    """The elements a level store holds, each key's levels counted by their first column."""
+    return sum(len(level[0]) for _, levels in store.values() for level in levels)
+
+
+def test_hasse_comm_formats_each_vertex_once(monkeypatch, cold_store):
     calls = _count_calls(monkeypatch, _format_monomial)
     graph = hasse(PosetHandle("comm"), 16)
     assert len(calls) == len(graph.vertices) == 915
+    # the store keeps the labels: drawing the graph again formats none
+    calls.clear()
+    assert hasse(PosetHandle("comm"), 16) == graph
+    hasse(PosetHandle("comm"), 9)
+    assert calls == []
 
 
 def _lookup_edges(handle, max_rank):
@@ -464,7 +490,7 @@ def test_hasse_nc_builds_no_cover_word(monkeypatch):
     assert covers == lookups == []
 
 
-def test_hasse_comm_computes_each_cover_once(monkeypatch):
+def test_hasse_comm_computes_each_cover_once(monkeypatch, cold_store):
     boxes = _count_calls(monkeypatch, _box_covers)
     exponents = _count_calls(monkeypatch, _exponents)
     lookups = _count_calls(monkeypatch, _upper_covers)
@@ -473,6 +499,12 @@ def test_hasse_comm_computes_each_cover_once(monkeypatch):
     # per partition; the cover lookup called each twice as often
     assert (len(boxes), len(exponents), len(graph.vertices)) == (684, 915, 915)
     assert lookups == []
+    # the store keeps the covers and the exponents: drawing again computes none
+    boxes.clear()
+    exponents.clear()
+    assert hasse(PosetHandle("comm"), 16) == graph
+    hasse(PosetHandle("comm"), 11)
+    assert boxes == exponents == lookups == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 11, None])
@@ -607,3 +639,103 @@ def test_serialisers_match_the_references_on_a_hand_built_graph(n):
     assert graph.to_json() == _reference_to_json(graph)
     assert graph.to_json() == json.dumps(graph.to_json_dict(), indent=2)
     assert graph.to_dot() == _reference_to_dot(graph)
+
+
+def _drawn(family, n, max_rank):
+    """What a graph shows: its JSON, its DOT and its vertices."""
+    graph = hasse(PosetHandle(family, n), max_rank)
+    return graph.to_json(), graph.to_dot(), repr(graph.vertices)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 11, None])
+def test_a_warm_store_draws_what_an_empty_one_draws(cold_store, n):
+    # n = 11 puts x10 and x11 between x1 and x2 from rank 10 on
+    ranks = list(range(12))
+    cold = {}
+    for family in FAMILIES:
+        for r in ranks:
+            cold_store.clear()
+            cold[family, r] = _drawn(family, n, r)
+    shuffled = random.Random(str(n)).sample(ranks, len(ranks))
+    for order in (ranks, ranks[::-1], shuffled):
+        cold_store.clear()
+        for r in order:
+            # the word families share their levels: draw them in turn on one store
+            for family in FAMILIES:
+                assert _drawn(family, n, r) == cold[family, r], (order, family, r)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_warm_store_refuses_what_a_cold_one_refuses(monkeypatch, cold_store, family):
+    handle = PosetHandle(family, 2)
+    default = errors.DEFAULT_LIMIT
+
+    def refusal(limit=None, default_limit=default):
+        monkeypatch.setattr(errors, "DEFAULT_LIMIT", default_limit)
+        with pytest.raises(LimitError) as info:
+            hasse(handle, 8, limit)
+        monkeypatch.setattr(errors, "DEFAULT_LIMIT", default)
+        return str(info.value)
+
+    # rank <= 8 holds 88 words over two letters, and 25 monomials
+    cold = refusal(limit=20), refusal(default_limit=20)
+    assert cold_store == {}
+    hasse(handle, 12)
+    kept = _snapshot(cold_store)
+    # the caps are checked before the store is read
+    levels = _count_calls(monkeypatch, words._levels)
+    assert (refusal(limit=20), refusal(default_limit=20)) == cold
+    assert levels == []
+    assert _snapshot(cold_store) == kept
+
+
+def test_the_store_keeps_at_most_table_limit_elements(cold_store):
+    for family in FAMILIES:
+        for n in (1, 2, 3, None):
+            hasse(PosetHandle(family, n), 10)
+    assert 0 < _held(cold_store) <= TABLE_LIMIT
+    # the 1024 words of rank <= 10 over the unbounded alphabet grow to 16384
+    before = _held(cold_store)
+    hasse(PosetHandle("nc"), 14)
+    assert _held(cold_store) == before - 1024 + 16384
+    # 11504 more would pass the limit: the store drops the others first
+    hasse(PosetHandle("nc", 4), 14)
+    assert _held(cold_store) == len(words_up_to_rank(14, 4)) == 11504
+    # 23249 words alone pass the limit: the graph is drawn, and the store is left as it was
+    before = _snapshot(cold_store)
+    graph = hasse(PosetHandle("q", 3), 16)
+    assert len(graph.vertices) == 23249 > TABLE_LIMIT
+    assert [w for w, _, _ in graph.vertices] == words_up_to_rank(16, 3)
+    assert _snapshot(cold_store) == before
+    # 601 words of 180300 letters count as 9015 elements, as in the caps: kept, and counted so
+    hasse(PosetHandle("nc", 1), 600)
+    assert {key: size for key, (size, _) in cold_store.items()} == {
+        ("words", 4): 11504, ("words", 1): 9015
+    }
+    # 1001 words of 500500 letters count as 25025: drawn on the kept ranks, and not kept
+    before = _snapshot(cold_store)
+    graph = hasse(PosetHandle("nc", 1), 1000)
+    assert graph.labels[-1] == "*".join(["x1"] * 1000)
+    assert _snapshot(cold_store) == before
+
+
+def test_mutating_a_graph_changes_no_later_graph(cold_store):
+    first = hasse(PosetHandle("comm", 3), 6)
+    expected = repr(first.vertices), first.to_json()
+    for t, _, _ in first.vertices:
+        t[1] = t.get(1, 0) + 5
+    second = hasse(PosetHandle("comm", 3), 6)
+    assert (repr(second.vertices), second.to_json()) == expected
+    assert [t for t, _, _ in second.vertices] == monomials_up_to_rank(6, 3)
+    # monomials_up_to_rank reads the same store, and hands out its own dicts too
+    for t in monomials_up_to_rank(6, 3):
+        t.clear()
+    assert hasse(PosetHandle("comm", 3), 6).to_json() == expected[1]
+    # the store itself holds nothing mutable: tuples, strings and ints alone
+    hasse(PosetHandle("nc", 3), 8)
+    assert all(_frozen(level) for _, levels in cold_store.values() for level in levels)
+
+
+def _frozen(value):
+    """True iff ``value`` is built of tuples, strings and ints alone."""
+    return type(value) in (str, int) or type(value) is tuple and all(map(_frozen, value))

@@ -265,7 +265,7 @@ def test_window_witness_is_the_first_escaping_cover_in_canonical_order():
 def test_stable_scan_keys_no_cover(monkeypatch):
     ideal = minimalize([(2,)], 2)
     calls = []
-    monkeypatch.setattr(ideals, "canonical_key", lambda w: calls.append(w) or canonical_key(w))
+    monkeypatch.setattr(ideals, "_canonical_key", lambda w: calls.append(w) or canonical_key(w))
     assert is_strongly_stable(ideal, 8)
     assert calls == [(2,)]  # the generator sort alone
 

@@ -16,12 +16,16 @@ from ncposet import (
     ParseError,
     PosetHandle,
     abelianize,
+    canonical_key,
     comm_leq,
     comm_leq_oracle,
     compare,
     covers_down,
     covers_up,
+    degree,
     format_monomial,
+    format_word,
+    is_factor,
     leq,
     monomial_canonical_key,
     monomial_product,
@@ -36,6 +40,7 @@ from ncposet import (
     principal_down_set,
     q_leq,
     raise_letter,
+    rank,
     sort_word,
     sorted_form,
     to_partition,
@@ -63,6 +68,13 @@ WORD_CALLS = {
     "raise_letter": lambda x: raise_letter(x, 1),
     "leq": lambda x: leq(PosetHandle("nc"), x, (2,)),
     "compare": lambda x: compare(PosetHandle("q", 3), (2,), x),
+    # once rank({2: 1}) was 2, degree({3: 1}) 1 and format_word({3: 1}) "x3"
+    "rank": rank,
+    "degree": degree,
+    "format_word": format_word,
+    "canonical_key": canonical_key,
+    "is_factor": lambda x: is_factor((2,), x),
+    "is_factor first": lambda x: is_factor(x, (2,)),
 }
 
 MONOMIAL_CALLS = {
@@ -97,7 +109,10 @@ def test_monomial_functions_refuse_a_sequence(call):
 
 
 def _normalize_monomial_reference(t, n=None):
-    """`normalize_monomial` as it was before it shared `check_word`'s letter rule."""
+    """`normalize_monomial` as it was before it shared `check_word`'s letter rule, with
+    `check_word`'s check of the alphabet bound put first."""
+    if n is not None and n < 1:
+        raise ValueError(f"alphabet bound must be >= 1, got {n}")
     out = {}
     for i, e in t.items():
         if type(i) is not int or i < 1:
@@ -126,6 +141,23 @@ entries = st.one_of(st.integers(-1, 4), st.booleans(), st.just(1.0), st.just("2"
 @given(st.dictionaries(entries, entries, max_size=4), st.sampled_from([None, 0, 1, 2, 3]))
 def test_normalize_monomial_reports_the_first_error_it_reported_before(t, n):
     assert _outcome(normalize_monomial, t, n) == _outcome(_normalize_monomial_reference, t, n)
+
+
+def test_monomials_check_their_alphabet_bound_as_words_do():
+    # once comm_leq({}, {}, 0) returned True, comm_leq({1: 1}, {1: 1}, 0) reported
+    # "letter x1 exceeds the alphabet bound n=0", and normalize_monomial({1: 1}, "a")
+    # raised a bare TypeError from a comparison
+    for call in (lambda: nc_leq((), (), 0), lambda: comm_leq({}, {}, 0),
+                 lambda: comm_leq({1: 1}, {1: 1}, 0), lambda: normalize_monomial({-1: 1}, 0)):
+        with pytest.raises(ValueError, match="^alphabet bound must be >= 1, got 0$"):
+            call()
+    with pytest.raises(ValueError, match="^alphabet bound must be an int >= 1, got 'a'$"):
+        normalize_monomial({1: 1}, "a")
+    # the kind of input is still checked before the bound, as in check_word
+    with pytest.raises(TypeError, match="^a monomial maps letter indices to exponents"):
+        comm_leq((), {}, 0)
+    with pytest.raises(TypeError, match="^a word is a sequence of letter indices"):
+        nc_leq({}, (), 0)
 
 
 _WORD_TERM = re.compile(r"x([1-9][0-9]*)\Z")
