@@ -27,16 +27,16 @@ from .variants import q_covers
 from .words import (
     CommMonomial,
     Word,
+    _abelianize,
     _check_alphabet,
     _format_monomial,
     _levels,
+    _sort_word,
     _suffix_sums,
-    abelianize,
     check_range,
     format_monomial,
     format_word,
     normalize_monomial,
-    sort_word,
     words_up_to_rank,
 )
 
@@ -272,22 +272,21 @@ def _up_sets(edges: list[list[int]]) -> list[int]:
 def check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
     """Verify the coconnection laws between sorted-order words and monomials.
 
-    Over all words and monomials of rank <= max_rank: abelianize and
-    sort_word are order-preserving, sorting a word moves it (weakly) up,
-    and abelianize undoes sort_word exactly.  Violations are reported, not
-    raised.
+    Over all words and monomials of rank <= max_rank: abelianize and sort_word are
+    order-preserving, sorting a word moves it (weakly) up, and abelianize undoes
+    sort_word exactly.  Violations are reported, not raised.
 
-    Both orders are generated by their covers (`q_covers`,
-    `_box_covers`), which never lower the rank, so the range holds
-    every chain between its elements.  A descent sort keeps the rank and
-    makes the word lexicographically smaller, so listing the words by
-    rank descending, then lexicographically, puts every cover first, as
-    does reverse canonical order for the monomials, whose covers come from
-    `_partition_levels`.  Reachability tables over the covers (`_up_sets`)
-    give the comparable pairs; the monotonicity laws are checked on the
-    covers alone, which suffices by transitivity, and only a failure scans
-    the comparable pairs in canonical order for the first witness.
-    More than `TABLE_LIMIT` words raise `LimitError`.
+    Both orders are generated by their covers (`q_covers`, `_box_covers`), which never
+    lower the rank, so the range holds every chain between its elements.  A descent sort
+    keeps the rank and makes the word lexicographically smaller, so listing the words by
+    rank descending, then lexicographically, puts every cover first, as does reverse
+    canonical order for the monomials, whose covers come from `_partition_levels`.
+    Reachability tables over the covers (`_up_sets`) give the comparable pairs; the
+    monotonicity laws are checked on the covers alone, which suffices by transitivity,
+    and only a failure scans the comparable pairs in canonical order for the first
+    witness.  Each word is abelianized once, giving its partition and, sorted, the word
+    the ascend law checks; each monomial is sorted once, both unchecked (`_abelianize`,
+    `_sort_word`).  More than `TABLE_LIMIT` words raise `LimitError`.
     """
     check_range(n, max_rank, "max_rank")
     # sort_word maps the monomials into the words one to one, so capping the
@@ -308,8 +307,13 @@ def check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
     def c_reaches(a: int, b: int) -> bool:
         return bool(c_up[last - a] >> (last - b) & 1)
 
-    parts = {m: to_partition(abelianize(m)) for m in words}
-    sorted_words = [sort_word(t) for t in monomials]
+    parts, ascend_witness = {}, None
+    for m in words:
+        t = _abelianize(m)
+        parts[m] = _suffix_sums(t)
+        if ascend_witness is None and not q_reaches(m, _sort_word(t)):
+            ascend_witness = format_word(m)
+    sorted_words = [_sort_word(t) for t in monomials]
 
     sigma_witness = None
     if not all(
@@ -337,13 +341,8 @@ def check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
             and not q_reaches(sorted_words[a], sorted_words[b])
         )
 
-    ascend_witness = next(
-        (format_word(m) for m in words if not q_reaches(m, sort_word(abelianize(m)))),
-        None,
-    )
-
     roundtrip_witness = next(
-        (format_monomial(t) for t, w in zip(monomials, sorted_words) if abelianize(w) != t),
+        (format_monomial(t) for t, w in zip(monomials, sorted_words) if _abelianize(w) != t),
         None,
     )
 

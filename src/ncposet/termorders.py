@@ -12,9 +12,10 @@ check scans all pairs, for its witness.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import pairwise, product
 from math import isqrt
+from operator import lt
 
 from .errors import ParseError, _cap, _charge
 from .ncorder import _reachable
@@ -106,9 +107,9 @@ def _no_weight(spec: TermOrderSpec, letter: int) -> ValueError:
 def _key_function(spec: TermOrderSpec, top: int) -> Callable[[Word], tuple]:
     """`sort_key` for valid words over x1..x_top, without validating each word.
 
-    The certifiers key only words they built themselves, so the one check
-    left is that every letter up to ``top`` has a weight; the error is the
-    one `sort_key` raises on the first word that lacks one.
+    The certifiers key only words they built themselves, so the one check left is
+    that every letter up to ``top`` has a weight (`sort_key`'s error for the first
+    word that lacks one).  A weight key sums in C, over the weights padded by a 0.
     """
     if spec.kind == "deg_left_lex":
         return lambda w: (len(w), w)
@@ -119,7 +120,8 @@ def _key_function(spec: TermOrderSpec, top: int) -> Callable[[Word], tuple]:
     weights = spec.weights
     if top > len(weights):
         raise _no_weight(spec, len(weights) + 1)
-    return lambda w: (sum(weights[i - 1] for i in w), len(w), w)
+    weight = (0, *weights).__getitem__
+    return lambda w: (sum(map(weight, w)), len(w), w)
 
 
 def sort_key(spec: TermOrderSpec, m: Sequence[int]):
@@ -152,7 +154,8 @@ class OrderValidationReport:
     is_standard: bool
     is_sorted: bool
     is_degree_compatible: bool
-    witnesses: dict
+    # compared, not hashed: a dict has no hash
+    witnesses: dict = field(hash=False)
 
     @property
     def axioms_ok(self) -> bool:
@@ -244,8 +247,7 @@ def validate_order(
     )
 
     factor = None
-    in_key_order = [words[i] for i in ranked]
-    if tie is not None or not _adjacent_multiplicative(key, in_key_order, cofactors):
+    if tie is not None or not _adjacent_multiplicative(key, [words[i] for i in ranked], cofactors):
         factor = _first_non_multiplicative(key, words, keys, cofactors, planned)
 
     unsorted = _first_unsorted(key, n, cofactors)
@@ -273,11 +275,12 @@ def validate_order(
 
 
 def _adjacent_multiplicative(key, ranked, cofactors) -> bool:
-    """Do the cofactors (a, b) keep each word below its successor in key order?"""
+    """Do the cofactors (a, b) keep each word below its successor in key order?
+    Each head a*w is built once, for its left cofactor a, and shared by every b."""
     return all(
-        x < y
-        for a, b in product(cofactors, repeat=2)
-        for x, y in pairwise(key(a + w + b) for w in ranked)
+        all(map(lt, keys, keys[1:]))
+        for heads in ([a + w for w in ranked] for a in cofactors)
+        for keys in ([key(h + b) for h in heads] for b in cofactors)
     )
 
 

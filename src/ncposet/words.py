@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import LETTERS_PER_WORD, TABLE_LIMIT, ParseError, _cap, _charge, _check_enumeration
@@ -163,13 +162,25 @@ def _format_monomial(t: CommMonomial) -> str:
 
 
 def abelianize(m: Sequence[int]) -> CommMonomial:
-    """Occurrence counts of each letter: the commutative image of a word."""
-    return dict(Counter(check_word(m)))
+    """Occurrence counts of each letter: the commutative image of a word (checked `_abelianize`)."""
+    return _abelianize(check_word(m))
+
+
+def _abelianize(w: Word) -> CommMonomial:
+    """`abelianize` of a valid word, without validating it."""
+    counts: CommMonomial = {}
+    for i in w:
+        counts[i] = counts.get(i, 0) + 1
+    return counts
 
 
 def sort_word(t: Mapping[int, int]) -> Word:
-    """The word listing the letters of a monomial in weakly increasing order."""
-    t = normalize_monomial(t)
+    """The letters of a monomial as a word in weakly increasing order (checked `_sort_word`)."""
+    return _sort_word(normalize_monomial(t))
+
+
+def _sort_word(t: CommMonomial) -> Word:
+    """`sort_word` of a normalized monomial, without validating it."""
     letters: list[int] = []
     for i in sorted(t):
         letters.extend([i] * t[i])
@@ -217,7 +228,7 @@ def multirank(m: Sequence[int]) -> MultiRank:
 
 def _multirank(w: Word) -> MultiRank:
     """`multirank` of a valid word, without validating it."""
-    return _suffix_sums(Counter(w))
+    return _suffix_sums(_abelianize(w))
 
 
 def _suffix_sums(t: Mapping[int, int]) -> tuple[int, ...]:

@@ -14,6 +14,7 @@ from functools import partial
 import pytest
 
 from ncposet import commutative, termorders
+from ncposet import words as word_module
 from ncposet.commutative import CoconnectionReport, LawCheck, check_coconnection
 from ncposet.ncorder import _reachable
 from ncposet.posets import EQ, GT, LT, PosetHandle, _upper_covers, leq
@@ -110,7 +111,7 @@ def contains_poset_search(spec, handle, max_degree):
 
 
 def check_coconnection_scan(n, max_rank):
-    abelianize, sort_word = commutative.abelianize, commutative.sort_word
+    abelianize, sort_word = word_module.abelianize, word_module.sort_word
     comm_leq = commutative.comm_leq
     words = commutative.words_up_to_rank(max_rank, n)
     monomials = commutative.monomials_up_to_rank(max_rank, n)
@@ -182,6 +183,43 @@ def test_coconnection_matches_scan(n):
         assert check_coconnection(n, r) == check_coconnection_scan(n, r), r
 
 
+def _spelled_out_key(spec, w):
+    # each order's key written out letter by letter, sharing no code with the library
+    if spec.kind == "weight_deg":
+        return (sum(spec.weights[i - 1] for i in w), len(w), w)
+    return (len(w), w if spec.kind == "deg_left_lex" else w[::-1])
+
+
+@pytest.mark.parametrize("text", SPECS)
+def test_key_function_matches_sort_key(text):
+    # the certifiers' unchecked keys against the public, checked one
+    spec = parse_order_spec(text)
+    for n in (1, 2, 3):
+        key = termorders._key_function(spec, n)
+        for w in words_up_to_degree(n, 4):
+            assert key(w) == termorders.sort_key(spec, w) == _spelled_out_key(spec, w), (n, w)
+
+
+def test_key_function_reports_a_missing_weight_as_sort_key_does():
+    spec = parse_order_spec("weight:1,2")
+    with pytest.raises(ValueError) as fast:
+        termorders._key_function(spec, 3)
+    with pytest.raises(ValueError) as checked:
+        termorders.sort_key(spec, (1, 3))
+    assert str(fast.value) == str(checked.value)
+    assert str(fast.value) == "letter x3 has no weight; the spec covers letters up to x2"
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, None))
+def test_unchecked_maps_match_the_public_ones(n):
+    for w in commutative.words_up_to_rank(8, n):
+        assert commutative._abelianize(w) == word_module.abelianize(w), w
+        # sorted_form sorts the letters directly, without either map
+        assert commutative._sort_word(commutative._abelianize(w)) == word_module.sorted_form(w)
+    for t in commutative.monomials_up_to_rank(8, n):
+        assert commutative._sort_word(t) == word_module.sort_word(t), t
+
+
 def _odd_ones_key(spec, m):
     # total and degree-first, but a left x1 flips the parity: not multiplicative
     w = tuple(m)
@@ -221,16 +259,18 @@ def test_fallback_reports_match_scan(monkeypatch, key, multiplicative):
 
 
 def test_coconnection_fallbacks_match_scan(monkeypatch):
-    abelianize, sort_word = commutative.abelianize, commutative.sort_word
-    # forget degree-2 words, and send monomials of rank 3 to the identity
-    monkeypatch.setattr(
-        commutative, "abelianize", lambda m: {} if len(m) == 2 else abelianize(m)
-    )
-    monkeypatch.setattr(
-        commutative,
-        "sort_word",
-        lambda t: () if sum(i * e for i, e in t.items()) == 3 else sort_word(t),
-    )
+    abelianize, sort_word = word_module.abelianize, word_module.sort_word
+    # forget degree-2 words, and send monomials of rank 3 to the identity; the
+    # certifier reads the unchecked maps, the scan the public ones
+    for module, prefix in ((commutative, "_"), (word_module, "")):
+        monkeypatch.setattr(
+            module, prefix + "abelianize", lambda m: {} if len(m) == 2 else abelianize(m)
+        )
+        monkeypatch.setattr(
+            module,
+            prefix + "sort_word",
+            lambda t: () if sum(i * e for i, e in t.items()) == 3 else sort_word(t),
+        )
     for n in (1, 2, 3, None):
         for r in range(6):
             report = check_coconnection(n, r)

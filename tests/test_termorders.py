@@ -108,6 +108,15 @@ def test_report_lines():
     ]
 
 
+def test_equal_reports_hash_equal():
+    # the witnesses dict takes part in equality but not in the hash
+    report = validate_order(DEG_LEFT_LEX, 2, 2)
+    assert report.witnesses == {"sorted": ((2, 1), (1, 2))}
+    again = validate_order(DEG_LEFT_LEX, 2, 2)
+    assert report == again and hash(report) == hash(again)
+    assert len({report, again, validate_order(DEG_RIGHT_LEX, 2, 2)}) == 2
+
+
 def test_containment_examples():
     ok, witness = contains_poset(DEG_LEFT_LEX, PosetHandle("nc", 2), 4)
     assert ok and witness is None
