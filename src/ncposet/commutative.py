@@ -166,7 +166,7 @@ def _partition_levels(max_rank: int, n: int | None, limit: int | None) -> tuple:
     # those with exactly k rows lose their first column to one of r - k with
     # at most k rows.  counts keeps the rows of the last top ranks, r - k at -k.
     counts: list[list[int]] = []
-    total = 0
+    starts = [0]  # starts[r]: the partitions of rank < r, the first index of rank r
     for r in range(max_rank + 1):
         row = [int(r == 0)]
         for k in range(1, min(top, r) + 1):
@@ -174,22 +174,22 @@ def _partition_levels(max_rank: int, n: int | None, limit: int | None) -> tuple:
         counts.append(row)
         if len(counts) > top:
             del counts[0]
-        total += row[-1]
+        starts.append(starts[-1] + row[-1])
         # each rank left holds at least x1^r, so refuse as soon as the cap must fall
-        _check_enumeration(f"monomials up to rank {max_rank}", total + max_rank - r, limit)
+        _check_enumeration(f"monomials up to rank {max_rank}", starts[-1] + max_rank - r, limit)
 
     def extend(levels: list) -> tuple:
         box = [_box_covers(p, n) for p in levels[-1][0]] if levels else []
         level = list({u for ups in box for u in ups}) if levels else [()]
         dicts = list(map(_exponents, level))
         labels, partitions, dicts = zip(*sorted(zip(map(_format_monomial, dicts), level, dicts)))
-        index = {p: i for i, p in enumerate(partitions, sum(len(below[0]) for below in levels))}
+        index = {p: i for i, p in enumerate(partitions, starts[len(levels)])}
         covers = tuple(tuple(sorted(map(index.__getitem__, ups))) for ups in box)
         return partitions, labels, dicts, covers
 
     # the store keeps each exponent dict as its items, and each call gets new dicts
     levels, labels, exponents, covers = zip(*_levels(
-        max_rank, extend, ("partitions", n), total,
+        max_rank, extend, ("partitions", n), starts[-1],
         lambda level: (*level[:2], tuple(tuple(t.items()) for t in level[2]), level[3]),
         lambda level: (*level[:2], [dict(items) for items in level[2]], level[3])))
     monomials = [*chain.from_iterable(exponents)]

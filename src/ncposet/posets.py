@@ -5,10 +5,10 @@ variant), "comm" (commutative order on monomials).  A handle may carry an
 alphabet bound n; without one the alphabet is countable and enumeration is
 bounded by the rank cap instead.
 
-Hasse graphs list the upper covers of each element in closed form, one
-generator per family.  "q" is not graded, since sorting a descent keeps
-the rank, and x1*x1 -> x2*x1 -> x1*x2 passes the raising x1*x1 -> x1*x2
-by; `q_covers` keeps only the moves that no such path passes.
+Hasse graphs read each element's covers off its position in the rank
+levels (`hasse`).  "q" is not graded, since sorting a descent keeps the
+rank, and x1*x1 -> x2*x1 -> x1*x2 passes the raising x1*x1 -> x1*x2 by;
+`q_covers` keeps only the moves that no such path passes.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 
-from .commutative import _box_covers, _partition_levels, comm_leq
+from .commutative import _partition_levels, comm_leq
 from .ncorder import _covers_up, nc_leq, raisings
-from .variants import p_leq, q_covers, q_leq, swap_successors
+from .variants import p_leq, q_covers, q_leq
 from .words import (
     Word, _check_alphabet, _word_levels, check_range, check_word, normalize_monomial
 )
@@ -191,9 +191,8 @@ def hasse(handle: PosetHandle, max_rank: int, limit: int | None = None) -> Hasse
     `_partition_levels`, a partition being its monomial's multirank.  No
     "nc", "q" or "comm" move lowers the rank, so their range is a down-set
     and its covers are the order's; "p" takes its covers inside the range.
-    "nc" covers follow from the positions in the level recursion
-    (`_nc_edges`) and "comm" covers come with the partitions, so neither
-    hashes a cover; "q" and "p" look up their `_upper_covers` by key.
+    Word covers follow from the positions in the level recursion
+    (`_word_edges`) and partition covers come with the partitions.
     Once the caps pass, level data comes from a store of <= `TABLE_LIMIT` elements.
     """
     check_range(handle.n, max_rank, "max_rank")
@@ -207,88 +206,87 @@ def hasse(handle: PosetHandle, max_rank: int, limit: int | None = None) -> Hasse
     triples = tuple(zip(elements, ranks, chain.from_iterable(multiranks)))
     # edge ends share one int object per vertex, not one per edge
     ids = list(range(len(triples)))
-    if handle.family == "nc":
-        edges = _nc_edges(levels, handle.n, ids)
-    else:
-        if handle.family != "comm":
-            index = dict(zip(chain.from_iterable(levels), ids))
-            covers = (sorted(map(index.__getitem__, _upper_covers(handle, key, max_rank)))
-                      for key in index)
-        edges = [(ids[i], ids[j]) for i, targets in enumerate(covers) for j in targets]
+    edges = (_word_edges(handle.family, levels, handle.n, ids) if handle.family != "comm"
+             else [(ids[i], ids[j]) for i, targets in enumerate(covers) for j in targets])
     labels = tuple(chain.from_iterable(label_levels))
     return HasseGraph(handle.family, handle.n, max_rank, triples, labels, tuple(edges))
 
 
-def _nc_edges(levels: list, n: int | None, ids: list[int]) -> list[tuple[int, int]]:
-    """The "nc" Hasse edges over `_word_levels` output, each source's targets ascending.
+def _word_edges(family: str, levels: list, n: int | None, ids: list[int]) -> list[tuple[int, int]]:
+    """Hasse edges of a word family over `_word_levels` output, each source's targets ascending.
 
     Rank r lists, for each first letter k, k followed by the words of rank
-    r - k, and x1 first.  So if w = k*t is word i of rank r and t is word j
-    of rank r - k, the covers of w below the top rank lie in rank r + 1:
-    x1*w at i, (k+1)*t at j in block k + 1, and in block k, w*x1 = k*(t*x1)
-    and k*c for each raising c of t: t's edges but x1*t (at j) and t*x1.
-    Each word keeps two ints: the index of w*x1 and where its edges end.
+    r - k, and x1 first.  So if w = k*t is word i of rank r and t word j of
+    rank r - k, w's raisings are (k+1)*t, at j in block k + 1 of rank r + 1,
+    and k*c in block k for each raising c of t, read back from t's edges.
+    "nc" skips x1*t at j, reads t*x1 back as w*x1 and adds x1*w at i (at j = 0
+    and at i = 0 the two pads coincide).  "q" (`q_covers`) skips the raise of
+    t's first letter t0 if k is t0 or t0 + 1, and lists the sorts first: k*s
+    for each sort s of t, and t0*k*t' if t = t0*t' and k > t0; at the top
+    rank it has only these.  "p" skips t's edge to x1^(len(t) + 1), at or
+    before the first word of rank r - k + 1, and draws that edge from each
+    word of length < max_rank with no raising below the top rank.
     """
     max_rank = len(levels) - 1
-    top = max_rank if n is None else min(n, max_rank)
-    letters = sorted(range(1, top + 1), key=str)
+    letters = sorted(range(1, min(n or max_rank, max_rank) + 1), key=str)
     base = [0, *accumulate(map(len, levels))]
+    # blocks[r][k]: where the words of rank r starting with xk begin, up to rank max_rank + 1
+    blocks = [dict(zip(ks, accumulate((len(levels[r - k]) for k in ks), initial=0)))
+              for r in range(max_rank + 2) for ks in [[k for k in letters if k <= r]]]
+    nc, q = family == "nc", family == "q"
     edges = [(ids[0], ids[1])] if max_rank else []
-    # above[k]: where the words of rank r + 1 starting with xk begin
-    times_x1, ends, above = [0], [0, len(edges)], {1: 0}
-    for r in range(1, max_rank):
-        firsts = [k for k in letters if k <= r + 1]
-        starts = accumulate((len(levels[r + 1 - k]) for k in firsts), initial=0)
-        here, above, up = above, dict(zip(firsts, starts)), base[r + 1]
+    # t's edges into the next rank are edges[starts[t]:ends[t + 1]]; "q" lists its sorts,
+    # into t's own rank, before them
+    ends = [0, len(edges)]
+    starts = [0] if q else ends
+    for r in range(1, max_rank + q):
+        here, above, low, up = blocks[r], blocks[r + 1], base[r], base[r + 1]
         for k, start in here.items():
-            block, raised, tails = above[k], above.get(k + 1), base[r - k + 1]
+            block, raised, tails, words = above[k], above.get(k + 1), base[r - k + 1], levels[r - k]
             for j, t in enumerate(range(base[r - k], tails)):
                 i = start + j
-                tx = times_x1[t]
-                wx = block + tx
-                targets = [i] if wx == i else [i, wx]
-                if raised is not None:
-                    targets.append(raised + j)
-                for _, c in edges[ends[t]:ends[t + 1]]:
+                v = ids[low + i]
+                targets = [] if raised is None else [raised + j]
+                if nc:
+                    skip = j or -1
+                    if i:
+                        targets.append(i)
+                elif q:
+                    moved = [start - base[r - k] + c for _, c in edges[ends[t]:starts[t]]]
+                    skip = -1
+                    if k < r:
+                        t0 = words[j][0]
+                        rest = j - blocks[r - k][t0]  # t = t0*t' and t' is word `rest` of its rank
+                        if k > t0:
+                            moved = sorted([*moved, here[t0] + blocks[r - t0][k] + rest])
+                        if k - t0 in (0, 1) and t0 + 1 in blocks[r - k + 1]:
+                            skip = blocks[r - k + 1][t0 + 1] + rest
+                    edges += [(v, ids[low + c]) for c in moved]
+                    starts.append(len(edges))
+                    if r == max_rank:
+                        continue
+                else:
+                    skip = base[len(words[j]) + 1] - tails
+                for _, c in edges[starts[t]:ends[t + 1]]:
                     c -= tails
-                    if c != j and c != tx:
+                    if c != skip:
                         targets.append(block + c)
+                targets = targets or [base[len(words[j]) + 2] - up]
                 targets.sort()
-                v = ids[base[r] + i]
                 edges += [(v, ids[up + c]) for c in targets]
-                times_x1.append(wx)
                 ends.append(len(edges))
+    if family == "p":
+        edges += [(ids[base[max_rank] + i], ids[base[len(w) + 1]])
+                  for i, w in enumerate(levels[max_rank]) if len(w) < max_rank]
     return edges
 
 
-def _upper_covers(handle: PosetHandle, key, max_rank: int | None = None) -> Iterable:
-    """Covers of rank <= max_rank if given, as index keys: words, or partitions for "comm"."""
-    if handle.family == "p":
-        return _p_covers_up(key, handle.n, max_rank)
-    if max_rank is not None and sum(key) >= max_rank:
-        # every "nc", "q" and "comm" cover adds one to the rank, but a "q" descent sort
-        return swap_successors(key) if handle.family == "q" else ()
-    covers = {"nc": _covers_up, "q": q_covers, "comm": _box_covers}[handle.family]
-    return covers(key, handle.n)
+def _upper_covers(handle: PosetHandle, w: Word) -> Iterable[Word]:
+    """The covers of a word in "nc", "q" or "p"; in "p" the raisings, or x1^(d+1) for w = xn^d.
 
-
-def _p_covers_up(w: Word, n: int | None, max_rank: int | None = None) -> list[Word]:
-    """Upper covers of ``w`` in "p", inside the window W of rank <= max_rank if given.
-
-    Without a window they are the raisings, and x1^(d+1) for w = xn^d, the
-    top of degree d = len(w).  Every word of degree d reaches xn^d by
-    raisings, and x1^(d+1) lies below every word of higher degree, so these
-    covers also generate "p" inside every degree window.
-
-    W is not a down-set (x3 < x1*x1), so covers are taken inside W.  If
-    v in W has degree d and lies above w, it dominates w letterwise, so
-    some raising u of w has u <= v, letters <= n and rank rank(w) + 1 <=
-    rank(v): u is in W.  Hence the covers of equal degree are the raisings
-    in W.  x1^(d+1) is the only other candidate, and a cover exactly when
-    it lies in W and no raising does.
+    Every word of degree d = len(w) reaches xn^d by raisings, and x1^(d+1) lies below every
+    word of higher degree, so these covers also generate "p" inside every degree window.
     """
-    if max_rank is None or sum(w) < max_rank:
-        ups = [u for _, u in raisings(w, n)]
-        if ups:
-            return ups
-    return [(1,) * (len(w) + 1)] if max_rank is None or len(w) < max_rank else []
+    if handle.family == "p":
+        return [u for _, u in raisings(w, handle.n)] or [(1,) * (len(w) + 1)]
+    return (_covers_up if handle.family == "nc" else q_covers)(w, handle.n)

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from json.encoder import encode_basestring_ascii
 from types import ModuleType
 
@@ -30,9 +31,9 @@ from ncposet import (
 from ncposet import commutative, errors, words
 from ncposet.commutative import _box_covers, _exponents
 from ncposet.errors import TABLE_LIMIT
-from ncposet.ncorder import _covers_up, _reachable
+from ncposet.ncorder import _covers_up, _reachable, raisings
 from ncposet.posets import HasseGraph, _json_list, _upper_covers
-from ncposet.variants import swap_successors
+from ncposet.variants import q_covers, swap_successors
 from ncposet.words import _format_monomial, _multirank, check_word
 
 
@@ -431,11 +432,39 @@ def test_hasse_comm_formats_each_vertex_once(monkeypatch, cold_store):
     assert calls == []
 
 
-def _lookup_edges(handle, max_rank):
-    """The reference edges: an index over the range and `_upper_covers` of each element.
+def _window_upper_covers(handle, key, max_rank):
+    """Covers of rank <= max_rank of an element in the range, as index keys: words, or
+    partitions for "comm".  Every "nc", "q" and "comm" cover adds one to the rank, but a
+    "q" descent sort; "p" covers are taken inside the range (`_window_p_covers`)."""
+    if handle.family == "p":
+        return _window_p_covers(key, handle.n, max_rank)
+    if sum(key) >= max_rank:
+        return swap_successors(key) if handle.family == "q" else ()
+    return _box_covers(key, handle.n) if handle.family == "comm" else _upper_covers(handle, key)
 
-    Each source's targets ascending.  `hasse` still builds "q" and "p"
-    edges this way, and built "nc" and "comm" edges this way too.
+
+def _window_p_covers(w, n, max_rank):
+    """Upper covers of ``w`` in "p" inside the window W of rank <= max_rank.
+
+    W is not a down-set (x3 < x1*x1), so covers are taken inside W.  If
+    v in W has degree d and lies above w, it dominates w letterwise, so
+    some raising u of w has u <= v, letters <= n and rank rank(w) + 1 <=
+    rank(v): u is in W.  Hence the covers of equal degree are the raisings
+    in W.  x1^(d+1) is the only other candidate, and a cover exactly when
+    it lies in W and no raising does.
+    """
+    if sum(w) < max_rank:
+        ups = [u for _, u in raisings(w, n)]
+        if ups:
+            return ups
+    return [(1,) * (len(w) + 1)] if len(w) < max_rank else []
+
+
+def _lookup_edges(handle, max_rank):
+    """The reference edges: an index over the range and `_window_upper_covers` of each element.
+
+    Each source's targets ascending.  `hasse` draws them from the positions
+    in the level recursion instead, and hashes no element.
     """
     if handle.family == "comm":
         keys = [to_partition(t) for t in monomials_up_to_rank(max_rank, handle.n)]
@@ -445,14 +474,15 @@ def _lookup_edges(handle, max_rank):
     return tuple(
         (i, j)
         for i, key in enumerate(keys)
-        for j in sorted(map(index.__getitem__, _upper_covers(handle, key, max_rank)))
+        for j in sorted(map(index.__getitem__, _window_upper_covers(handle, key, max_rank)))
     )
 
 
 @pytest.mark.parametrize("n", [None, 1, 2, 3, 4, 11])
-@pytest.mark.parametrize("family, top_rank", [("nc", 12), ("comm", 18)])
+@pytest.mark.parametrize("family, top_rank", [("nc", 12), ("q", 12), ("p", 10), ("comm", 18)])
 def test_level_edges_match_the_cover_lookup(family, top_rank, n):
-    # n = 11 puts x10 and x11 between x1 and x2 in each rank's block order
+    # n = 11 puts x10 and x11 between x1 and x2 in each rank's block order, and a "q"
+    # sort of the first two letters past the words that start with x10 and x11
     if family == "nc" and n is None:
         top_rank = 14
     handle = PosetHandle(family, n)
@@ -482,12 +512,15 @@ def test_coconnection_comm_moves_are_the_box_covers(monkeypatch, n):
 
 
 def test_hasse_nc_builds_no_cover_word(monkeypatch):
-    covers = _count_calls(monkeypatch, _covers_up)
-    lookups = _count_calls(monkeypatch, _upper_covers)
-    graph = hasse(PosetHandle("nc"), 12)
-    assert len(graph.vertices) == 4096
-    # the cover lookup called _covers_up once per word below rank 12: 2048 times
-    assert covers == lookups == []
+    covers = [
+        _count_calls(monkeypatch, fn)
+        for fn in (_covers_up, _upper_covers, q_covers, swap_successors, raisings)
+    ]
+    for family, max_rank, vertices in (("nc", 12, 4096), ("q", 10, 1024), ("p", 9, 512)):
+        assert len(hasse(PosetHandle(family), max_rank).vertices) == vertices
+    # a cover lookup calls _upper_covers once per word: _covers_up, q_covers or
+    # swap_successors, and raisings for "q" and "p"
+    assert covers == [[]] * 5
 
 
 def test_hasse_comm_computes_each_cover_once(monkeypatch, cold_store):
@@ -505,6 +538,32 @@ def test_hasse_comm_computes_each_cover_once(monkeypatch, cold_store):
     assert hasse(PosetHandle("comm"), 16) == graph
     hasse(PosetHandle("comm"), 11)
     assert boxes == exponents == lookups == []
+
+
+def _profile_events(module, call):
+    """How many profile events ``call()`` raises in frames of ``module``'s own code."""
+    events = [0]
+
+    def count(frame, event, arg):
+        if frame.f_code.co_filename == module.__file__:
+            events[0] += 1
+
+    sys.setprofile(count)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return events[0]
+
+
+def test_partition_levels_grow_linearly_in_the_ranks(cold_store):
+    # over one letter each rank holds one partition; numbering each rank by summing the
+    # lengths of all ranks below it made these builds quadratic in their ranks
+    work = []
+    for max_rank in (400, 800):
+        cold_store.clear()
+        work.append(_profile_events(commutative, lambda: monomials_up_to_rank(max_rank, 1)))
+    assert work[1] <= 2.2 * work[0], work
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 11, None])
@@ -542,8 +601,9 @@ def _window_covers(handle, max_rank):
         elements = keys = words_up_to_rank(max_rank, handle.n)
     inside = set(keys)
     if handle.family != "p":
+        covers = _box_covers if handle.family == "comm" else lambda w, n: _upper_covers(handle, w)
         return [
-            (e, key, {u for u in _upper_covers(handle, key) if u in inside})
+            (e, key, {u for u in covers(key, handle.n) if u in inside})
             for e, key in zip(elements, keys)
         ]
     comparable = [
@@ -566,7 +626,7 @@ def test_windowed_covers_are_the_covers_inside_the_range(family, n):
         window = _window_covers(handle, max_rank)
         inside = {key for _, key, _ in window}
         for element, key, expected in window:
-            ups = {u for u in _upper_covers(handle, key, max_rank) if u in inside}
+            ups = {u for u in _window_upper_covers(handle, key, max_rank) if u in inside}
             assert ups == expected, (element, max_rank)
 
 
@@ -576,7 +636,7 @@ def test_windowed_covers_stay_inside_the_range(family, n):
     handle = PosetHandle(family, n)
     for max_rank in range(9):
         for element, key, expected in _window_covers(handle, max_rank):
-            assert set(_upper_covers(handle, key, max_rank)) == expected, (element, max_rank)
+            assert set(_window_upper_covers(handle, key, max_rank)) == expected, (element, max_rank)
 
 
 @pytest.mark.parametrize("n", [None, 3, True])
