@@ -224,8 +224,8 @@ def _word_edges(family: str, levels: list, n: int | None, ids: list[int]) -> lis
     t's first letter t0 if k is t0 or t0 + 1, and lists the sorts first: k*s
     for each sort s of t, and t0*k*t' if t = t0*t' and k > t0; at the top
     rank it has only these.  "p" skips t's edge to x1^(len(t) + 1), at or
-    before the first word of rank r - k + 1, and draws that edge from each
-    word of length < max_rank with no raising below the top rank.
+    before the first word of rank r - k + 1; a word w of length d < max_rank
+    with no raising in the range (xn^d, or any of the top rank) has x1^(d+1).
     """
     max_rank = len(levels) - 1
     letters = sorted(range(1, min(n or max_rank, max_rank) + 1), key=str)
