@@ -17,27 +17,26 @@ a rank-bounded range.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
 from .errors import TABLE_LIMIT, _cap, _check_enumeration
 from .ncorder import _reachable, dominated
-from .variants import q_covers
 from .words import (
     CommMonomial,
-    Word,
     _abelianize,
     _check_alphabet,
     _format_monomial,
     _levels,
     _sort_word,
     _suffix_sums,
+    _word_edges,
+    _word_levels,
     check_range,
     format_monomial,
     format_word,
     normalize_monomial,
-    words_up_to_rank,
 )
 
 Partition = tuple[int, ...]
@@ -254,19 +253,20 @@ class CoconnectionReport:
         return json.dumps(payload, indent=2)
 
 
-def _up_sets(edges: list[list[int]]) -> list[int]:
-    """Per element, an int with bit j set iff element j is reachable in zero or more moves.
+def _down_sets(edges: list[list[int]], order: Iterable[int]) -> list[int]:
+    """Per element, an int with bit i set iff element i reaches it in zero or more moves.
 
-    ``edges[i]`` lists the positions one move above element i, all below i,
-    so the table takes at most N(N+1)/2 bits.
+    ``edges[i]`` lists the positions one move above element i, and ``order``
+    lists every position after all those one move below it.  No move lowers
+    the rank and the positions come rank by rank, so no bit of an element's
+    int lies past the last position of its rank.
     """
-    up: list[int] = []
-    for i, out in enumerate(edges):
-        bits = 1 << i
-        for j in out:
-            bits |= up[j]
-        up.append(bits)
-    return up
+    down = [0] * len(edges)
+    for i in order:
+        down[i] |= 1 << i
+        for j in edges[i]:
+            down[j] |= down[i]
+    return down
 
 
 def check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
@@ -276,69 +276,68 @@ def check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
     order-preserving, sorting a word moves it (weakly) up, and abelianize undoes
     sort_word exactly.  Violations are reported, not raised.
 
-    Both orders are generated by their covers (`q_covers`, `_box_covers`), which never
-    lower the rank, so the range holds every chain between its elements.  A descent sort
-    keeps the rank and makes the word lexicographically smaller, so listing the words by
-    rank descending, then lexicographically, puts every cover first, as does reverse
-    canonical order for the monomials, whose covers come from `_partition_levels`.
-    Reachability tables over the covers (`_up_sets`) give the comparable pairs; the
-    monotonicity laws are checked on the covers alone, which suffices by transitivity,
-    and only a failure scans the comparable pairs in canonical order for the first
-    witness.  Each word is abelianized once, giving its partition and, sorted, the word
-    the ascend law checks; each monomial is sorted once, both unchecked (`_abelianize`,
-    `_sort_word`).  More than `TABLE_LIMIT` words raise `LimitError`.
+    Both orders are generated by their covers, which never lower the rank, so the
+    range holds every chain between its elements.  The word covers come from the
+    level recursion (`_word_edges`), the monomial covers from `_partition_levels`,
+    both as canonical positions, and reachability tables over them (`_down_sets`)
+    give the comparable pairs.  Canonical order lists every monomial cover after
+    its lower end.  A descent sort keeps the rank and makes the word
+    lexicographically smaller, so the words are taken by rank, then
+    lexicographically descending; within a rank canonical order is the text order
+    of the letters, which puts x1*x2 before its lower end x2*x1 but x2*x10 after
+    x10*x2.  The monotonicity laws are checked on the covers alone, which suffices
+    by transitivity, and only a failure scans the comparable pairs in canonical
+    order for the first witness.  Each word is abelianized once, giving its
+    partition and, sorted, the word the ascend law checks; each monomial is sorted
+    once, both unchecked (`_abelianize`, `_sort_word`).  More than `TABLE_LIMIT`
+    words raise `LimitError`.
     """
     check_range(n, max_rank, "max_rank")
     # sort_word maps the monomials into the words one to one, so capping the
     # words caps both tables
-    words = words_up_to_rank(max_rank, n, TABLE_LIMIT)
+    levels = _word_levels(max_rank, n, TABLE_LIMIT)[0]
+    words = [*chain.from_iterable(levels)]
     _, _, monomials, c_edges = _partition_levels(max_rank, n, None)
-    q_order = sorted(words, key=lambda w: (-sum(w), w))
-    q_index = {w: i for i, w in enumerate(q_order)}
-    q_edges = [[q_index[u] for u in q_covers(w, n) if u in q_index] for w in q_order]
-    q_up = _up_sets(q_edges)
-    # canonical index g sits at position last - g of the table
-    last = len(monomials) - 1
-    c_up = _up_sets([[last - j for j in out] for out in reversed(c_edges)])
+    q_edges: list[list[int]] = [[] for _ in words]
+    for a, b in _word_edges("q", levels, n, range(len(words))):
+        q_edges[a].append(b)
+    q_order = sorted(range(len(words)), key=lambda i: (-sum(words[i]), words[i]), reverse=True)
+    q_down = _down_sets(q_edges, q_order)
+    c_down = _down_sets(c_edges, range(len(monomials)))
+    position = {w: i for i, w in enumerate(words)}
 
-    def q_reaches(m: Word, m2: Word) -> bool:
-        return bool(q_up[q_index[m]] >> q_index[m2] & 1)
+    def q_reaches(i: int, j: int) -> bool:
+        return bool(q_down[j] >> i & 1)
 
-    def c_reaches(a: int, b: int) -> bool:
-        return bool(c_up[last - a] >> (last - b) & 1)
-
-    parts, ascend_witness = {}, None
-    for m in words:
+    parts, ascend_witness = [], None
+    for i, m in enumerate(words):
         t = _abelianize(m)
-        parts[m] = _suffix_sums(t)
-        if ascend_witness is None and not q_reaches(m, _sort_word(t)):
+        parts.append(_suffix_sums(t))
+        if ascend_witness is None and not q_reaches(i, position[_sort_word(t)]):
             ascend_witness = format_word(m)
     sorted_words = [_sort_word(t) for t in monomials]
+    sorted_at = [position[w] for w in sorted_words]
 
     sigma_witness = None
-    if not all(
-        dominated(parts[q_order[i]], parts[q_order[j]])
-        for i, out in enumerate(q_edges)
-        for j in out
-    ):
+    if not all(dominated(parts[i], parts[j]) for i, out in enumerate(q_edges) for j in out):
         sigma_witness = next(
-            f"{format_word(m)} <= {format_word(m2)}"
-            for m in words
-            for m2 in words
-            if m2 != m and q_reaches(m, m2) and not dominated(parts[m], parts[m2])
+            f"{format_word(words[i])} <= {format_word(words[j])}"
+            for i in range(len(words))
+            for j in range(len(words))
+            if j != i and q_reaches(i, j) and not dominated(parts[i], parts[j])
         )
 
     sigma_plus_witness = None
     if not all(
-        q_reaches(sorted_words[a], sorted_words[b]) for a, out in enumerate(c_edges) for b in out
+        q_reaches(sorted_at[a], sorted_at[b]) for a, out in enumerate(c_edges) for b in out
     ):
         sigma_plus_witness = next(
             f"{format_monomial(monomials[a])} <= {format_monomial(monomials[b])}"
             for a in range(len(monomials))
             for b in range(len(monomials))
             if b != a
-            and c_reaches(a, b)
-            and not q_reaches(sorted_words[a], sorted_words[b])
+            and c_down[b] >> a & 1
+            and not q_reaches(sorted_at[a], sorted_at[b])
         )
 
     roundtrip_witness = next(
@@ -349,12 +348,12 @@ def check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
     laws = (
         LawCheck(
             "abelianize-monotone",
-            sum(bits.bit_count() for bits in q_up) - len(q_up),
+            sum(bits.bit_count() for bits in q_down) - len(q_down),
             sigma_witness,
         ),
         LawCheck(
             "sort-monotone",
-            sum(bits.bit_count() for bits in c_up) - len(c_up),
+            sum(bits.bit_count() for bits in c_down) - len(c_down),
             sigma_plus_witness,
         ),
         LawCheck("word-roundtrip-ascends", len(words), ascend_witness),

@@ -9,8 +9,9 @@ DEFAULT_LIMIT = 1_000_000
 # small: the rank-R words over x1 alone hold R(R+1)/2 letters.
 LETTERS_PER_WORD = 20
 
-# Elements of one reachability table: N elements take up to N(N+1)/2 bits,
-# about 33 MB at the cap.
+# Elements of one reachability table: N elements take under N^2 bits, since
+# no bit of an element lies past the last position of its rank; the 22175
+# words of rank <= 15 over x1..x4 take 42 MB.
 TABLE_LIMIT = 23_000
 
 

@@ -8,23 +8,23 @@ bounded by the rank cap instead.
 Hasse graphs read each element's covers off its position in the rank
 levels (`hasse`).  "q" is not graded, since sorting a descent keeps the
 rank, and x1*x1 -> x2*x1 -> x1*x2 passes the raising x1*x1 -> x1*x2 by;
-`q_covers` keeps only the moves that no such path passes.
+`words._word_edges` keeps only the moves that no such path passes, and
+proves that rule.
 """
 
 from __future__ import annotations
 
 import json
 from collections import defaultdict
-from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .commutative import _partition_levels, comm_leq
-from .ncorder import _covers_up, nc_leq, raisings
-from .variants import p_leq, q_covers, q_leq
+from .ncorder import nc_leq
+from .variants import p_leq, q_leq
 from .words import (
-    Word, _check_alphabet, _word_levels, check_range, check_word, normalize_monomial
+    _check_alphabet, _word_edges, _word_levels, check_range, check_word, normalize_monomial
 )
 
 FAMILIES = ("nc", "q", "p", "comm")
@@ -210,83 +210,3 @@ def hasse(handle: PosetHandle, max_rank: int, limit: int | None = None) -> Hasse
              else [(ids[i], ids[j]) for i, targets in enumerate(covers) for j in targets])
     labels = tuple(chain.from_iterable(label_levels))
     return HasseGraph(handle.family, handle.n, max_rank, triples, labels, tuple(edges))
-
-
-def _word_edges(family: str, levels: list, n: int | None, ids: list[int]) -> list[tuple[int, int]]:
-    """Hasse edges of a word family over `_word_levels` output, each source's targets ascending.
-
-    Rank r lists, for each first letter k, k followed by the words of rank
-    r - k, and x1 first.  So if w = k*t is word i of rank r and t word j of
-    rank r - k, w's raisings are (k+1)*t, at j in block k + 1 of rank r + 1,
-    and k*c in block k for each raising c of t, read back from t's edges.
-    "nc" skips x1*t at j, reads t*x1 back as w*x1 and adds x1*w at i (at j = 0
-    and at i = 0 the two pads coincide).  "q" (`q_covers`) skips the raise of
-    t's first letter t0 if k is t0 or t0 + 1, and lists the sorts first: k*s
-    for each sort s of t, and t0*k*t' if t = t0*t' and k > t0; at the top
-    rank it has only these.  "p" skips t's edge to x1^(len(t) + 1), at or
-    before the first word of rank r - k + 1; a word w of length d < max_rank
-    with no raising in the range (xn^d, or any of the top rank) has x1^(d+1).
-    """
-    max_rank = len(levels) - 1
-    letters = sorted(range(1, min(n or max_rank, max_rank) + 1), key=str)
-    base = [0, *accumulate(map(len, levels))]
-    # blocks[r][k]: where the words of rank r starting with xk begin, up to rank max_rank + 1
-    blocks = [dict(zip(ks, accumulate((len(levels[r - k]) for k in ks), initial=0)))
-              for r in range(max_rank + 2) for ks in [[k for k in letters if k <= r]]]
-    nc, q = family == "nc", family == "q"
-    edges = [(ids[0], ids[1])] if max_rank else []
-    # t's edges into the next rank are edges[starts[t]:ends[t + 1]]; "q" lists its sorts,
-    # into t's own rank, before them
-    ends = [0, len(edges)]
-    starts = [0] if q else ends
-    for r in range(1, max_rank + q):
-        here, above, low, up = blocks[r], blocks[r + 1], base[r], base[r + 1]
-        for k, start in here.items():
-            block, raised, tails, words = above[k], above.get(k + 1), base[r - k + 1], levels[r - k]
-            for j, t in enumerate(range(base[r - k], tails)):
-                i = start + j
-                v = ids[low + i]
-                targets = [] if raised is None else [raised + j]
-                if nc:
-                    skip = j or -1
-                    if i:
-                        targets.append(i)
-                elif q:
-                    moved = [start - base[r - k] + c for _, c in edges[ends[t]:starts[t]]]
-                    skip = -1
-                    if k < r:
-                        t0 = words[j][0]
-                        rest = j - blocks[r - k][t0]  # t = t0*t' and t' is word `rest` of its rank
-                        if k > t0:
-                            moved = sorted([*moved, here[t0] + blocks[r - t0][k] + rest])
-                        if k - t0 in (0, 1) and t0 + 1 in blocks[r - k + 1]:
-                            skip = blocks[r - k + 1][t0 + 1] + rest
-                    edges += [(v, ids[low + c]) for c in moved]
-                    starts.append(len(edges))
-                    if r == max_rank:
-                        continue
-                else:
-                    skip = base[len(words[j]) + 1] - tails
-                for _, c in edges[starts[t]:ends[t + 1]]:
-                    c -= tails
-                    if c != skip:
-                        targets.append(block + c)
-                targets = targets or [base[len(words[j]) + 2] - up]
-                targets.sort()
-                edges += [(v, ids[up + c]) for c in targets]
-                ends.append(len(edges))
-    if family == "p":
-        edges += [(ids[base[max_rank] + i], ids[base[len(w) + 1]])
-                  for i, w in enumerate(levels[max_rank]) if len(w) < max_rank]
-    return edges
-
-
-def _upper_covers(handle: PosetHandle, w: Word) -> Iterable[Word]:
-    """The covers of a word in "nc", "q" or "p"; in "p" the raisings, or x1^(d+1) for w = xn^d.
-
-    Every word of degree d = len(w) reaches xn^d by raisings, and x1^(d+1) lies below every
-    word of higher degree, so these covers also generate "p" inside every degree window.
-    """
-    if handle.family == "p":
-        return [u for _, u in raisings(w, handle.n)] or [(1,) * (len(w) + 1)]
-    return (_covers_up if handle.family == "nc" else q_covers)(w, handle.n)

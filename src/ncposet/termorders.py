@@ -11,15 +11,16 @@ check scans all pairs, for its witness.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import pairwise, product
 from math import isqrt
 from operator import lt
 
 from .errors import ParseError, _cap, _charge
-from .ncorder import _reachable
-from .posets import EQ, GT, LT, PosetHandle, _upper_covers
+from .ncorder import _covers_up, _reachable, raisings
+from .posets import EQ, GT, LT, PosetHandle
+from .variants import swap_successors
 from .words import (
     Word,
     _canonical_key,
@@ -320,17 +321,21 @@ def contains_poset(
 ) -> tuple[bool, tuple[Word, Word] | None]:
     """Does the total order refine the partial order on the bounded range?
 
-    The partial order is generated by its covers (`_upper_covers`).  No
-    cover lowers the degree, so a chain between two words of the range
-    stays inside it, and the key order is transitive: checking each cover
-    inside the range decides the question, in any order of the words.  If
-    a cover fails, the witness is the first pair in canonical order
-    (`canonical_key`, outer then inner word) that the order puts the other
-    way.  By degree and rank descending, then lexicographically, each cover
-    precedes its lower end; one pass in that order carries the least key
-    at or above each word, and the outer word is the first in canonical
-    order with a cover whose least key is not above its own.  One search
-    over the covers from it finds the inner word.
+    The partial order is generated by its moves (`_moves`): the covers for
+    "nc", these and the descent sorts for "q", and for "p" the raisings, or
+    x1^(d+1) above w = xn^d, since every word of degree d reaches xn^d by
+    raisings and x1^(d+1) lies below every word of higher degree.  No move
+    lowers the degree, so a chain between two words of the range stays inside
+    it, and the key order is transitive: checking each move inside the range
+    decides the question, in any order of the words.  If a move fails, the
+    witness is the first pair in canonical order (`canonical_key`, outer then
+    inner word) that the order puts the other way.  A move that keeps the
+    degree raises the rank, or is a sort, which keeps both and makes the word
+    lexicographically smaller; so by degree and rank descending, then
+    lexicographically, each move precedes its lower end.  One pass in that
+    order carries the least key at or above each word, and the outer word is
+    the first in canonical order with a move whose least key is not above its
+    own; one search over the moves from it finds the inner word.
     """
     if handle.family not in ("nc", "q", "p"):
         raise ValueError(f"containment checks cover word posets, not {handle.family!r}")
@@ -343,7 +348,7 @@ def contains_poset(
     keys = {w: key(w) for w in words}
 
     def up(w: Word) -> list[Word]:
-        return [u for u in _upper_covers(handle, w) if len(u) <= max_degree]
+        return [u for u in _moves(handle, w) if len(u) <= max_degree]
 
     if all(keys[w] < keys[u] for w in words for u in up(w)):
         return True, None
@@ -357,3 +362,11 @@ def contains_poset(
     a = min(marked, key=_canonical_key)
     late = (b for b in _reachable(a, up) if b != a and not keys[a] < keys[b])
     return False, (a, min(late, key=_canonical_key))
+
+
+def _moves(handle: PosetHandle, w: Word) -> Iterable[Word]:
+    """The moves up from a valid word that generate the handle's order (`contains_poset`)."""
+    if handle.family == "p":
+        return [u for _, u in raisings(w, handle.n)] or [(1,) * (len(w) + 1)]
+    moves = _covers_up(w, handle.n)
+    return moves | swap_successors(w) if handle.family == "q" else moves

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import _charge
-from .ncorder import raisings
 from .words import Word, check_word
 
 __all__ = ["q_leq", "p_leq"]
@@ -27,37 +26,6 @@ def swap_successors(w: Word) -> set[Word]:
     return out
 
 
-def q_covers(w: Word, n: int | None) -> set[Word]:
-    """Upper covers of a valid ``w`` in the sorted-order variant.
-
-    They are the descent sorts, w*x1, and each raising of a letter c whose
-    left neighbour is neither c nor c + 1.  An nc move (pad, raise) adds one
-    to the rank; a sort keeps it and removes one inversion.  So a cover is
-    one move, and a sort is one, since all between is reached by sorts.  A
-    sort followed by an nc move is an nc move followed by at most one sort;
-    the sort vanishes only where c+1, c -> c, c+1 -> c+1, c+1 is the raise
-    of a c whose left neighbour is c + 1.  So every path from w up one rank
-    is sorts, one nc move, sorts, and a longer path to an nc move v makes v
-    that raise or sorts v from an nc move w' != v.  w' and v have the same
-    letters, so both pad or both raise a c.  Both pad: sorts never add an
-    inversion and x1*w has no more inversions than w*x1, so only x1*w is
-    sorted from w*x1 (its x1 moves left past each letter above it; for
-    w = x1^k they are equal).  Both raise, at j' < j as sorts move large
-    letters right: sorts keep equal letters in order, so if the left
-    neighbour l of position j is above c + 1, the last c + 1 of v (at j)
-    follows l in v but precedes it in w', and if l < c, the last c of v
-    before j precedes l in v but follows it in w' (at j).  Either way v has
-    an inversion that w' lacks.  Conversely, raising j - 1 and then sorting
-    (l = c), or sorting and then raising j - 1 (l = c + 1), takes two moves.
-    """
-    out = swap_successors(w)
-    out.add(w + (1,))
-    out.update(
-        u for j, u in raisings(w, n) if not (j and w[j - 1] in (w[j], w[j] + 1))
-    )
-    return out
-
-
 def q_leq(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> bool:
     """Comparability in the sorted-order variant, by first fit.
 
@@ -69,8 +37,9 @@ def q_leq(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> bool:
     free letter before its pick is < c.  (<=) Let u be the picked letters
     followed by the rest: its prefix dominates m, so m <=_nc u, and putting
     p_{k-1}, ..., p_0 back moves each right past smaller letters only, a
-    chain of descent sorts up to ``m2``.  (=>) By `q_covers`, a sort then an
-    nc move is an nc move then at most one sort, so m <=_nc u for some u
+    chain of descent sorts up to ``m2``.  (=>) By the proof of the "q" cover
+    rule (`words._word_edges`), a sort then an nc move is an nc move then at
+    most one sort, so m <=_nc u for some u
     that sorts to ``m2``.  Some window u[s .. s+k-1] dominates m, and first
     fit on u picks p_t <= s + t (s + t is free, as each p_i <= s + i), so u
     has a pick sequence.  A sort b a -> a b (b > a) keeps every pick

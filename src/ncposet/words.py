@@ -375,6 +375,97 @@ def _word_levels(max_rank: int, n: int | None, limit: int | None, data: bool = F
     return words, [labels for _, labels in kept], [multiranks for multiranks, _ in kept]
 
 
+def _word_edges(
+    family: str, levels: list, n: int | None, ids: Sequence[int]
+) -> list[tuple[int, int]]:
+    """Hasse edges of a word family over `_word_levels` output, each source's targets ascending.
+
+    Rank r lists, for each first letter k, k followed by the words of rank
+    r - k, and x1 first.  So if w = k*t is word i of rank r and t word j of
+    rank r - k, w's raisings are (k+1)*t, at j in block k + 1 of rank r + 1,
+    and k*c in block k for each raising c of t, read back from t's edges.
+    "nc" skips x1*t at j, reads t*x1 back as w*x1 and adds x1*w at i (at j = 0
+    and at i = 0 the two pads coincide).  "q" skips the raise of t's first
+    letter t0 if k is t0 or t0 + 1, and lists the sorts first: k*s for each
+    sort s of t, and t0*k*t' if t = t0*t' and k > t0; at the top rank it has
+    only these.  "p" skips t's edge to x1^(len(t) + 1), at or before the
+    first word of rank r - k + 1; a word w of length d < max_rank with no
+    raising in the range (xn^d, or any of the top rank) has x1^(d+1).
+
+    The "q" covers of w are thus its descent sorts, w*x1, and each raising of
+    a letter c whose left neighbour is neither c nor c + 1.  An nc move (pad,
+    raise) adds one to the rank; a sort keeps it and removes one inversion.
+    So a cover is one move, and a sort is one, since all between is reached
+    by sorts.  A sort followed by an nc move is an nc move followed by at
+    most one sort; the sort vanishes only where c+1, c -> c, c+1 -> c+1, c+1
+    is the raise of a c whose left neighbour is c + 1.  So every path from w
+    up one rank is sorts, one nc move, sorts, and a longer path to an nc move
+    v makes v that raise or sorts v from an nc move w' != v.  w' and v have
+    the same letters, so both pad or both raise a c.  Both pad: sorts never
+    add an inversion and x1*w has no more inversions than w*x1, so only x1*w
+    is sorted from w*x1 (its x1 moves left past each letter above it; for
+    w = x1^k they are equal).  Both raise, at j' < j as sorts move large
+    letters right: sorts keep equal letters in order, so if the left
+    neighbour l of position j is above c + 1, the last c + 1 of v (at j)
+    follows l in v but precedes it in w', and if l < c, the last c of v
+    before j precedes l in v but follows it in w' (at j).  Either way v has
+    an inversion that w' lacks.  Conversely, raising j - 1 and then sorting
+    (l = c), or sorting and then raising j - 1 (l = c + 1), takes two moves.
+    """
+    max_rank = len(levels) - 1
+    letters = sorted(range(1, min(n or max_rank, max_rank) + 1), key=str)
+    base = [0, *itertools.accumulate(map(len, levels))]
+    # blocks[r][k]: where the words of rank r starting with xk begin, up to rank max_rank + 1
+    blocks = [dict(zip(ks, itertools.accumulate((len(levels[r - k]) for k in ks), initial=0)))
+              for r in range(max_rank + 2) for ks in [[k for k in letters if k <= r]]]
+    nc, q = family == "nc", family == "q"
+    edges = [(ids[0], ids[1])] if max_rank else []
+    # t's edges into the next rank are edges[starts[t]:ends[t + 1]]; "q" lists its sorts,
+    # into t's own rank, before them
+    ends = [0, len(edges)]
+    starts = [0] if q else ends
+    for r in range(1, max_rank + q):
+        here, above, low, up = blocks[r], blocks[r + 1], base[r], base[r + 1]
+        for k, start in here.items():
+            block, raised, tails, words = above[k], above.get(k + 1), base[r - k + 1], levels[r - k]
+            for j, t in enumerate(range(base[r - k], tails)):
+                i = start + j
+                v = ids[low + i]
+                targets = [] if raised is None else [raised + j]
+                if nc:
+                    skip = j or -1
+                    if i:
+                        targets.append(i)
+                elif q:
+                    moved = [start - base[r - k] + c for _, c in edges[ends[t]:starts[t]]]
+                    skip = -1
+                    if k < r:
+                        t0 = words[j][0]
+                        rest = j - blocks[r - k][t0]  # t = t0*t' and t' is word `rest` of its rank
+                        if k > t0:
+                            moved = sorted([*moved, here[t0] + blocks[r - t0][k] + rest])
+                        if k - t0 in (0, 1) and t0 + 1 in blocks[r - k + 1]:
+                            skip = blocks[r - k + 1][t0 + 1] + rest
+                    edges += [(v, ids[low + c]) for c in moved]
+                    starts.append(len(edges))
+                    if r == max_rank:
+                        continue
+                else:
+                    skip = base[len(words[j]) + 1] - tails
+                for _, c in edges[starts[t]:ends[t + 1]]:
+                    c -= tails
+                    if c != skip:
+                        targets.append(block + c)
+                targets = targets or [base[len(words[j]) + 2] - up]
+                targets.sort()
+                edges += [(v, ids[up + c]) for c in targets]
+                ends.append(len(edges))
+    if family == "p":
+        edges += [(ids[base[max_rank] + i], ids[base[len(w) + 1]])
+                  for i, w in enumerate(levels[max_rank]) if len(w) < max_rank]
+    return edges
+
+
 def _levels(max_rank: int, extend: Callable, key: tuple, size: int,
             pack: Callable, unpack: Callable) -> list:
     """Levels 0..max_rank, each ``extend(levels below it)``, kept under ``key`` as ``pack``

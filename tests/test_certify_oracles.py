@@ -5,8 +5,9 @@ verdicts on generating moves and adjacent pairs.  The scans below are the
 direct definitions: every pair of the range, in canonical order.  They call
 the library through module attributes, so a monkeypatched key or map
 reaches both sides.  Reports, verdicts, witnesses and counts must agree.
-`contains_poset` is also held to a search over the covers from each word,
-which reaches larger ranges than the scan.
+`contains_poset` is also held to a search over the covers from each word
+(`test_hasse._covers`, which spells out the "q" rule), which reaches larger
+ranges than the scan.
 """
 
 from functools import partial
@@ -17,7 +18,7 @@ from ncposet import commutative, termorders
 from ncposet import words as word_module
 from ncposet.commutative import CoconnectionReport, LawCheck, check_coconnection
 from ncposet.ncorder import _reachable
-from ncposet.posets import EQ, GT, LT, PosetHandle, _upper_covers, leq
+from ncposet.posets import EQ, GT, LT, PosetHandle, leq
 from ncposet.termorders import (
     OrderValidationReport,
     contains_poset,
@@ -26,6 +27,7 @@ from ncposet.termorders import (
 )
 from ncposet.variants import q_leq
 from ncposet.words import canonical_key, format_monomial, format_word, words_up_to_degree
+from test_hasse import _covers
 
 SPECS = ("deglex", "degrevlex", "weight:1,2,3", "weight:1,3,4", "weight:2,3,5")
 
@@ -100,7 +102,7 @@ def contains_poset_search(spec, handle, max_degree):
     # from each word in canonical order, search its up-set in the range for
     # a word the order does not put above it
     def up(w):
-        return [u for u in _upper_covers(handle, w) if len(u) <= max_degree]
+        return [u for u in _covers(handle, w) if len(u) <= max_degree]
 
     for a in sorted(words_up_to_degree(handle.n, max_degree), key=canonical_key):
         key = termorders.sort_key(spec, a)
@@ -113,7 +115,7 @@ def contains_poset_search(spec, handle, max_degree):
 def check_coconnection_scan(n, max_rank):
     abelianize, sort_word = word_module.abelianize, word_module.sort_word
     comm_leq = commutative.comm_leq
-    words = commutative.words_up_to_rank(max_rank, n)
+    words = word_module.words_up_to_rank(max_rank, n)
     monomials = commutative.monomials_up_to_rank(max_rank, n)
     sigma = [
         (m, m2) for m in words for m2 in words if m != m2 and q_leq(m, m2, n)
@@ -212,7 +214,7 @@ def test_key_function_reports_a_missing_weight_as_sort_key_does():
 
 @pytest.mark.parametrize("n", (1, 2, 3, None))
 def test_unchecked_maps_match_the_public_ones(n):
-    for w in commutative.words_up_to_rank(8, n):
+    for w in word_module.words_up_to_rank(8, n):
         assert commutative._abelianize(w) == word_module.abelianize(w), w
         # sorted_form sorts the letters directly, without either map
         assert commutative._sort_word(commutative._abelianize(w)) == word_module.sorted_form(w)

@@ -331,6 +331,19 @@ def test_coconnection_counts_at_rank_8():
         assert [law.checked for law in report.laws] == counts, n
 
 
+def test_coconnection_counts_past_x9():
+    # canonical order lists a rank's words in the text order of their letters, so x10 and
+    # up sort between x1 and x2 there; the counts are the all-pairs ones of the cover lookup
+    # that the level edges replace
+    for n, max_rank, counts in (
+        (None, 13, [2906356, 14688, 8192, 373]),
+        (11, 12, [889022, 8571, 4095, 271]),
+    ):
+        report = check_coconnection(n, max_rank)
+        assert report.ok
+        assert [law.checked for law in report.laws] == counts, n
+
+
 def test_coconnection_rejects_bad_ranges():
     for n, r in ((0, 3), (-2, 3), (2, -1)):
         with pytest.raises(ValueError):

@@ -28,12 +28,12 @@ from ncposet import (
     words_up_to_degree,
     words_up_to_rank,
 )
-from ncposet import commutative, errors, words
+from ncposet import commutative, errors, termorders, words
 from ncposet.commutative import _box_covers, _exponents
 from ncposet.errors import TABLE_LIMIT
 from ncposet.ncorder import _covers_up, _reachable, raisings
-from ncposet.posets import HasseGraph, _json_list, _upper_covers
-from ncposet.variants import q_covers, swap_successors
+from ncposet.posets import HasseGraph, _json_list
+from ncposet.variants import swap_successors
 from ncposet.words import _format_monomial, _multirank, check_word
 
 
@@ -274,13 +274,13 @@ def test_closed_form_covers_match_reduction_of_all_pairs(n, family, top_rank, fa
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_unwindowed_p_covers_generate_p_in_every_degree_window(n):
-    # the covers without a rank window add x1^(d+1) above xn^d only
+    # the moves that contains_poset walks add x1^(d+1) above xn^d only
     handle = PosetHandle("p", n)
     for max_degree in range(5):
         words = words_up_to_degree(n, max_degree)
         for w in words:
             reached = _reachable(
-                w, lambda v: [u for u in _upper_covers(handle, v) if len(u) <= max_degree]
+                w, lambda v: [u for u in termorders._moves(handle, v) if len(u) <= max_degree]
             )
             assert reached == {u for u in words if p_leq(w, u)}, (w, n, max_degree)
 
@@ -440,7 +440,7 @@ def _window_upper_covers(handle, key, max_rank):
         return _window_p_covers(key, handle.n, max_rank)
     if sum(key) >= max_rank:
         return swap_successors(key) if handle.family == "q" else ()
-    return _box_covers(key, handle.n) if handle.family == "comm" else _upper_covers(handle, key)
+    return _covers(handle, key)
 
 
 def _window_p_covers(w, n, max_rank):
@@ -458,6 +458,27 @@ def _window_p_covers(w, n, max_rank):
         if ups:
             return ups
     return [(1,) * (len(w) + 1)] if len(w) < max_rank else []
+
+
+def _q_covers(w, n):
+    """Upper covers of a word in "q", spelled out with no library code: the descent sorts,
+    w*x1, and each raising of a letter c whose left neighbour is neither c nor c + 1.
+    `words._word_edges` draws them by position and proves the rule."""
+    sorts = {w[:k] + (w[k + 1], w[k]) + w[k + 2 :] for k in range(len(w) - 1) if w[k] > w[k + 1]}
+    raised = {
+        w[:j] + (c + 1,) + w[j + 1 :]
+        for j, c in enumerate(w)
+        if (n is None or c < n) and not (j and w[j - 1] in (c, c + 1))
+    }
+    return sorts | raised | {w + (1,)}
+
+
+def _covers(handle, key):
+    """Upper covers of an index key with no rank window; in "p" the raisings, or x1^(d+1)
+    for w = xn^d: the covers inside every degree window."""
+    if handle.family == "p":
+        return [u for _, u in raisings(key, handle.n)] or [(1,) * (len(key) + 1)]
+    return {"nc": _covers_up, "q": _q_covers, "comm": _box_covers}[handle.family](key, handle.n)
 
 
 def _lookup_edges(handle, max_rank):
@@ -490,43 +511,81 @@ def test_level_edges_match_the_cover_lookup(family, top_rank, n):
         assert hasse(handle, max_rank).edges == _lookup_edges(handle, max_rank), max_rank
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, None])
-def test_coconnection_comm_moves_are_the_box_covers(monkeypatch, n):
-    up_sets = commutative._up_sets
+def _coconnection_tables(monkeypatch, n, max_rank):
+    """The (edges, order) of each reachability table `check_coconnection(n, max_rank)` builds."""
+    down_sets = commutative._down_sets
     tables = []
 
-    def recording(edges):
-        tables.append(edges)
-        return up_sets(edges)
+    def recording(edges, order):
+        tables.append((edges, list(order)))
+        return down_sets(edges, tables[-1][1])
 
-    monkeypatch.setattr(commutative, "_up_sets", recording)
+    monkeypatch.setattr(commutative, "_down_sets", recording)
+    assert check_coconnection(n, max_rank).ok
+    return tables
+
+
+def _cover_table(keys, covers):
+    """Per key, the positions of its covers among ``keys``, ascending."""
+    position = {key: i for i, key in enumerate(keys)}
+    return [sorted(position[u] for u in covers(key) if u in position) for key in keys]
+
+
+def _lists_lower_ends_first(edges, order):
+    place = {i: k for k, i in enumerate(order)}
+    return sorted(order) == list(range(len(edges))) and all(
+        place[i] < place[j] for i, out in enumerate(edges) for j in out
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, None])
+def test_coconnection_comm_moves_are_the_box_covers(monkeypatch, n):
     for max_rank in range(9):
-        tables.clear()
-        assert check_coconnection(n, max_rank).ok
-        _, c_table = tables
-        # the table lists the monomials in reverse canonical order
-        keys = [to_partition(t) for t in monomials_up_to_rank(max_rank, n)][::-1]
-        position = {p: i for i, p in enumerate(keys)}
-        expected = [sorted(position[u] for u in _box_covers(p, n) if u in position) for p in keys]
+        _, (c_table, order) = _coconnection_tables(monkeypatch, n, max_rank)
+        # the table lists the monomials by canonical position
+        keys = [to_partition(t) for t in monomials_up_to_rank(max_rank, n)]
+        expected = _cover_table(keys, lambda p: _box_covers(p, n))
         assert [sorted(out) for out in c_table] == expected, max_rank
+        assert _lists_lower_ends_first(c_table, order), max_rank
+
+
+@pytest.mark.parametrize("n, top_rank", [(1, 10), (2, 9), (3, 8), (11, 12), (None, 9)])
+def test_coconnection_q_moves_are_the_q_covers(monkeypatch, n, top_rank):
+    # n = 11 reaches rank 12, where x2*x10 follows its lower end x10*x2 in canonical order
+    # although x1*x2 precedes x2*x1
+    for max_rank in range(top_rank + 1):
+        (q_table, order), _ = _coconnection_tables(monkeypatch, n, max_rank)
+        keys = words_up_to_rank(max_rank, n)
+        handle = PosetHandle("q", n)
+        expected = _cover_table(keys, lambda w: _window_upper_covers(handle, w, max_rank))
+        assert [sorted(out) for out in q_table] == expected, max_rank
+        assert _lists_lower_ends_first(q_table, order), max_rank
 
 
 def test_hasse_nc_builds_no_cover_word(monkeypatch):
     covers = [
         _count_calls(monkeypatch, fn)
-        for fn in (_covers_up, _upper_covers, q_covers, swap_successors, raisings)
+        for fn in (_covers_up, termorders._moves, swap_successors, raisings)
     ]
     for family, max_rank, vertices in (("nc", 12, 4096), ("q", 10, 1024), ("p", 9, 512)):
         assert len(hasse(PosetHandle(family), max_rank).vertices) == vertices
-    # a cover lookup calls _upper_covers once per word: _covers_up, q_covers or
-    # swap_successors, and raisings for "q" and "p"
-    assert covers == [[]] * 5
+    # a cover lookup per word calls _covers_up, or swap_successors and raisings for "q"
+    # (the rule of the tests' _q_covers), or raisings for "p"
+    assert covers == [[]] * 4
+
+
+def test_coconnection_builds_no_cover_word(monkeypatch):
+    covers = [_count_calls(monkeypatch, fn) for fn in (_covers_up, swap_successors, raisings)]
+    for n, max_rank in ((None, 10), (3, 8)):
+        assert check_coconnection(n, max_rank).ok
+    # a "q" cover lookup per word made thousands of these calls
+    assert covers == [[]] * 3
 
 
 def test_hasse_comm_computes_each_cover_once(monkeypatch, cold_store):
     boxes = _count_calls(monkeypatch, _box_covers)
     exponents = _count_calls(monkeypatch, _exponents)
-    lookups = _count_calls(monkeypatch, _upper_covers)
+    lookups = _count_calls(monkeypatch, termorders._moves)
     graph = hasse(PosetHandle("comm"), 16)
     # one _box_covers per partition below rank 16 (915 - 231), one _exponents
     # per partition; the cover lookup called each twice as often
@@ -601,9 +660,8 @@ def _window_covers(handle, max_rank):
         elements = keys = words_up_to_rank(max_rank, handle.n)
     inside = set(keys)
     if handle.family != "p":
-        covers = _box_covers if handle.family == "comm" else lambda w, n: _upper_covers(handle, w)
         return [
-            (e, key, {u for u in covers(key, handle.n) if u in inside})
+            (e, key, {u for u in _covers(handle, key) if u in inside})
             for e, key in zip(elements, keys)
         ]
     comparable = [
