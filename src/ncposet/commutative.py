@@ -21,7 +21,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import TABLE_LIMIT, _cap, _check_enumeration
+from . import errors
+from .errors import _cap, _check_enumeration
 from .ncorder import _reachable, dominated
 from .words import (
     CommMonomial,
@@ -29,6 +30,7 @@ from .words import (
     _check_alphabet,
     _format_monomial,
     _levels,
+    _remembered,
     _sort_word,
     _suffix_sums,
     _word_edges,
@@ -291,11 +293,21 @@ def check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
     partition and, sorted, the word the ascend law checks; each monomial is sorted
     once, both unchecked (`_abelianize`, `_sort_word`).  More than `TABLE_LIMIT`
     words raise `LimitError`.
+
+    The arguments are checked on every call; the report is then kept for the life
+    of the process (`_remembered`), and a repeated call under the same caps gets
+    it back without building a table again.
     """
     check_range(n, max_rank, "max_rank")
+    return _check_coconnection(n, max_rank)
+
+
+@_remembered
+def _check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
+    """`check_coconnection` on checked arguments."""
     # sort_word maps the monomials into the words one to one, so capping the
     # words caps both tables
-    levels = _word_levels(max_rank, n, TABLE_LIMIT)[0]
+    levels = _word_levels(max_rank, n, errors.TABLE_LIMIT)[0]
     words = [*chain.from_iterable(levels)]
     _, _, monomials, c_edges = _partition_levels(max_rank, n, None)
     q_edges: list[list[int]] = [[] for _ in words]

@@ -30,6 +30,11 @@ def _cap(limit: int | None = None) -> int:
     return DEFAULT_LIMIT if limit is None else limit
 
 
+def _caps() -> tuple[int, int, int]:
+    """The caps as they stand, for keying a result: one made under other caps is another."""
+    return DEFAULT_LIMIT, LETTERS_PER_WORD, TABLE_LIMIT
+
+
 def _charge(amount: int, what: str) -> None:
     """Raise `LimitError` if a call plans more than `DEFAULT_LIMIT` units of work or output."""
     if amount > DEFAULT_LIMIT:

@@ -12,7 +12,7 @@ check scans all pairs, for its witness.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import pairwise, product
 from math import isqrt
 from operator import lt
@@ -25,6 +25,7 @@ from .words import (
     Word,
     _canonical_key,
     _count_up_to_degree,
+    _remembered,
     check_range,
     check_word,
     words_up_to_degree,
@@ -54,7 +55,9 @@ class TermOrderSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown order kind {self.kind!r}; expected one of {KINDS}")
         if self.kind == "weight_deg":
-            w = self.weights
+            # a tuple before the checks: the frozen spec hashes, and its weights stay checked
+            w = tuple(self.weights or ())
+            object.__setattr__(self, "weights", w)
             if not w:
                 raise ValueError("weight_deg needs at least one weight")
             # plain ints with 0 < w1 < w2 < ...
@@ -201,9 +204,20 @@ def validate_order(
     before any word is built, and the fallback scan charges a running total
     that starts from them; beyond it `LimitError` is raised.  The cofactors
     are held to the square root of the cap.
+
+    The arguments are checked on every call; the report is then kept for the
+    life of the process (`_remembered`), and a repeated call under the same
+    caps gets it back without certifying again, with its own witnesses dict.
     """
     check_range(n, max_degree, "max_degree")
     check_range(n, cofactor_degree, "cofactor_degree")
+    report = _validate_order(spec, n, max_degree, cofactor_degree)
+    return replace(report, witnesses=dict(report.witnesses))
+
+
+@_remembered
+def _validate_order(spec, n, max_degree, cofactor_degree) -> OrderValidationReport:
+    """`validate_order` on checked arguments."""
     count = _count_up_to_degree(n, max_degree)
     key = _key_function(spec, n)
     # the checks below visit every pair of cofactors
@@ -336,12 +350,22 @@ def contains_poset(
     order carries the least key at or above each word, and the outer word is
     the first in canonical order with a move whose least key is not above its
     own; one search over the moves from it finds the inner word.
+
+    The arguments are checked on every call; the answer is then kept for the
+    life of the process (`_remembered`), and a repeated call under the same
+    caps gets it back without checking a move again.
     """
     if handle.family not in ("nc", "q", "p"):
         raise ValueError(f"containment checks cover word posets, not {handle.family!r}")
     if handle.n is None:
         raise ValueError("containment checks need a bounded alphabet")
     check_range(handle.n, max_degree, "max_degree")
+    return _contains_poset(spec, handle, max_degree)
+
+
+@_remembered
+def _contains_poset(spec, handle, max_degree) -> tuple[bool, tuple[Word, Word] | None]:
+    """`contains_poset` on checked arguments."""
     words = words_up_to_degree(handle.n, max_degree)
     # at degree 0 only the identity is keyed
     key = _key_function(spec, handle.n if max_degree else 0)

@@ -12,7 +12,8 @@ import itertools
 import re
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
-from .errors import LETTERS_PER_WORD, TABLE_LIMIT, ParseError, _cap, _charge, _check_enumeration
+from . import errors
+from .errors import ParseError, _cap, _caps, _charge, _check_enumeration
 
 __all__ = [
     "Word",
@@ -48,6 +49,11 @@ _MON_FACTOR = re.compile(r"x([1-9][0-9]*)(?:\^([1-9][0-9]*))?\Z")
 # The rank levels kept by `_levels` with their size in elements, per (kind, alphabet bound):
 # the word levels that `hasse` draws, and the partition levels
 _KEPT: dict[tuple, tuple[int, list]] = {}
+
+# The certifiers' reports kept by `_remembered`, at most _KEPT_REPORTS, least recently
+# used first
+_REPORTS: dict[tuple, object] = {}
+_KEPT_REPORTS = 256
 
 
 def _check_alphabet(n: int | None) -> None:
@@ -369,7 +375,7 @@ def _word_levels(max_rank: int, n: int | None, limit: int | None, data: bool = F
     # with the letters: LETTERS_PER_WORD letters count as one element, as in the caps, so
     # x1^0..x1^6324 (2*10^7 letters, 60 MB of labels) is never kept
     kept = _levels(max_rank, extend, ("words", n),
-                   max(total_words, total_letters // LETTERS_PER_WORD),
+                   max(total_words, total_letters // errors.LETTERS_PER_WORD),
                    lambda level: (tuple(level[0]), " ".join(level[1])),
                    lambda level: (level[0], level[1].split(" ")))
     return words, [labels for _, labels in kept], [multiranks for multiranks, _ in kept]
@@ -475,8 +481,29 @@ def _levels(max_rank: int, extend: Callable, key: tuple, size: int,
     levels = [*map(unpack, kept)]
     while len(levels) <= max_rank:
         levels.append(extend(levels))
-    if len(kept) < len(levels) and size <= TABLE_LIMIT:
-        if size + sum(held for k, (held, _) in [*_KEPT.items()] if k != key) > TABLE_LIMIT:
+    if len(kept) < len(levels) and size <= errors.TABLE_LIMIT:
+        if size + sum(held for k, (held, _) in [*_KEPT.items()] if k != key) > errors.TABLE_LIMIT:
             _KEPT.clear()
         _KEPT[key] = size, [*kept, *map(pack, levels[len(kept):])]
     return levels
+
+
+def _remembered(body: Callable) -> Callable:
+    """``body``, its reports kept in `_REPORTS` and a repeated call answered from there.
+
+    `_REPORTS` holds the `_KEPT_REPORTS` reports of all bodies used last, each under
+    its body, arguments and the caps (`_caps`): a report made under other caps is never
+    reused, and a call that raises keeps nothing.  The caller checks the arguments
+    first, and every caller of a kept report gets the same object, so it is immutable.
+    """
+    def remembered(*args):
+        key = (body, args, _caps())
+        if key in _REPORTS:
+            _REPORTS[key] = report = _REPORTS.pop(key)
+            return report
+        report = body(*args)
+        if len(_REPORTS) >= _KEPT_REPORTS:
+            del _REPORTS[next(iter(_REPORTS))]
+        _REPORTS[key] = report
+        return report
+    return remembered

@@ -11,6 +11,7 @@ from ncposet import (
     check_coconnection,
     comm_leq,
     comm_leq_oracle,
+    errors,
     from_partition,
     monomial_canonical_key,
     monomial_product,
@@ -351,12 +352,10 @@ def test_coconnection_rejects_bad_ranges():
 
 
 def test_coconnection_table_cap(monkeypatch):
-    from ncposet import commutative
-
-    # 33 words and 23 monomials at (2, 6)
-    monkeypatch.setattr(commutative, "TABLE_LIMIT", 33)
+    # 33 words and 23 monomials at (2, 6); the cap is read from errors at call time
+    monkeypatch.setattr(errors, "TABLE_LIMIT", 33)
     assert check_coconnection(2, 6).ok
-    monkeypatch.setattr(commutative, "TABLE_LIMIT", 32)
+    monkeypatch.setattr(errors, "TABLE_LIMIT", 32)
     with pytest.raises(LimitError):
         check_coconnection(2, 6)
 

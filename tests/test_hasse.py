@@ -837,6 +837,21 @@ def test_the_store_keeps_at_most_table_limit_elements(cold_store):
     assert _snapshot(cold_store) == before
 
 
+def test_the_store_reads_its_caps_at_call_time(monkeypatch, cold_store):
+    # 32 words of rank <= 5 over the unbounded alphabet
+    monkeypatch.setattr(errors, "TABLE_LIMIT", 31)
+    hasse(PosetHandle("nc"), 5)
+    assert cold_store == {}
+    monkeypatch.setattr(errors, "TABLE_LIMIT", 32)
+    hasse(PosetHandle("nc"), 5)
+    assert {key: size for key, (size, _) in cold_store.items()} == {("words", None): 32}
+    # 601 words of 180300 letters count as 180300 // 10 elements under 10 letters per word
+    monkeypatch.setattr(errors, "TABLE_LIMIT", TABLE_LIMIT)
+    monkeypatch.setattr(errors, "LETTERS_PER_WORD", 10)
+    hasse(PosetHandle("nc", 1), 600)
+    assert cold_store[("words", 1)][0] == 18030
+
+
 def test_mutating_a_graph_changes_no_later_graph(cold_store):
     first = hasse(PosetHandle("comm", 3), 6)
     expected = repr(first.vertices), first.to_json()

@@ -61,6 +61,23 @@ def test_weights_must_be_plain_positive_ints(weights):
     )
 
 
+def test_weight_spec_keeps_a_tuple():
+    # a list of weights was once kept as given: the frozen spec did not hash, and
+    # s.weights[0] = 9 changed a checked spec to [9, 2, 3]
+    weights = [1, 2, 3]
+    spec = termorders.TermOrderSpec("weight_deg", weights)
+    weights[0] = 9
+    assert spec == weight_deg(1, 2, 3) and spec.weights == (1, 2, 3)
+    assert hash(spec) == hash(weight_deg(1, 2, 3))
+    with pytest.raises(TypeError):
+        spec.weights[0] = 9
+    with pytest.raises(AttributeError):
+        spec.weights = [9, 2, 3]
+    assert validate_order(spec, 3, 2) == validate_order(weight_deg(1, 2, 3), 3, 2)
+    with pytest.raises(ValueError, match=r"got \(2, 1\)$"):
+        termorders.TermOrderSpec("weight_deg", [2, 1])
+
+
 def test_parse_order_spec():
     assert parse_order_spec("deglex") is DEG_LEFT_LEX
     assert parse_order_spec("degrevlex") is DEG_RIGHT_LEX
