@@ -265,14 +265,84 @@ def _parser_and_commands() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
+def _value(action, token):
+    """``token`` as ``action``'s value: converted by its type, in its choices."""
+    if token[:1] == "-":
+        raise ValueError(token)
+    value = token if action.type is None else action.type(token)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(token)
+    return value
+
+
+def _read(command, tokens):
+    """The namespace ``command.parse_known_args(tokens)`` builds, or None.
+
+    The grammar is the sub-parser's own actions and defaults.  Read are exact
+    option strings that store one value or store true, each value the next
+    token, and positionals in order, a ``nargs="+"`` one only as the last
+    and in one run.  No value or positional starts with "-", and each passes
+    through its action's type and choices.  Anything else gives None: help,
+    "--", "=" and attached values, abbreviations, a failed conversion or
+    choice, a missing or a leftover argument.  argparse then parses the call
+    and reports it as it always has.
+    """
+    args = argparse.Namespace()
+    values = vars(args)
+    for action in command._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            values.setdefault(action.dest, action.default)
+    for dest, default in command._defaults.items():
+        values.setdefault(dest, default)
+    positionals = [action for action in command._actions if not action.option_strings]
+    seen, run = set(), None
+    tokens = iter(tokens)
+    try:
+        for token in tokens:
+            if token[:1] == "-":
+                action, run = command._option_string_actions.get(token), None
+                if type(action) is argparse._StoreTrueAction:
+                    value = True
+                elif type(action) is argparse._StoreAction and action.nargs is None:
+                    value = _value(action, next(tokens, "-"))
+                else:
+                    return None
+            elif run is not None:
+                run.append(_value(action, token))
+                continue
+            elif positionals:
+                action = positionals.pop(0)
+                value = _value(action, token)
+                if action.nargs == "+" and not positionals:
+                    value = run = [value]
+                elif action.nargs is not None:
+                    return None
+            else:
+                return None
+            values[action.dest] = value
+            seen.add(action)
+        for action in command._actions:
+            if action not in seen:
+                if action.required:
+                    return None
+                # argparse converts a string default that nothing replaced
+                if isinstance(action.default, str) and values.get(action.dest) is action.default:
+                    values[action.dest] = (
+                        action.default if action.type is None else action.type(action.default)
+                    )
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    return args
+
+
 # Building the parser costs far more than parsing one argv, so `run` builds
 # it on first use and keeps it for the life of the process.  A call that
-# names a command is parsed once, by that command's sub-parser: the full
-# parser would spend a whole pass only to find the command.  The full
-# parser still takes each call the sub-parser cannot parse cleanly (no
-# command, an unknown one, leftover arguments) and prints its usage error.
-# Each parse starts from a fresh namespace, so nothing carries over between
-# calls.
+# names a command is read by `_read` from that command's sub-parser, with no
+# argparse pass: a parse costs several times the read.  A call the reader
+# declines goes to the sub-parser, and a call the sub-parser cannot parse
+# cleanly (no command, an unknown one, leftover arguments) to the full
+# parser, which prints its usage error.  Each call starts from a fresh
+# namespace, so nothing carries over between calls.
 _shared_parser = functools.lru_cache(maxsize=1)(_parser_and_commands)
 
 
@@ -280,16 +350,19 @@ def run(argv) -> int:
     """Parse argv and dispatch; returns the process exit code.
 
     The parser is built once per process, so `run` may be called repeatedly
-    in-process at the cost of one sub-parser pass over the arguments.
+    in-process; a well-formed call is read without an argparse pass.
     """
     parser, commands = _shared_parser()
     command = commands.get(argv[0]) if argv else None
+    args = None if command is None else _read(command, argv[1:])
     try:
-        if command is not None:
+        if args is None and command is not None:
             args, extras = command.parse_known_args(argv[1:])
-            args.command = argv[0]
-        if command is None or extras:  # no command or leftovers: a usage error
+            args = None if extras else args
+        if args is None:  # no command or leftovers: a usage error
             args = parser.parse_args(argv)
+        else:
+            args.command = argv[0]
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -102,6 +102,11 @@ def parse_order_spec(text: str) -> TermOrderSpec:
     )
 
 
+def _check_spec(spec) -> None:
+    if not isinstance(spec, TermOrderSpec):
+        raise ValueError(f"a term order is a TermOrderSpec, got {spec!r}")
+
+
 def _no_weight(spec: TermOrderSpec, letter: int) -> ValueError:
     return ValueError(
         f"letter x{letter} has no weight; the spec covers letters up to x{len(spec.weights)}"
@@ -209,6 +214,9 @@ def validate_order(
     life of the process (`_remembered`), and a repeated call under the same
     caps gets it back without certifying again, with its own witnesses dict.
     """
+    _check_spec(spec)
+    if n is None:
+        raise ValueError("order validation needs a bounded alphabet")
     check_range(n, max_degree, "max_degree")
     check_range(n, cofactor_degree, "cofactor_degree")
     report = _validate_order(spec, n, max_degree, cofactor_degree)
@@ -355,6 +363,7 @@ def contains_poset(
     life of the process (`_remembered`), and a repeated call under the same
     caps gets it back without checking a move again.
     """
+    _check_spec(spec)
     if handle.family not in ("nc", "q", "p"):
         raise ValueError(f"containment checks cover word posets, not {handle.family!r}")
     if handle.n is None:

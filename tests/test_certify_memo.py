@@ -141,6 +141,10 @@ def test_the_memo_keeps_its_bound(monkeypatch):
          "containment checks cover word posets, not 'comm'"),
         (lambda: contains_poset(DEG_LEFT_LEX, PosetHandle("nc"), 1),
          "containment checks need a bounded alphabet"),
+        (lambda: validate_order(DEG_LEFT_LEX, None, 1), "order validation needs a bounded alphabet"),
+        (lambda: validate_order("deglex", 1, 1), "a term order is a TermOrderSpec, got 'deglex'"),
+        (lambda: contains_poset("degrevlex", PosetHandle("nc", 1), 1),
+         "a term order is a TermOrderSpec, got 'degrevlex'"),
         (lambda: check_coconnection(True, 1), "alphabet bound must be an int >= 1, got True"),
         (lambda: check_coconnection(1, 1.0), "max_rank must be an int >= 0, got 1.0"),
         (lambda: check_coconnection(1, -1), "max_rank must be >= 0, got -1"),

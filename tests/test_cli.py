@@ -915,17 +915,91 @@ def test_shuffled_dispatch_tokens_parse_as_the_full_parser(argv):
     assert _parse_through_run(argv) == _parse_in_full(argv)
 
 
-def test_a_command_is_parsed_in_one_pass(capsys):
-    calls = []
+def _counting_parses(calls):
+    """A patch of argparse's parse pass that records each parser it runs."""
     parse = argparse.ArgumentParser.parse_known_args
 
     def counting(self, *args, **kwargs):
         calls.append(self.prog)
         return parse(self, *args, **kwargs)
 
-    with mock.patch.object(argparse.ArgumentParser, "parse_known_args", counting):
+    return mock.patch.object(argparse.ArgumentParser, "parse_known_args", counting)
+
+
+# argparse spellings of well-formed calls, drawn from each sub-parser's own
+# actions: exact option strings in any order and repeated, positionals
+# interleaved with them (a nargs="+" one as one run), and values that
+# convert with surrounding space, a sign or nothing at all
+_INT_VALUES = ("0", " 3", "+3", "2 ", "12")
+_TEXT_VALUES = ("", "0", " 3", "+3", "1", "x1", "x2*x1", "x1 ", "nope", "rank")
+
+
+def _action_values(action):
+    if action.choices is not None:
+        return st.sampled_from(sorted(action.choices))
+    return st.sampled_from(_INT_VALUES if action.type is int else _TEXT_VALUES)
+
+
+@st.composite
+def _well_formed_argv(draw):
+    name, command = draw(st.sampled_from(sorted(cli._shared_parser()[1].items())))
+    units, positionals = [], []
+    for action in command._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if not action.option_strings:
+            count = draw(st.integers(1, 3)) if action.nargs == "+" else 1
+            positionals.append([draw(_action_values(action)) for _ in range(count)])
+            continue
+        for _ in range(draw(st.integers(1 if action.required else 0, 3))):
+            option = [draw(st.sampled_from(action.option_strings))]
+            units.append(option if action.nargs == 0 else option + [draw(_action_values(action))])
+    units = draw(st.permutations(units))
+    # the positionals keep their order, each one before the option unit its slot names
+    slots = draw(st.lists(st.integers(0, len(units)), min_size=len(positionals),
+                          max_size=len(positionals)).map(sorted))
+    for run, at in reversed(list(zip(positionals, slots))):
+        units.insert(at, run)
+    return [name, *(token for unit in units for token in unit)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(_well_formed_argv())
+def test_well_formed_calls_are_read_without_argparse(argv):
+    calls = []
+    with _counting_parses(calls):
+        through_run = _parse_through_run(argv)
+    assert calls == []
+    assert through_run == _parse_in_full(argv)
+
+
+# argv that the reader must hand to argparse, each with a meaning of its own
+# there: an option string or a negative number where a value is due, a lone
+# "-" (a positional to argparse), a "+" run split by an option, an empty int
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("check-order", "-n", "2", "--max-degree", "1", "--order", "-h"),
+        ("check-order", "-n", "2", "--max-degree", "1", "--order", "--contains"),
+        ("cmp", "-n", "-1", "--poset", "nc", "x1", "x2"),
+        ("cmp", "--poset", "nc", "-n"),
+        ("rank", "-"),
+        ("closure", "-n", "2", "x1", "-n", "3", "x2"),
+        ("hasse", "--poset", "nc", "--max-rank", ""),
+        ("series", "--terms", "3", "--verify", "x1"),
+    ),
+)
+def test_declined_calls_parse_as_the_full_parser(argv):
+    assert cli._read(cli._shared_parser()[1][argv[0]], argv[1:]) is None
+    assert _parse_through_run(argv) == _parse_in_full(argv)
+
+
+def test_a_command_is_parsed_in_one_pass(capsys):
+    calls = []
+    with _counting_parses(calls):
         assert _invoke(capsys, "rank", "x2*x1")[:2] == (0, "rank: 3\nmultirank: [2,1]\n")
-        assert calls == ["ncposet rank"]
+        # a well-formed call is read with no argparse pass at all
+        assert calls == []
         # leftovers go to the full parser, which reports them as it always has
         code, out, err = _invoke(capsys, "rank", "x1", "x2")
     assert (code, out) == (2, "")
