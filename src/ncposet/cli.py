@@ -321,18 +321,11 @@ def _read(command, tokens):
                 return None
             values[action.dest] = value
             seen.add(action)
-        for action in command._actions:
-            if action not in seen:
-                if action.required:
-                    return None
-                # argparse converts a string default that nothing replaced
-                if isinstance(action.default, str) and values.get(action.dest) is action.default:
-                    values[action.dest] = (
-                        action.default if action.type is None else action.type(action.default)
-                    )
     except (TypeError, ValueError, argparse.ArgumentTypeError):
         return None
-    return args
+    # argparse would also pass an unused string default through the action's
+    # type; no default here has a type, so each default is taken as it is
+    return None if any(a.required and a not in seen for a in command._actions) else args
 
 
 # Building the parser costs far more than parsing one argv, so `run` builds

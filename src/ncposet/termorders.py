@@ -135,6 +135,7 @@ def _key_function(spec: TermOrderSpec, top: int) -> Callable[[Word], tuple]:
 
 def sort_key(spec: TermOrderSpec, m: Sequence[int]):
     """A total-order key: words compare under ``spec`` as their keys do."""
+    _check_spec(spec)
     w = check_word(m)
     if spec.kind == "weight_deg":
         for i in w:

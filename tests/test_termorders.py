@@ -49,6 +49,9 @@ def test_weight_spec_validation():
         weight_deg()
     with pytest.raises(ValueError):
         order_compare(weight_deg(1, 2), (3,), (1,))
+    # a spec name is not a spec: once a bare AttributeError from the key
+    with pytest.raises(ValueError, match="a term order is a TermOrderSpec, got 'deglex'"):
+        order_compare("deglex", (1,), (2,))
 
 
 @pytest.mark.parametrize("weights", [(True, 2), (1.5, 2), ("1", "2"), (1, 2.0)])
