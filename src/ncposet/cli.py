@@ -284,8 +284,8 @@ def _read(command, tokens):
     and in one run.  No value or positional starts with "-", and each passes
     through its action's type and choices.  Anything else gives None: help,
     "--", "=" and attached values, abbreviations, a failed conversion or
-    choice, a missing or a leftover argument.  argparse then parses the call
-    and reports it as it always has.
+    choice, a missing or a leftover argument.  The full parser then parses
+    the call and reports it as it always has.
     """
     args = argparse.Namespace()
     values = vars(args)
@@ -331,11 +331,11 @@ def _read(command, tokens):
 # Building the parser costs far more than parsing one argv, so `run` builds
 # it on first use and keeps it for the life of the process.  A call that
 # names a command is read by `_read` from that command's sub-parser, with no
-# argparse pass: a parse costs several times the read.  A call the reader
-# declines goes to the sub-parser, and a call the sub-parser cannot parse
-# cleanly (no command, an unknown one, leftover arguments) to the full
-# parser, which prints its usage error.  Each call starts from a fresh
-# namespace, so nothing carries over between calls.
+# argparse pass: a parse costs several times the read.  Every call the
+# reader declines (no command, an unknown one, help, another spelling, a
+# bad or leftover argument) goes to the full parser, which parses it or
+# prints its usage error.  Each call starts from a fresh namespace, so
+# nothing carries over between calls.
 _shared_parser = functools.lru_cache(maxsize=1)(_parser_and_commands)
 
 
@@ -349,10 +349,7 @@ def run(argv) -> int:
     command = commands.get(argv[0]) if argv else None
     args = None if command is None else _read(command, argv[1:])
     try:
-        if args is None and command is not None:
-            args, extras = command.parse_known_args(argv[1:])
-            args = None if extras else args
-        if args is None:  # no command or leftovers: a usage error
+        if args is None:  # declined by the reader: argparse parses it
             args = parser.parse_args(argv)
         else:
             args.command = argv[0]
