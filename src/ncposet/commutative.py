@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from itertools import chain
 
 from . import errors
@@ -26,6 +25,7 @@ from .errors import _cap, _check_enumeration
 from .ncorder import _reachable, dominated
 from .words import (
     CommMonomial,
+    _Record,
     _abelianize,
     _check_alphabet,
     _format_monomial,
@@ -197,8 +197,7 @@ def _partition_levels(max_rank: int, n: int | None, limit: int | None) -> tuple:
     return levels, labels, monomials, [*chain.from_iterable(covers), *[()] * len(levels[-1])]
 
 
-@dataclass(frozen=True)
-class LawCheck:
+class LawCheck(_Record):
     """Outcome of one coconnection law: how many instances, first violation.
 
     For the two monotonicity laws ``checked`` counts the comparable pairs of
@@ -216,8 +215,7 @@ class LawCheck:
         return self.witness is None
 
 
-@dataclass(frozen=True)
-class CoconnectionReport:
+class CoconnectionReport(_Record):
     n: int | None
     max_rank: int
     laws: tuple[LawCheck, ...]

@@ -12,12 +12,11 @@ nonzero generator never stops.
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import _charge
 from .ncorder import raisings
-from .words import Word, _canonical_key, _has_factor, check_range, check_word, format_word
+from .words import Word, _Record, _canonical_key, _has_factor, check_range, check_word, format_word
 
 __all__ = [
     "IdealGens",
@@ -36,8 +35,7 @@ __all__ = [
 _KEPT_WORD_WORK = 20
 
 
-@dataclass(frozen=True)
-class IdealGens:
+class IdealGens(_Record):
     """Alphabet bound plus a factor-divisibility antichain of generators."""
 
     n: int
@@ -133,8 +131,7 @@ def _raising_work(g: Word, n: int, lengths: Iterable[int]) -> int:
     return sum(c < n for c in g) * _window_work(g, lengths)
 
 
-@dataclass(frozen=True)
-class StabilityCheck:
+class StabilityCheck(_Record):
     """Window certificate plus the exact generator-level raising check.
 
     ``window_closed`` is the verdict: the members of rank <= rank_bound are

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -24,7 +23,7 @@ from .commutative import _partition_levels, comm_leq
 from .ncorder import nc_leq
 from .variants import p_leq, q_leq
 from .words import (
-    _check_alphabet, _word_edges, _word_levels, check_range, check_word, normalize_monomial
+    _Record, _check_alphabet, _word_edges, _word_levels, check_range, check_word, normalize_monomial
 )
 
 FAMILIES = ("nc", "q", "p", "comm")
@@ -48,8 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PosetHandle:
+class PosetHandle(_Record):
     """One of the four order families, optionally over a bounded alphabet."""
 
     family: str
@@ -91,8 +89,7 @@ def compare(handle: PosetHandle, a, b) -> str:
     return INCOMPARABLE
 
 
-@dataclass(frozen=True)
-class HasseGraph:
+class HasseGraph(_Record):
     """Cover graph of one family restricted to the elements of rank <= bound.
 
     Vertices are (element, rank, multirank) triples in canonical order

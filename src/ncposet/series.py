@@ -9,16 +9,13 @@ recounts them by generating the words outright.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import _charge
-from .words import _word_levels, check_range
+from .words import _Record, _word_levels, check_range
 
 __all__ = ["CoefficientTable", "rank_coefficients", "enumerate_by_rank"]
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(_Record):
     n: int | None
     coefficients: tuple[int, ...]
 

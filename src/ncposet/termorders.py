@@ -12,7 +12,6 @@ check scans all pairs, for its witness.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field, replace
 from itertools import pairwise, product
 from math import isqrt
 from operator import lt
@@ -23,6 +22,7 @@ from .posets import EQ, GT, LT, PosetHandle
 from .variants import swap_successors
 from .words import (
     Word,
+    _Record,
     _canonical_key,
     _count_up_to_degree,
     _remembered,
@@ -46,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TermOrderSpec:
+class TermOrderSpec(_Record):
     kind: str
     weights: tuple[int, ...] | None = None
 
@@ -153,8 +152,7 @@ def order_compare(spec: TermOrderSpec, m: Sequence[int], m2: Sequence[int]) -> s
     return LT if a < b else GT
 
 
-@dataclass(frozen=True)
-class OrderValidationReport:
+class OrderValidationReport(_Record, unhashed=("witnesses",)):
     spec: TermOrderSpec
     n: int
     max_degree: int
@@ -165,7 +163,7 @@ class OrderValidationReport:
     is_sorted: bool
     is_degree_compatible: bool
     # compared, not hashed: a dict has no hash
-    witnesses: dict = field(hash=False)
+    witnesses: dict
 
     @property
     def axioms_ok(self) -> bool:
@@ -221,7 +219,7 @@ def validate_order(
     check_range(n, max_degree, "max_degree")
     check_range(n, cofactor_degree, "cofactor_degree")
     report = _validate_order(spec, n, max_degree, cofactor_degree)
-    return replace(report, witnesses=dict(report.witnesses))
+    return OrderValidationReport(**{**vars(report), "witnesses": dict(report.witnesses)})
 
 
 @_remembered

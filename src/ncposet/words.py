@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from operator import attrgetter
 
 from . import errors
 from .errors import ParseError, _cap, _caps, _charge, _check_enumeration
@@ -507,3 +508,54 @@ def _remembered(body: Callable) -> Callable:
         _REPORTS[key] = report
         return report
     return remembered
+
+
+class _Record:
+    """A frozen record, the base of the library's result types.
+
+    The fields are the subclass's annotations, in order, and at least two: `attrgetter`
+    returns one field bare.  A class attribute of a field's name is its default.  A
+    record is built by position or keyword, then `__post_init__` runs.  Its repr is
+    ``Name(field=value, ...)``; records are equal when they are of one class with equal
+    fields, and a record hashes as the tuple of its fields less the ``unhashed`` ones.
+    Setting or deleting an attribute raises `AttributeError`; `object.__setattr__` and
+    `vars` write past that.  This is what ``@dataclass(frozen=True)`` made, without
+    importing `dataclasses` and, through it, `inspect` at start-up.
+    """
+
+    def __init_subclass__(cls, unhashed: tuple[str, ...] = ()) -> None:
+        cls._fields = cls.__match_args__ = fields = tuple(cls.__annotations__)
+        cls._values = values = attrgetter(*fields)
+        hashed = attrgetter(*[name for name in fields if name not in unhashed])
+        defaults = {name: vars(cls)[name] for name in fields if name in vars(cls)}
+
+        # closures over the fields: a class attribute costs a lookup on every call
+        def __init__(self, *args, **kwargs) -> None:
+            if kwargs or len(args) != len(fields):
+                given = {**defaults, **dict(zip(fields, args)), **kwargs}
+                if (len(args) > len(fields) or given.keys() != set(fields)
+                        or not kwargs.keys().isdisjoint(fields[:len(args)])):
+                    raise TypeError(f"{cls.__qualname__}() takes {fields}, got {args} and {kwargs}")
+                args = map(given.__getitem__, fields)
+            vars(self).update(zip(fields, args))
+            self.__post_init__()
+
+        def __eq__(self, other) -> bool:
+            if other.__class__ is self.__class__:
+                return values(self) == values(other)
+            return NotImplemented
+
+        cls.__init__, cls.__eq__, cls.__hash__ = __init__, __eq__, lambda self: hash(hashed(self))
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __repr__(self) -> str:
+        fields = zip(self._fields, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -835,6 +835,20 @@ def test_import_builds_no_parser():
     assert done.stdout == "0\n"
 
 
+def test_import_loads_no_dataclasses():
+    # only the modules the import adds: a site hook may load some before it
+    probe = (
+        "import sys; before = set(sys.modules); import ncposet.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    added = done.stdout.split()
+    assert "ncposet.cli" in added
+    assert {"dataclasses", "inspect"}.isdisjoint(added), added
+
+
 # argv that the one-pass dispatch in `run` must parse exactly as the full
 # parser does: no command, a first token that is not one, leftovers, a
 # missing positional, `--`, `=` values, abbreviated and attached options,
