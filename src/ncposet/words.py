@@ -525,15 +525,16 @@ class _Record:
 
     def __init_subclass__(cls, unhashed: tuple[str, ...] = ()) -> None:
         cls._fields = cls.__match_args__ = fields = tuple(cls.__annotations__)
-        cls._values = values = attrgetter(*fields)
+        values = attrgetter(*fields)
         hashed = attrgetter(*[name for name in fields if name not in unhashed])
         defaults = {name: vars(cls)[name] for name in fields if name in vars(cls)}
+        names = {*fields}
 
         # closures over the fields: a class attribute costs a lookup on every call
         def __init__(self, *args, **kwargs) -> None:
             if kwargs or len(args) != len(fields):
                 given = {**defaults, **dict(zip(fields, args)), **kwargs}
-                if (len(args) > len(fields) or given.keys() != set(fields)
+                if (len(args) > len(fields) or given.keys() != names
                         or not kwargs.keys().isdisjoint(fields[:len(args)])):
                     raise TypeError(f"{cls.__qualname__}() takes {fields}, got {args} and {kwargs}")
                 args = map(given.__getitem__, fields)
@@ -551,8 +552,8 @@ class _Record:
         pass
 
     def __repr__(self) -> str:
-        fields = zip(self._fields, self._values(self))
-        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
