@@ -538,7 +538,10 @@ class _Record:
                         or not kwargs.keys().isdisjoint(fields[:len(args)])):
                     raise TypeError(f"{cls.__qualname__}() takes {fields}, got {args} and {kwargs}")
                 args = map(given.__getitem__, fields)
-            vars(self).update(zip(fields, args))
+            # stored as a dataclass stores them: an instance dict built with `vars`
+            # would move every later read of a field off the interpreter's fastest path
+            for name, value in zip(fields, args):
+                object.__setattr__(self, name, value)
             self.__post_init__()
 
         def __eq__(self, other) -> bool:

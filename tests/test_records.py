@@ -83,7 +83,7 @@ def test_the_nine_types_are_the_records():
 
 
 def test_fields_are_the_annotations_in_order():
-    assert PosetHandle._fields == ("family", "n")
+    assert PosetHandle._fields == PosetHandle.__match_args__ == ("family", "n")
     assert OrderValidationReport._fields[-1] == "witnesses"
     assert "_lookup" not in IdealGens._fields
 
