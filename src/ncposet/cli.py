@@ -8,10 +8,10 @@ stderr.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
+from types import SimpleNamespace
 
 from .commutative import check_coconnection
 from .errors import LimitError, ParseError, _cap
@@ -178,181 +178,172 @@ def _cmd_coconnection(args) -> int:
     return 0
 
 
-def _add_word_argument(parser, name="word"):
-    parser.add_argument(name, help='word like "x2*x1" ("1" for the identity)')
+def _arg(*strings, **keywords) -> tuple[tuple[str, ...], dict]:
+    """One argument of the table: its option strings and its `add_argument` keywords."""
+    return strings, keywords
+
+
+_WORD = _arg(dest="word", help='word like "x2*x1" ("1" for the identity)')
+_GENS = _arg(dest="gens", nargs="+", metavar="GEN")
+_N = _arg("-n", dest="n", type=int, default=None)
+_N_REQUIRED = _arg("-n", dest="n", type=int, required=True)
+
+# The command line, one entry per command in the order of the help: the command's
+# help, its handler and its arguments in order, each one as `add_argument` takes it,
+# its dest named (no option strings make a positional).  An option stores one value
+# or is store-true; a nargs="+" positional comes last.
+_COMMANDS = {
+    "cmp": ("compare two elements in a poset", _cmd_cmp, (
+        _arg("--poset", dest="poset", required=True, choices=FAMILIES),
+        _arg("-n", dest="n", type=int, default=None, help="alphabet bound"),
+        _arg(dest="a"), _arg(dest="b"),
+    )),
+    "covers": ("cover sets in the base word order", _cmd_covers, (
+        _arg("--dir", dest="dir", required=True, choices=("up", "down")), _N, _WORD)),
+    "hasse": ("Hasse graph up to a rank bound", _cmd_hasse, (
+        _arg("--poset", dest="poset", required=True, choices=FAMILIES),
+        _N,
+        _arg("--max-rank", dest="max_rank", required=True, type=int),
+        _arg("--format", dest="format", default="json", choices=("json", "dot")),
+        _arg("--limit", dest="limit", type=int, default=None, help="vertex cap"),
+    )),
+    "rank": ("rank and multirank of a word", _cmd_rank, (_WORD,)),
+    "abelianize": ("letter occurrence counts of a word", _cmd_abelianize, (_WORD,)),
+    "sort": ("sorted form of a word", _cmd_sort, (_WORD,)),
+    "walk": ("lattice walk of a word", _cmd_walk, (_WORD,)),
+    "closure": ("strongly stable closure of an ideal", _cmd_closure, (_N_REQUIRED, _GENS)),
+    "is-stable": ("certify strong stability on a rank window", _cmd_is_stable, (
+        _N_REQUIRED,
+        _arg("--rank-bound", dest="rank_bound", type=int, required=True),
+        _GENS,
+    )),
+    "check-order": ("validate a term order's axioms", _cmd_check_order, (
+        _arg("--order", dest="order", required=True, help="deglex | degrevlex | weight:1,2,3"),
+        _N_REQUIRED,
+        _arg("--max-degree", dest="max_degree", type=int, required=True),
+        _arg("--contains", dest="contains", choices=("nc", "q", "p"), default=None),
+    )),
+    "series": ("rank generating function coefficients", _cmd_series, (
+        _N,
+        _arg("--terms", dest="terms", type=int, required=True),
+        _arg("--verify", dest="verify", action="store_true", help="cross-check by enumeration"),
+        _arg("--limit", dest="limit", type=int, default=None, help="enumeration cap"),
+    )),
+    "coconnection": ("coconnection law report", _cmd_coconnection, (
+        _N_REQUIRED,
+        _arg("--max-rank", dest="max_rank", type=int, required=True),
+        _arg("--json", dest="json", action="store_true"),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    return _parser_and_commands()[0]
+    """A new argparse parser for the command line, built from `_COMMANDS`."""
+    import argparse
 
-
-def _parser_and_commands() -> tuple[argparse.ArgumentParser, dict]:
-    """The full parser, and its sub-parsers by command name."""
     parser = argparse.ArgumentParser(
-        prog="ncposet",
-        description="Posets classifying term orders on free-monoid words.",
-    )
+        prog="ncposet", description="Posets classifying term orders on free-monoid words.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cmp", help="compare two elements in a poset")
-    p.add_argument("--poset", required=True, choices=FAMILIES)
-    p.add_argument("-n", type=int, default=None, help="alphabet bound")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_cmd_cmp)
-
-    p = sub.add_parser("covers", help="cover sets in the base word order")
-    p.add_argument("--dir", required=True, choices=("up", "down"))
-    p.add_argument("-n", type=int, default=None)
-    _add_word_argument(p)
-    p.set_defaults(handler=_cmd_covers)
-
-    p = sub.add_parser("hasse", help="Hasse graph up to a rank bound")
-    p.add_argument("--poset", required=True, choices=FAMILIES)
-    p.add_argument("-n", type=int, default=None)
-    p.add_argument("--max-rank", required=True, type=int)
-    p.add_argument("--format", default="json", choices=("json", "dot"))
-    p.add_argument("--limit", type=int, default=None, help="vertex cap")
-    p.set_defaults(handler=_cmd_hasse)
-
-    p = sub.add_parser("rank", help="rank and multirank of a word")
-    _add_word_argument(p)
-    p.set_defaults(handler=_cmd_rank)
-
-    p = sub.add_parser("abelianize", help="letter occurrence counts of a word")
-    _add_word_argument(p)
-    p.set_defaults(handler=_cmd_abelianize)
-
-    p = sub.add_parser("sort", help="sorted form of a word")
-    _add_word_argument(p)
-    p.set_defaults(handler=_cmd_sort)
-
-    p = sub.add_parser("walk", help="lattice walk of a word")
-    _add_word_argument(p)
-    p.set_defaults(handler=_cmd_walk)
-
-    p = sub.add_parser("closure", help="strongly stable closure of an ideal")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("gens", nargs="+", metavar="GEN")
-    p.set_defaults(handler=_cmd_closure)
-
-    p = sub.add_parser("is-stable", help="certify strong stability on a rank window")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--rank-bound", type=int, required=True)
-    p.add_argument("gens", nargs="+", metavar="GEN")
-    p.set_defaults(handler=_cmd_is_stable)
-
-    p = sub.add_parser("check-order", help="validate a term order's axioms")
-    p.add_argument("--order", required=True, help="deglex | degrevlex | weight:1,2,3")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--contains", choices=("nc", "q", "p"), default=None)
-    p.set_defaults(handler=_cmd_check_order)
-
-    p = sub.add_parser("series", help="rank generating function coefficients")
-    p.add_argument("-n", type=int, default=None)
-    p.add_argument("--terms", type=int, required=True)
-    p.add_argument("--verify", action="store_true", help="cross-check by enumeration")
-    p.add_argument("--limit", type=int, default=None, help="enumeration cap")
-    p.set_defaults(handler=_cmd_series)
-
-    p = sub.add_parser("coconnection", help="coconnection law report")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--max-rank", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_coconnection)
-
-    return parser, sub.choices
+    for name, (summary, handler, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for strings, keywords in arguments:
+            p.add_argument(*strings, **keywords)
+        p.set_defaults(handler=handler)
+    return parser
 
 
-def _value(action, token):
-    """``token`` as ``action``'s value: converted by its type, in its choices."""
+def _lookups(arguments) -> tuple[dict, list, dict, set]:
+    """One command's options by option string, its positionals in order, the defaults argparse
+    sets and the dests it requires, each argument as (dest, store-true, type, choices, nargs)."""
+    options, positionals, defaults, required = {}, [], {}, set()
+    for strings, keywords in arguments:
+        get = keywords.get
+        flag = get("action") == "store_true"
+        argument = keywords["dest"], flag, get("type"), get("choices"), get("nargs")
+        defaults[argument[0]] = get("default", False if flag else None)
+        if not strings:
+            positionals.append(argument)
+        if not strings or get("required"):
+            required.add(argument[0])
+        options.update(dict.fromkeys(strings, argument))
+    return options, positionals, defaults, required
+
+
+_GRAMMAR = {name: _lookups(arguments) for name, (_, _, arguments) in _COMMANDS.items()}
+
+
+def _value(argument, token):
+    """``token`` as ``argument``'s value: converted by its type, in its choices."""
     if token[:1] == "-":
         raise ValueError(token)
-    value = token if action.type is None else action.type(token)
-    if action.choices is not None and value not in action.choices:
+    _, _, convert, choices, _ = argument
+    value = token if convert is None else convert(token)
+    if choices is not None and value not in choices:
         raise ValueError(token)
     return value
 
 
-def _read(command, tokens):
-    """The namespace ``command.parse_known_args(tokens)`` builds, or None.
+def _read(argv):
+    """The namespace ``build_parser().parse_args(argv)`` builds, or None.
 
-    The grammar is the sub-parser's own actions and defaults.  Read are exact
-    option strings that store one value or store true, each value the next
-    token, and positionals in order, a ``nargs="+"`` one only as the last
-    and in one run.  No value or positional starts with "-", and each passes
-    through its action's type and choices.  Anything else gives None: help,
-    "--", "=" and attached values, abbreviations, a failed conversion or
-    choice, a missing or a leftover argument.  The full parser then parses
-    the call and reports it as it always has.
+    The grammar is the command's entry in `_COMMANDS`.  Read are its exact option
+    strings, each value the next token, and positionals in order, a nargs="+" one as
+    one run.  No value or positional starts with "-", and each passes through its
+    argument's type and choices.  Anything else gives None: no command or an unknown
+    one, help, "--", "=" and attached values, abbreviations, a failed conversion or
+    choice, a missing or a leftover argument.  The full parser then parses the call.
     """
-    args = argparse.Namespace()
-    values = vars(args)
-    for action in command._actions:
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            values.setdefault(action.dest, action.default)
-    for dest, default in command._defaults.items():
-        values.setdefault(dest, default)
-    positionals = [action for action in command._actions if not action.option_strings]
-    seen, run = set(), None
-    tokens = iter(tokens)
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    options, positionals, defaults, required = _GRAMMAR[argv[0]]
+    # the attributes argparse sets: the command, its arguments' defaults, the handler
+    values = {"command": argv[0], **defaults, "handler": _COMMANDS[argv[0]][1]}
+    seen, run, pending, tokens = set(), None, iter(positionals), iter(argv[1:])
     try:
         for token in tokens:
             if token[:1] == "-":
-                action, run = command._option_string_actions.get(token), None
-                if type(action) is argparse._StoreTrueAction:
-                    value = True
-                elif type(action) is argparse._StoreAction and action.nargs is None:
-                    value = _value(action, next(tokens, "-"))
-                else:
+                argument, run = options.get(token), None
+                if argument is None:
                     return None
+                value = True if argument[1] else _value(argument, next(tokens, "-"))
             elif run is not None:
-                run.append(_value(action, token))
+                run.append(_value(argument, token))
                 continue
-            elif positionals:
-                action = positionals.pop(0)
-                value = _value(action, token)
-                if action.nargs == "+" and not positionals:
-                    value = run = [value]
-                elif action.nargs is not None:
-                    return None
             else:
-                return None
-            values[action.dest] = value
-            seen.add(action)
-    except (TypeError, ValueError, argparse.ArgumentTypeError):
+                argument = next(pending)  # StopIteration: a positional too many
+                value = _value(argument, token)
+                if argument[4] == "+":
+                    value = run = [value]
+            values[argument[0]] = value
+            seen.add(argument[0])
+    except (ValueError, StopIteration):
         return None
-    # argparse would also pass an unused string default through the action's
+    # argparse would also pass an unused string default through the argument's
     # type; no default here has a type, so each default is taken as it is
-    return None if any(a.required and a not in seen for a in command._actions) else args
+    return SimpleNamespace(**values) if required <= seen else None
 
 
-# Building the parser costs far more than parsing one argv, so `run` builds
-# it on first use and keeps it for the life of the process.  A call that
-# names a command is read by `_read` from that command's sub-parser, with no
-# argparse pass: a parse costs several times the read.  Every call the
-# reader declines (no command, an unknown one, help, another spelling, a
-# bad or leftover argument) goes to the full parser, which parses it or
-# prints its usage error.  Each call starts from a fresh namespace, so
-# nothing carries over between calls.
-_shared_parser = functools.lru_cache(maxsize=1)(_parser_and_commands)
+# Building the argparse parser costs far more than reading one argv, and
+# importing argparse costs as much again, so `run` reads every call it can
+# with `_read`, from the table, and never imports argparse for it.  Only a
+# call the reader declines (no command, an unknown one, help, another
+# spelling, a bad or leftover argument) builds the full parser, once per
+# process, which parses it or prints its usage error.  Each call starts
+# from a fresh namespace, so nothing carries over between calls.
+_shared_parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
 def run(argv) -> int:
     """Parse argv and dispatch; returns the process exit code.
 
-    The parser is built once per process, so `run` may be called repeatedly
-    in-process; a well-formed call is read without an argparse pass.
+    A well-formed call is read from the table without argparse; the parser is
+    built once per process, on the first call that needs it, so `run` may be
+    called repeatedly in-process.
     """
-    parser, commands = _shared_parser()
-    command = commands.get(argv[0]) if argv else None
-    args = None if command is None else _read(command, argv[1:])
+    args = _read(argv)
     try:
         if args is None:  # declined by the reader: argparse parses it
-            args = parser.parse_args(argv)
-        else:
-            args.command = argv[0]
+            args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -16,7 +16,6 @@ a rank-bounded range.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain
 
@@ -29,6 +28,7 @@ from .words import (
     _abelianize,
     _check_alphabet,
     _format_monomial,
+    _json_list,
     _levels,
     _remembered,
     _sort_word,
@@ -237,20 +237,21 @@ class CoconnectionReport(_Record):
         return lines
 
     def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "max_rank": self.max_rank,
-            "laws": [
-                {
-                    "law": law.law,
-                    "status": "ok" if law.ok else "violated",
-                    "checked": law.checked,
-                    "witness": law.witness,
-                }
-                for law in self.laws
-            ],
-        }
-        return json.dumps(payload, indent=2)
+        """The report's fields as ``json.dumps(..., indent=2)`` lays them out, written
+        directly as `HasseGraph.to_json` is; law counts are ints, as the certifier makes
+        them, and ``n`` and ``max_rank`` whatever the caller passed."""
+        import json  # here, not at the top: a process that prints no JSON never imports it
+        from json.encoder import encode_basestring_ascii as text
+
+        laws = [
+            f'{{\n      "law": {text(law.law)},\n'
+            f'      "status": "{"ok" if law.ok else "violated"}",\n'
+            f'      "checked": {law.checked},\n'
+            f'      "witness": {"null" if law.witness is None else text(law.witness)}\n    }}'
+            for law in self.laws
+        ]
+        return (f'{{\n  "n": {json.dumps(self.n)},\n  "max_rank": {json.dumps(self.max_rank)},\n'
+                f'  "laws": {_json_list(laws, 2)}\n}}')
 
 
 def _down_sets(edges: list[list[int]], order: Iterable[int]) -> list[int]:

@@ -14,17 +14,14 @@ proves that rule.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 from .commutative import _partition_levels, comm_leq
 from .ncorder import nc_leq
 from .variants import p_leq, q_leq
-from .words import (
-    _Record, _check_alphabet, _word_edges, _word_levels, check_range, check_word, normalize_monomial
-)
+from .words import (_Record, _check_alphabet, _json_list, _word_edges, _word_levels, check_range,
+                    check_word, normalize_monomial)
 
 FAMILIES = ("nc", "q", "p", "comm")
 
@@ -134,6 +131,9 @@ class HasseGraph(_Record):
         them; ``n`` and ``max_rank`` are whatever the caller passed.  For
         another layout, dump `to_json_dict` with the indent wanted.
         """
+        import json  # here, not at the top: a process that prints no JSON never imports it
+        from json.encoder import encode_basestring_ascii
+
         tails: dict[tuple, str] = {}
         vertices = []
         for label, (_, r, mr) in zip(self.labels, self.vertices):
@@ -167,17 +167,6 @@ class HasseGraph(_Record):
         lines += [heads[a] + ends[b] for a, b in self.edges]
         lines.append("}")
         return "\n".join(lines)
-
-
-def _json_list(items: list[str], depth: int) -> str:
-    """A list opened at ``depth`` spaces, as ``json.dumps(indent=2)`` lays it out.
-
-    Each item is already laid out for depth + 2, its first line unindented.
-    """
-    if not items:
-        return "[]"
-    inner = " " * (depth + 2)
-    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{' ' * depth}]"
 
 
 def hasse(handle: PosetHandle, max_rank: int, limit: int | None = None) -> HasseGraph:

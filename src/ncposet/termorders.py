@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from itertools import pairwise, product
 from math import isqrt
-from operator import lt
+from operator import attrgetter, lt
 
 from .errors import ParseError, _cap, _charge
 from .ncorder import _covers_up, _reachable, raisings
@@ -189,6 +189,11 @@ class OrderValidationReport(_Record, unhashed=("witnesses",)):
         ]
 
 
+# a report's fields but its witnesses, in order: `validate_order` copies a kept report
+# by position, which costs about half of a copy by keyword
+_ALL_BUT_WITNESSES = attrgetter(*OrderValidationReport._fields[:-1])
+
+
 def validate_order(
     spec: TermOrderSpec, n: int, max_degree: int, cofactor_degree: int = 2
 ) -> OrderValidationReport:
@@ -219,7 +224,7 @@ def validate_order(
     check_range(n, max_degree, "max_degree")
     check_range(n, cofactor_degree, "cofactor_degree")
     report = _validate_order(spec, n, max_degree, cofactor_degree)
-    return OrderValidationReport(**{**vars(report), "witnesses": dict(report.witnesses)})
+    return OrderValidationReport(*_ALL_BUT_WITNESSES(report), dict(report.witnesses))
 
 
 @_remembered

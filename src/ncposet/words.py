@@ -8,6 +8,7 @@ for the identity in both grammars.
 
 from __future__ import annotations
 
+import _thread
 import itertools
 import re
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
@@ -55,6 +56,10 @@ _KEPT: dict[tuple, tuple[int, list]] = {}
 # used first
 _REPORTS: dict[tuple, object] = {}
 _KEPT_REPORTS = 256
+
+# One lock over both stores, so that each lookup, insert and eviction is one step to
+# other threads; nothing is built under it
+_LOCK = _thread.allocate_lock()
 
 
 def _check_alphabet(n: int | None) -> None:
@@ -483,9 +488,12 @@ def _levels(max_rank: int, extend: Callable, key: tuple, size: int,
     while len(levels) <= max_rank:
         levels.append(extend(levels))
     if len(kept) < len(levels) and size <= errors.TABLE_LIMIT:
-        if size + sum(held for k, (held, _) in [*_KEPT.items()] if k != key) > errors.TABLE_LIMIT:
-            _KEPT.clear()
-        _KEPT[key] = size, [*kept, *map(pack, levels[len(kept):])]
+        packed = [*kept, *map(pack, levels[len(kept):])]
+        with _LOCK:  # as many levels stored meanwhile by another thread stay
+            if len(_KEPT.get(key, (0, []))[1]) < len(packed):
+                if size + sum(h for k, (h, _) in _KEPT.items() if k != key) > errors.TABLE_LIMIT:
+                    _KEPT.clear()
+                _KEPT[key] = size, packed
     return levels
 
 
@@ -496,18 +504,29 @@ def _remembered(body: Callable) -> Callable:
     its body, arguments and the caps (`_caps`): a report made under other caps is never
     reused, and a call that raises keeps nothing.  The caller checks the arguments
     first, and every caller of a kept report gets the same object, so it is immutable.
+    Threads may share it: two may make one report, and the first one kept is returned.
     """
     def remembered(*args):
         key = (body, args, _caps())
-        if key in _REPORTS:
-            _REPORTS[key] = report = _REPORTS.pop(key)
-            return report
+        with _LOCK:
+            if key in _REPORTS:
+                _REPORTS[key] = report = _REPORTS.pop(key)
+                return report
         report = body(*args)
-        if len(_REPORTS) >= _KEPT_REPORTS:
-            del _REPORTS[next(iter(_REPORTS))]
-        _REPORTS[key] = report
-        return report
+        with _LOCK:  # a report stored meanwhile by another thread stays
+            if key not in _REPORTS and len(_REPORTS) >= _KEPT_REPORTS:
+                del _REPORTS[next(iter(_REPORTS))]
+            return _REPORTS.setdefault(key, report)
     return remembered
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """A list opened at ``depth`` spaces as ``json.dumps(indent=2)`` lays it out, of items
+    laid out for depth + 2, each one's first line unindented."""
+    if not items:
+        return "[]"
+    inner = " " * (depth + 2)
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{' ' * depth}]"
 
 
 class _Record:

@@ -3,8 +3,12 @@
 `validate_order`, `contains_poset` and `check_coconnection` check their
 arguments on every call and then keep their reports for the life of the
 process (`words._remembered`), keyed on the arguments and the caps.  The
-conftest empties the memo before each test.
+conftest empties the memo before each test.  The memo and the level store
+(`words._levels`) are shared by every thread of the process.
 """
+
+import sys
+import threading
 
 import pytest
 
@@ -17,6 +21,7 @@ from ncposet import (
     commutative,
     contains_poset,
     errors,
+    hasse,
     termorders,
     validate_order,
     weight_deg,
@@ -174,3 +179,68 @@ def test_equal_specs_share_a_report(monkeypatch):
     report = validate_order(weight_deg(1, 2, 3), 3, 2)
     assert validate_order(termorders.TermOrderSpec("weight_deg", [1, 2, 3]), 3, 2) == report
     assert len(loops) == 1
+
+
+def _in_six_threads(work):
+    """Run ``work(k)`` in threads k = 0..5 with a short switch interval; return what
+    they raised, after checking that every thread ended."""
+    raised = []
+
+    def run(k):
+        try:
+            work(k)
+        except Exception as exc:  # the test fails on it below
+            raised.append(exc)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return raised
+
+
+def test_threads_share_the_memo(monkeypatch):
+    calls = [(DEG_LEFT_LEX, n, d) for n in (1, 2) for d in (1, 2)]
+    calls += [(DEG_RIGHT_LEX, 2, 2), (DEG_RIGHT_LEX, 1, 3)]
+    calls += [(weight_deg(1, w), 2, 1) for w in (2, 3, 4, 5)]
+    expected = [validate_order(*call) for call in calls]
+    words._REPORTS.clear()
+    # ten argument tuples against four kept reports: most calls evict one
+    monkeypatch.setattr(words, "_KEPT_REPORTS", 4)
+    differing = []
+
+    def work(k):
+        for i in range(1500):
+            j = (7 * i + k) % len(calls)
+            if validate_order(*calls[j]) != expected[j]:
+                differing.append(calls[j])
+
+    assert _in_six_threads(work) == []
+    assert differing == []
+    assert len(words._REPORTS) <= 4
+
+
+def test_threads_share_the_level_store(monkeypatch):
+    ranges = [(family, r) for family in ("nc", "comm") for r in range(7)]
+    expected = {key: hasse(PosetHandle(key[0], 2), key[1]) for key in ranges}
+    words._KEPT.clear()
+    # both families' levels together pass the store's bound, so stores drop each other
+    monkeypatch.setattr(errors, "TABLE_LIMIT", 200)
+    differing = []
+
+    def work(k):
+        for i in range(300):
+            key = ranges[(5 * i + k) % len(ranges)]
+            if hasse(PosetHandle(key[0], 2), key[1]) != expected[key]:
+                differing.append(key)
+
+    assert _in_six_threads(work) == []
+    assert differing == []
+    assert sum(held for held, _ in words._KEPT.values()) <= 200

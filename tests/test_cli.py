@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ncposet import cli, errors
 from ncposet.cli import build_parser, run
 from ncposet.errors import DEFAULT_LIMIT, LETTERS_PER_WORD, TABLE_LIMIT
+from ncposet.posets import FAMILIES
 
 
 def _invoke(capsys, *argv):
@@ -828,11 +829,17 @@ def test_build_parser_returns_a_fresh_parser():
 
 
 def test_import_builds_no_parser():
-    probe = "import ncposet.cli as c; print(c._shared_parser.cache_info().currsize)"
-    done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    # a well-formed call is read from the table: no parser, no argparse; only a
+    # declined call builds the shared parser
+    probe = (
+        "import sys; before = set(sys.modules); import ncposet.cli as c; "
+        "c.run(['rank', 'x2*x1']); "
+        "print(c._shared_parser.cache_info().currsize, 'argparse' in set(sys.modules) - before); "
+        "c.run(['rank', 'x1', 'x2']); print(c._shared_parser.cache_info().currsize)"
     )
-    assert done.stdout == "0\n"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert done.stdout == "rank: 3\nmultirank: [2,1]\n0 False\n1\n"
+    assert done.stderr.endswith("ncposet: error: unrecognized arguments: x2\n")
 
 
 def test_import_loads_no_dataclasses():
@@ -846,7 +853,129 @@ def test_import_loads_no_dataclasses():
     )
     added = done.stdout.split()
     assert "ncposet.cli" in added
-    assert {"dataclasses", "inspect"}.isdisjoint(added), added
+    assert {"dataclasses", "inspect", "argparse", "json"}.isdisjoint(added), added
+
+
+def _imported(*args):
+    """Exit code, stdout and the modules imported by ``python -X importtime *args``."""
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True
+    )
+    rows = [line.split("|") for line in done.stderr.splitlines() if line.startswith("import time:")]
+    modules = {row[-1].strip() for row in rows}
+    return done.returncode, done.stdout, modules, done.stderr
+
+
+def test_a_one_shot_call_imports_no_argparse():
+    # against a bare interpreter, so that modules a site hook loads are not counted
+    _, _, bare, _ = _imported("-c", "pass")
+    code, out, modules, _ = _imported("-m", "ncposet", "rank", "x2*x1")
+    assert (code, out) == (0, "rank: 3\nmultirank: [2,1]\n")
+    assert "ncposet.cli" in modules
+    assert {"argparse", "json", "dataclasses", "inspect"}.isdisjoint(modules - bare)
+    # a declined call builds the parser and reports the usage error as argparse does
+    code, out, modules, err = _imported("-m", "ncposet", "rank", "x1", "x2")
+    assert (code, out) == (2, "")
+    assert "argparse" in modules
+    assert err.endswith("ncposet: error: unrecognized arguments: x2\n")
+
+
+def _reference_parser():
+    """The command line's argparse calls, written out one by one: the oracle for the table."""
+    parser = argparse.ArgumentParser(
+        prog="ncposet",
+        description="Posets classifying term orders on free-monoid words.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_word_argument(p):
+        p.add_argument("word", help='word like "x2*x1" ("1" for the identity)')
+
+    p = sub.add_parser("cmp", help="compare two elements in a poset")
+    p.add_argument("--poset", required=True, choices=FAMILIES)
+    p.add_argument("-n", type=int, default=None, help="alphabet bound")
+    p.add_argument("a")
+    p.add_argument("b")
+    p.set_defaults(handler=cli._cmd_cmp)
+
+    p = sub.add_parser("covers", help="cover sets in the base word order")
+    p.add_argument("--dir", required=True, choices=("up", "down"))
+    p.add_argument("-n", type=int, default=None)
+    add_word_argument(p)
+    p.set_defaults(handler=cli._cmd_covers)
+
+    p = sub.add_parser("hasse", help="Hasse graph up to a rank bound")
+    p.add_argument("--poset", required=True, choices=FAMILIES)
+    p.add_argument("-n", type=int, default=None)
+    p.add_argument("--max-rank", required=True, type=int)
+    p.add_argument("--format", default="json", choices=("json", "dot"))
+    p.add_argument("--limit", type=int, default=None, help="vertex cap")
+    p.set_defaults(handler=cli._cmd_hasse)
+
+    p = sub.add_parser("rank", help="rank and multirank of a word")
+    add_word_argument(p)
+    p.set_defaults(handler=cli._cmd_rank)
+
+    p = sub.add_parser("abelianize", help="letter occurrence counts of a word")
+    add_word_argument(p)
+    p.set_defaults(handler=cli._cmd_abelianize)
+
+    p = sub.add_parser("sort", help="sorted form of a word")
+    add_word_argument(p)
+    p.set_defaults(handler=cli._cmd_sort)
+
+    p = sub.add_parser("walk", help="lattice walk of a word")
+    add_word_argument(p)
+    p.set_defaults(handler=cli._cmd_walk)
+
+    p = sub.add_parser("closure", help="strongly stable closure of an ideal")
+    p.add_argument("-n", type=int, required=True)
+    p.add_argument("gens", nargs="+", metavar="GEN")
+    p.set_defaults(handler=cli._cmd_closure)
+
+    p = sub.add_parser("is-stable", help="certify strong stability on a rank window")
+    p.add_argument("-n", type=int, required=True)
+    p.add_argument("--rank-bound", type=int, required=True)
+    p.add_argument("gens", nargs="+", metavar="GEN")
+    p.set_defaults(handler=cli._cmd_is_stable)
+
+    p = sub.add_parser("check-order", help="validate a term order's axioms")
+    p.add_argument("--order", required=True, help="deglex | degrevlex | weight:1,2,3")
+    p.add_argument("-n", type=int, required=True)
+    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--contains", choices=("nc", "q", "p"), default=None)
+    p.set_defaults(handler=cli._cmd_check_order)
+
+    p = sub.add_parser("series", help="rank generating function coefficients")
+    p.add_argument("-n", type=int, default=None)
+    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--verify", action="store_true", help="cross-check by enumeration")
+    p.add_argument("--limit", type=int, default=None, help="enumeration cap")
+    p.set_defaults(handler=cli._cmd_series)
+
+    p = sub.add_parser("coconnection", help="coconnection law report")
+    p.add_argument("-n", type=int, required=True)
+    p.add_argument("--max-rank", type=int, required=True)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=cli._cmd_coconnection)
+
+    return parser
+
+
+def _parsers(parser):
+    """The parser under "" and each of its sub-parsers under its command name."""
+    [commands] = [action.choices for action in parser._actions if action.dest == "command"]
+    return {"": parser, **commands}
+
+
+def test_build_parser_matches_the_reference():
+    built, reference = _parsers(build_parser()), _parsers(_reference_parser())
+    assert list(built) == list(reference) == ["", *cli._COMMANDS]
+    assert len(cli._COMMANDS) == 12
+    for name, parser in reference.items():
+        assert built[name].format_help() == parser.format_help(), name
+        assert built[name].format_usage() == parser.format_usage(), name
+        assert built[name].get_default("handler") is parser.get_default("handler"), name
 
 
 # argv that the one-pass dispatch in `run` must parse exactly as the full
@@ -888,12 +1017,13 @@ def _without_handler(args):
     return None if args is None else {k: v for k, v in vars(args).items() if k != "handler"}
 
 
-def _parse_in_full(argv):
-    """Exit code, stdout, stderr and namespace of the full parser on ``argv``."""
+def _parse_in_full(argv, parser=None):
+    """Exit code, stdout, stderr and namespace of a full parser on ``argv``:
+    ``parser``, else a new one from `build_parser`."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            args, code = build_parser().parse_args(argv), 0
+            args, code = (parser or build_parser()).parse_args(argv), 0
         except SystemExit as exc:
             args, code = None, exc.code
     return code, out.getvalue(), err.getvalue(), _without_handler(args)
@@ -901,21 +1031,29 @@ def _parse_in_full(argv):
 
 def _parse_through_run(argv):
     """The same four of `run` on ``argv``, each handler replaced by one that records its args."""
-    parser, commands = cli._parser_and_commands()
     seen = []
-    for command in commands.values():
-        command.set_defaults(handler=lambda args: seen.append(args) or 0)
+    table = {name: (help, lambda args: seen.append(args) or 0, arguments)
+             for name, (help, _, arguments) in cli._COMMANDS.items()}
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(cli, "_shared_parser", lambda: (parser, commands)):
+    recording = mock.patch.dict(cli._COMMANDS, table)
+    # a declined call gets a new parser, built from the recording table
+    with recording, mock.patch.object(cli, "_shared_parser", build_parser):
         with redirect_stdout(out), redirect_stderr(err):
             code = run(list(argv))
     assert len(seen) <= 1
     return code, out.getvalue(), err.getvalue(), _without_handler(seen[0] if seen else None)
 
 
+def _parse_by_all(argv):
+    """`run`, `build_parser` and the reference parser on ``argv``: one outcome each."""
+    return (_parse_through_run(argv), _parse_in_full(argv),
+            _parse_in_full(argv, _reference_parser()))
+
+
 @pytest.mark.parametrize("argv", _DISPATCH_CORPUS)
 def test_dispatch_parses_as_the_full_parser(argv):
-    assert _parse_through_run(argv) == _parse_in_full(argv)
+    through_run, in_full, by_reference = _parse_by_all(argv)
+    assert through_run == in_full == by_reference
 
 
 @settings(deadline=1000, max_examples=200)
@@ -926,7 +1064,8 @@ def test_dispatch_parses_as_the_full_parser(argv):
     )
 )
 def test_shuffled_dispatch_tokens_parse_as_the_full_parser(argv):
-    assert _parse_through_run(argv) == _parse_in_full(argv)
+    through_run, in_full, by_reference = _parse_by_all(argv)
+    assert through_run == in_full == by_reference
 
 
 def _counting_parses(calls):
@@ -940,34 +1079,34 @@ def _counting_parses(calls):
     return mock.patch.object(argparse.ArgumentParser, "parse_known_args", counting)
 
 
-# argparse spellings of well-formed calls, drawn from each sub-parser's own
-# actions: exact option strings in any order and repeated, positionals
-# interleaved with them (a nargs="+" one as one run), and values that
-# convert with surrounding space, a sign or nothing at all
+# argparse spellings of well-formed calls, drawn from each command's arguments
+# in the table: exact option strings in any order and repeated, positionals
+# interleaved with them (a nargs="+" one as one run), and values that convert
+# with surrounding space, a sign or nothing at all
 _INT_VALUES = ("0", " 3", "+3", "2 ", "12")
 _TEXT_VALUES = ("", "0", " 3", "+3", "1", "x1", "x2*x1", "x1 ", "nope", "rank")
 
 
-def _action_values(action):
-    if action.choices is not None:
-        return st.sampled_from(sorted(action.choices))
-    return st.sampled_from(_INT_VALUES if action.type is int else _TEXT_VALUES)
+def _argument_values(keywords):
+    if keywords.get("choices") is not None:
+        return st.sampled_from(sorted(keywords["choices"]))
+    return st.sampled_from(_INT_VALUES if keywords.get("type") is int else _TEXT_VALUES)
 
 
 @st.composite
 def _well_formed_argv(draw):
-    name, command = draw(st.sampled_from(sorted(cli._shared_parser()[1].items())))
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
     units, positionals = [], []
-    for action in command._actions:
-        if isinstance(action, argparse._HelpAction):
+    for strings, keywords in cli._COMMANDS[name][2]:
+        if not strings:
+            count = draw(st.integers(1, 3)) if keywords.get("nargs") == "+" else 1
+            positionals.append([draw(_argument_values(keywords)) for _ in range(count)])
             continue
-        if not action.option_strings:
-            count = draw(st.integers(1, 3)) if action.nargs == "+" else 1
-            positionals.append([draw(_action_values(action)) for _ in range(count)])
-            continue
-        for _ in range(draw(st.integers(1 if action.required else 0, 3))):
-            option = [draw(st.sampled_from(action.option_strings))]
-            units.append(option if action.nargs == 0 else option + [draw(_action_values(action))])
+        for _ in range(draw(st.integers(1 if keywords.get("required") else 0, 3))):
+            option = [draw(st.sampled_from(strings))]
+            if keywords.get("action") != "store_true":
+                option.append(draw(_argument_values(keywords)))
+            units.append(option)
     units = draw(st.permutations(units))
     # the positionals keep their order, each one before the option unit its slot names
     slots = draw(st.lists(st.integers(0, len(units)), min_size=len(positionals),
@@ -984,7 +1123,7 @@ def test_well_formed_calls_are_read_without_argparse(argv):
     with _counting_parses(calls):
         through_run = _parse_through_run(argv)
     assert calls == []
-    assert through_run == _parse_in_full(argv)
+    assert through_run == _parse_in_full(argv) == _parse_in_full(argv, _reference_parser())
 
 
 # argv that the reader must hand to argparse, each with a meaning of its own
@@ -1004,8 +1143,9 @@ def test_well_formed_calls_are_read_without_argparse(argv):
     ),
 )
 def test_declined_calls_parse_as_the_full_parser(argv):
-    assert cli._read(cli._shared_parser()[1][argv[0]], argv[1:]) is None
-    assert _parse_through_run(argv) == _parse_in_full(argv)
+    assert cli._read(list(argv)) is None
+    through_run, in_full, by_reference = _parse_by_all(argv)
+    assert through_run == in_full == by_reference
 
 
 def test_a_command_is_parsed_in_one_pass(capsys):

@@ -26,7 +26,7 @@ from ncposet import (
     words_up_to_degree,
     words_up_to_rank,
 )
-from ncposet.commutative import _box_covers
+from ncposet.commutative import CoconnectionReport, LawCheck, _box_covers
 from ncposet.ncorder import _reachable, dominated
 from ncposet.words import check_word
 
@@ -303,6 +303,34 @@ def test_coconnection_json_shape():
         assert set(law) == {"law", "status", "checked", "witness"}
         assert law["status"] == "ok"
         assert law["witness"] is None
+
+
+def _dumped(report):
+    """The report as ``json.dumps(..., indent=2)`` writes its fields."""
+    import json
+
+    laws = [{"law": law.law, "status": "ok" if law.ok else "violated", "checked": law.checked,
+             "witness": law.witness} for law in report.laws]
+    return json.dumps({"n": report.n, "max_rank": report.max_rank, "laws": laws}, indent=2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: check_coconnection(2, 4),
+        lambda: check_coconnection(None, 3),
+        lambda: CoconnectionReport(3, 2, ()),
+        # witnesses, as a violated law has them, with characters json escapes
+        lambda: CoconnectionReport(None, 5, (
+            LawCheck("sort-monotone", 12, 'x2*x1 <= x1*x2 but "x1*x2" > x2*x1'),
+            LawCheck("word-roundtrip-ascends", 0),
+            LawCheck("a\tlaw \u00e9", 3, "back\\slash \u2192 \U0001d510"),
+        )),
+    ],
+)
+def test_coconnection_json_is_json_dumps(make):
+    report = make()
+    assert report.to_json() == _dumped(report)
 
 
 def test_comm_leq_bound_validation():
