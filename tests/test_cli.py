@@ -857,7 +857,7 @@ def test_import_loads_no_dataclasses():
 
 
 def _imported(*args):
-    """Exit code, stdout and the modules imported by ``python -X importtime *args``."""
+    """Exit code, stdout, imported modules and stderr of ``python -X importtime *args``."""
     done = subprocess.run(
         [sys.executable, "-X", "importtime", *args], capture_output=True, text=True
     )
