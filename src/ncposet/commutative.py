@@ -156,7 +156,7 @@ def _partition_levels(max_rank: int, n: int | None, limit: int | None) -> tuple:
     order of the monomials, the labels; monomials (exponent dicts) and covers
     come in one list in that order.  A partition's covers are the ascending
     indices of its `_box_covers`, none at the top rank: rank r + 1 holds those
-    of rank r.  `_levels` keeps the ranks per n, for every caller.
+    of rank r.  `_levels` keeps the ranks per n in the one store, for every caller.
     """
     _check_alphabet(n)
     _cap(limit)
@@ -293,9 +293,9 @@ def check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
     once, both unchecked (`_abelianize`, `_sort_word`).  More than `TABLE_LIMIT`
     words raise `LimitError`.
 
-    The arguments are checked on every call; the report is then kept for the life
-    of the process (`_remembered`), and a repeated call under the same caps gets
-    it back without building a table again.
+    The arguments are checked on every call; the report is then kept in the store
+    with the levels (`_remembered`), and a repeated call under the same caps gets
+    it back from there, until it is evicted, without building a table again.
     """
     check_range(n, max_rank, "max_rank")
     return _check_coconnection(n, max_rank)

@@ -11,7 +11,9 @@ LETTERS_PER_WORD = 20
 
 # Elements of one reachability table: N elements take under N^2 bits, since
 # no bit of an element lies past the last position of its rank; the 22175
-# words of rank <= 15 over x1..x4 take 42 MB.
+# words of rank <= 15 over x1..x4 take 42 MB.  It also bounds what the
+# process keeps (`words._keep`): its rank levels, weighed by their elements,
+# and its certifier reports, `words._REPORT_WEIGHT` elements each.
 TABLE_LIMIT = 23_000
 
 

@@ -43,7 +43,7 @@ class IdealGens(_Record):
 
     def __post_init__(self) -> None:
         _check_bound(self.n)
-        vars(self)["gens"] = tuple(check_word(g, self.n) for g in self.gens)  # frozen
+        object.__setattr__(self, "gens", tuple(check_word(g, self.n) for g in self.gens))
         if (g := next(_divisible(self.gens), None)) is not None:
             raise ValueError(f"generators are not an antichain: {format_word(g)} is divisible")
 

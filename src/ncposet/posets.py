@@ -179,7 +179,7 @@ def hasse(handle: PosetHandle, max_rank: int, limit: int | None = None) -> Hasse
     and its covers are the order's; "p" takes its covers inside the range.
     Word covers follow from the positions in the level recursion
     (`_word_edges`) and partition covers come with the partitions.
-    Once the caps pass, level data comes from a store of <= `TABLE_LIMIT` elements.
+    Once the caps pass, level data comes from the one bounded store (`words._keep`).
     """
     check_range(handle.n, max_rank, "max_rank")
     if handle.family == "comm":

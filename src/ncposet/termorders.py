@@ -214,9 +214,9 @@ def validate_order(
     that starts from them; beyond it `LimitError` is raised.  The cofactors
     are held to the square root of the cap.
 
-    The arguments are checked on every call; the report is then kept for the
-    life of the process (`_remembered`), and a repeated call under the same
-    caps gets it back without certifying again, with its own witnesses dict.
+    The arguments are checked on every call; the report is then kept in the
+    store with the levels (`_remembered`), and a repeated call under the same caps
+    gets it back, until it is evicted, with its own witnesses dict.
     """
     _check_spec(spec)
     if n is None:
@@ -363,9 +363,9 @@ def contains_poset(
     the first in canonical order with a move whose least key is not above its
     own; one search over the moves from it finds the inner word.
 
-    The arguments are checked on every call; the answer is then kept for the
-    life of the process (`_remembered`), and a repeated call under the same
-    caps gets it back without checking a move again.
+    The arguments are checked on every call; the answer is then kept in the
+    store with the levels (`_remembered`), and a repeated call under the same
+    caps gets it back, until it is evicted, without checking a move again.
     """
     _check_spec(spec)
     if handle.family not in ("nc", "q", "p"):

@@ -48,17 +48,19 @@ MultiRank = tuple[int, ...]
 _WORD_TERM = re.compile(r"x([1-9][0-9]*)\Z")
 _MON_FACTOR = re.compile(r"x([1-9][0-9]*)(?:\^([1-9][0-9]*))?\Z")
 
-# The rank levels kept by `_levels` with their size in elements, per (kind, alphabet bound):
-# the word levels that `hasse` draws, and the partition levels
-_KEPT: dict[tuple, tuple[int, list]] = {}
+# What the process keeps, key -> (weight, value), the least recently used first: the rank
+# levels of `_levels` per (kind, alphabet bound) and the certifiers' reports of `_remembered`.
+# The weights, in level elements, sum to _HELD
+_STORE: dict[tuple, tuple[int, object]] = {}
+_HELD = 0
 
-# The certifiers' reports kept by `_remembered`, at most _KEPT_REPORTS, least recently
-# used first
-_REPORTS: dict[tuple, object] = {}
-_KEPT_REPORTS = 256
+# A report's weight, its size over a kept level element's: after the benchmark's seed-1
+# lists, a report with its key takes 850-2240 B, 1320 B on average, and a level element
+# of hasse_mix 88 B (Python 3.11.7, sys.getsizeof over the objects each one holds)
+_REPORT_WEIGHT = 15
 
-# One lock over both stores, so that each lookup, insert and eviction is one step to
-# other threads; nothing is built under it
+# One lock over the store, so that each lookup, insert and eviction is one step to other
+# threads; nothing is built under it
 _LOCK = _thread.allocate_lock()
 
 
@@ -478,45 +480,46 @@ def _word_edges(
     return edges
 
 
+def _keep(key: tuple, weight: int = 0, value=None):
+    """Offer ``value``, of ``weight`` elements, for ``key``; return what is kept there, now the
+    most recently used.  The heavier entry under a key stays, the stored one on a tie, so the
+    default offer reads; then the least recently used go until all weigh <= `TABLE_LIMIT`."""
+    global _HELD
+    with _LOCK:
+        held, kept = _STORE.pop(key, (0, value))
+        if held < weight <= errors.TABLE_LIMIT:  # an entry past the limit alone is not kept
+            _HELD += weight - held
+            held, kept = weight, value
+        if held:
+            _STORE[key] = held, kept
+        while _HELD > errors.TABLE_LIMIT:
+            _HELD -= _STORE.pop(next(iter(_STORE)))[0]
+        return kept
+
+
 def _levels(max_rank: int, extend: Callable, key: tuple, size: int,
             pack: Callable, unpack: Callable) -> list:
-    """Levels 0..max_rank, each ``extend(levels below it)``, kept under ``key`` as ``pack``
-    makes them (``unpack`` undoes it), with their ``size`` in elements.  All keys keep at most
-    `TABLE_LIMIT`: a build past it drops the others, and one past it alone is not kept."""
-    kept = _KEPT.get(key, (0, []))[1][: max_rank + 1]
+    """Levels 0..max_rank, each ``extend(levels below it)``, kept (`_keep`) under ``key`` as
+    ``pack`` makes them (``unpack`` undoes it), weighing their ``size`` in elements."""
+    kept = (_keep(key) or [])[: max_rank + 1]
     levels = [*map(unpack, kept)]
     while len(levels) <= max_rank:
         levels.append(extend(levels))
+    # levels too heavy to keep are not packed; more levels kept meanwhile stay
     if len(kept) < len(levels) and size <= errors.TABLE_LIMIT:
-        packed = [*kept, *map(pack, levels[len(kept):])]
-        with _LOCK:  # as many levels stored meanwhile by another thread stay
-            if len(_KEPT.get(key, (0, []))[1]) < len(packed):
-                if size + sum(h for k, (h, _) in _KEPT.items() if k != key) > errors.TABLE_LIMIT:
-                    _KEPT.clear()
-                _KEPT[key] = size, packed
+        _keep(key, size, [*kept, *map(pack, levels[len(kept):])])
     return levels
 
 
 def _remembered(body: Callable) -> Callable:
-    """``body``, its reports kept in `_REPORTS` and a repeated call answered from there.
-
-    `_REPORTS` holds the `_KEPT_REPORTS` reports of all bodies used last, each under
-    its body, arguments and the caps (`_caps`): a report made under other caps is never
-    reused, and a call that raises keeps nothing.  The caller checks the arguments
-    first, and every caller of a kept report gets the same object, so it is immutable.
-    Threads may share it: two may make one report, and the first one kept is returned.
-    """
+    """``body``, a repeated call answered from its reports, kept (`_keep`) as `_REPORT_WEIGHT`
+    elements each under the body, arguments and caps (`_caps`): one made under other caps is
+    never reused, and a call that raises keeps nothing.  The caller checks the arguments
+    first; every caller gets the first report kept, in any thread, so it is immutable."""
     def remembered(*args):
         key = (body, args, _caps())
-        with _LOCK:
-            if key in _REPORTS:
-                _REPORTS[key] = report = _REPORTS.pop(key)
-                return report
-        report = body(*args)
-        with _LOCK:  # a report stored meanwhile by another thread stays
-            if key not in _REPORTS and len(_REPORTS) >= _KEPT_REPORTS:
-                del _REPORTS[next(iter(_REPORTS))]
-            return _REPORTS.setdefault(key, report)
+        report = _keep(key)
+        return _keep(key, _REPORT_WEIGHT, body(*args)) if report is None else report
     return remembered
 
 

@@ -1,8 +1,9 @@
-"""Shared test setup: every test starts from an empty certifier memo.
+"""Shared test setup: every test starts from an empty store.
 
-The certifiers keep their reports for the life of the process
-(`words._remembered`), so a test that patches or spies on their internals
-would otherwise be answered from a report an earlier test left behind.
+The library keeps rank levels and certifier reports in one store for the
+life of the process (`words._keep`), so a test that patches or spies on
+their internals would otherwise be answered from what an earlier test left
+behind.
 """
 
 import pytest
@@ -11,5 +12,12 @@ from ncposet import words
 
 
 @pytest.fixture(autouse=True)
-def _empty_certifier_memo():
-    words._REPORTS.clear()
+def empty_store():
+    """Empty the store before each test; the test may call the returned function to
+    empty it again."""
+    def empty():
+        words._STORE.clear()
+        words._HELD = 0
+
+    empty()
+    return empty

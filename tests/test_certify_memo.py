@@ -1,10 +1,13 @@
-"""The certifiers' report memo: repeats answered from it, caps and checks never skipped.
+"""The one store of certifier reports and rank levels: repeats answered from it, caps and
+checks never skipped.
 
 `validate_order`, `contains_poset` and `check_coconnection` check their
-arguments on every call and then keep their reports for the life of the
-process (`words._remembered`), keyed on the arguments and the caps.  The
-conftest empties the memo before each test.  The memo and the level store
-(`words._levels`) are shared by every thread of the process.
+arguments on every call and then keep their reports (`words._remembered`),
+keyed on the arguments and the caps, in the store that also keeps the rank
+levels (`words._levels`).  A report weighs `words._REPORT_WEIGHT` level
+elements, and the store drops the least recently used entries of either
+kind once all weigh more than `errors.TABLE_LIMIT`.  The conftest empties
+the store before each test.  Every thread of the process shares it.
 """
 
 import sys
@@ -103,25 +106,86 @@ def test_a_changed_witness_does_not_reach_the_next_report():
     assert again.witnesses is not validate_order(DEG_LEFT_LEX, 2, 2).witnesses
 
 
+def _reports():
+    """The store's report entries, least recently used first: those keyed on a body."""
+    return [key for key in words._STORE if callable(key[0])]
+
+
 def test_the_memo_keeps_its_bound(monkeypatch):
-    bound = words._KEPT_REPORTS
+    bound = errors.TABLE_LIMIT // words._REPORT_WEIGHT
 
     def certify(weight):
         return validate_order(weight_deg(weight), 1, 0)
 
     for weight in range(1, bound + 41):
         certify(weight)
-    assert len(words._REPORTS) == bound
+    assert len(_reports()) == bound
     loops = _spy(monkeypatch, termorders, "_adjacent_multiplicative")
     # the least recently used reports went first; a read keeps a report
     certify(bound + 40)
     certify(41)
     assert loops == []
     certify(40)
-    assert len(loops) == 1 and len(words._REPORTS) == bound
+    assert len(loops) == 1 and len(_reports()) == bound
     certify(41)
     certify(42)
     assert len(loops) == 2
+
+
+def _kept():
+    """The store's keys in order, the least recently used first: a level's as it is, and a
+    report's by the arguments of its call."""
+    return [key if type(key[0]) is str else key[1] for key in words._STORE]
+
+
+def test_reports_and_levels_evict_each_other(monkeypatch):
+    # 16 words of rank <= 4 over the unbounded alphabet, 12 partitions, and reports of 15
+    monkeypatch.setattr(errors, "TABLE_LIMIT", 61)
+    deglex = [(DEG_LEFT_LEX, 1, d, 2) for d in range(4)]
+    hasse(PosetHandle("nc"), 4)
+    validate_order(DEG_LEFT_LEX, 1, 0)
+    validate_order(DEG_LEFT_LEX, 1, 1)
+    hasse(PosetHandle("comm"), 4)
+    assert _kept() == [("words", None), deglex[0], deglex[1], ("partitions", None)]
+    assert words._HELD == 16 + 15 + 15 + 12
+    # a read keeps an entry of either kind: the least recently used goes instead
+    validate_order(DEG_LEFT_LEX, 1, 0)
+    hasse(PosetHandle("nc"), 3)
+    validate_order(DEG_LEFT_LEX, 1, 2)
+    assert _kept() == [("partitions", None), deglex[0], ("words", None), deglex[2]]
+    # a report evicts a level; 19 partitions of rank <= 5 evict a report, then a level
+    validate_order(DEG_LEFT_LEX, 1, 3)
+    assert _kept() == [deglex[0], ("words", None), deglex[2], deglex[3]]
+    assert words._HELD == 61
+    hasse(PosetHandle("comm"), 5)
+    assert _kept() == [deglex[2], deglex[3], ("partitions", None)]
+    assert words._HELD == 15 + 15 + 19
+    # a kept report answers, and an evicted one is made again
+    loops = _spy(monkeypatch, termorders, "_adjacent_multiplicative")
+    validate_order(DEG_LEFT_LEX, 1, 3)
+    assert loops == []
+    validate_order(DEG_LEFT_LEX, 1, 0)
+    assert len(loops) == 1
+    # fewer ranks read the longer prefix, which stays
+    hasse(PosetHandle("comm"), 4)
+    assert words._STORE[("partitions", None)][0] == 19
+
+
+def test_an_entry_heavier_than_the_limit_leaves_the_store_as_it_was(monkeypatch, empty_store):
+    expected = validate_order(DEG_LEFT_LEX, 2, 2)
+    empty_store()
+    # 8 words of rank <= 3, 16 of rank <= 4, and a report of 15
+    monkeypatch.setattr(errors, "TABLE_LIMIT", 14)
+    hasse(PosetHandle("nc"), 3)
+    validate_order(DEG_LEFT_LEX, 1, 0)
+    before = list(words._STORE.items())
+    assert len(before) == 1 and words._HELD == 8
+    loops = _spy(monkeypatch, termorders, "_adjacent_multiplicative")
+    for _ in range(2):
+        assert validate_order(DEG_LEFT_LEX, 2, 2) == expected
+        assert len(hasse(PosetHandle("nc"), 4).vertices) == 16
+    assert len(loops) == 2
+    assert list(words._STORE.items()) == before and words._HELD == 8
 
 
 @pytest.mark.parametrize(
@@ -206,14 +270,14 @@ def _in_six_threads(work):
     return raised
 
 
-def test_threads_share_the_memo(monkeypatch):
+def test_threads_share_the_memo(monkeypatch, empty_store):
     calls = [(DEG_LEFT_LEX, n, d) for n in (1, 2) for d in (1, 2)]
     calls += [(DEG_RIGHT_LEX, 2, 2), (DEG_RIGHT_LEX, 1, 3)]
     calls += [(weight_deg(1, w), 2, 1) for w in (2, 3, 4, 5)]
     expected = [validate_order(*call) for call in calls]
-    words._REPORTS.clear()
+    empty_store()
     # ten argument tuples against four kept reports: most calls evict one
-    monkeypatch.setattr(words, "_KEPT_REPORTS", 4)
+    monkeypatch.setattr(errors, "TABLE_LIMIT", 4 * words._REPORT_WEIGHT)
     differing = []
 
     def work(k):
@@ -224,13 +288,19 @@ def test_threads_share_the_memo(monkeypatch):
 
     assert _in_six_threads(work) == []
     assert differing == []
-    assert len(words._REPORTS) <= 4
+    assert len(_reports()) <= 4
 
 
-def test_threads_share_the_level_store(monkeypatch):
+def _weighed():
+    """The store's running total, checked against its entries' weights."""
+    assert words._HELD == sum(weight for weight, _ in words._STORE.values())
+    return words._HELD
+
+
+def test_threads_share_the_level_store(monkeypatch, empty_store):
     ranges = [(family, r) for family in ("nc", "comm") for r in range(7)]
     expected = {key: hasse(PosetHandle(key[0], 2), key[1]) for key in ranges}
-    words._KEPT.clear()
+    empty_store()
     # both families' levels together pass the store's bound, so stores drop each other
     monkeypatch.setattr(errors, "TABLE_LIMIT", 200)
     differing = []
@@ -243,4 +313,28 @@ def test_threads_share_the_level_store(monkeypatch):
 
     assert _in_six_threads(work) == []
     assert differing == []
-    assert sum(held for held, _ in words._KEPT.values()) <= 200
+    assert _weighed() <= 200
+
+
+def test_threads_share_one_store_of_levels_and_reports(monkeypatch, empty_store):
+    graphs = [(family, r) for family in ("nc", "comm") for r in (4, 5, 6)]
+    orders = [(DEG_LEFT_LEX, 2, d) for d in (1, 2)] + [(weight_deg(1, w), 2, 1) for w in (2, 3)]
+    expected = [hasse(PosetHandle(family, 2), r) for family, r in graphs]
+    expected += [validate_order(*call) for call in orders]
+    calls = [lambda family=family, r=r: hasse(PosetHandle(family, 2), r) for family, r in graphs]
+    calls += [lambda call=call: validate_order(*call) for call in orders]
+    empty_store()
+    # 33 words and 16 partitions of rank <= 6 and four reports of 15 pass 100: either kind
+    # evicts the other
+    monkeypatch.setattr(errors, "TABLE_LIMIT", 100)
+    differing = []
+
+    def work(k):
+        for i in range(600):
+            j = (7 * i + k) % len(calls)
+            if calls[j]() != expected[j]:
+                differing.append(j)
+
+    assert _in_six_threads(work) == []
+    assert differing == []
+    assert _weighed() <= 100

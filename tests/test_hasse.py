@@ -403,25 +403,22 @@ def test_hasse_comm_normalizes_no_monomial(monkeypatch):
     assert calls == [({2: 1, 1: 0},)]
 
 
-@pytest.fixture
-def cold_store(monkeypatch):
-    """An empty store of `hasse` levels for one test; the process's own store is put back after."""
-    store = {}
-    monkeypatch.setattr(words, "_KEPT", store)
-    return store
+def _kept_levels():
+    """The store's level entries, key -> (size, levels): those under a kind of level."""
+    return {key: entry for key, entry in words._STORE.items() if type(key[0]) is str}
 
 
-def _snapshot(store):
-    """A store's keys, sizes and levels, copied so that a later change to it shows."""
-    return {key: (size, list(levels)) for key, (size, levels) in store.items()}
+def _snapshot():
+    """The kept levels' keys, sizes and levels, copied so that a later change to them shows."""
+    return {key: (size, list(levels)) for key, (size, levels) in _kept_levels().items()}
 
 
-def _held(store):
-    """The elements a level store holds, each key's levels counted by their first column."""
-    return sum(len(level[0]) for _, levels in store.values() for level in levels)
+def _held():
+    """The elements the kept levels hold, each key's levels counted by their first column."""
+    return sum(len(level[0]) for _, levels in _kept_levels().values() for level in levels)
 
 
-def test_hasse_comm_formats_each_vertex_once(monkeypatch, cold_store):
+def test_hasse_comm_formats_each_vertex_once(monkeypatch):
     calls = _count_calls(monkeypatch, _format_monomial)
     graph = hasse(PosetHandle("comm"), 16)
     assert len(calls) == len(graph.vertices) == 915
@@ -582,7 +579,7 @@ def test_coconnection_builds_no_cover_word(monkeypatch):
     assert covers == [[]] * 3
 
 
-def test_hasse_comm_computes_each_cover_once(monkeypatch, cold_store):
+def test_hasse_comm_computes_each_cover_once(monkeypatch):
     boxes = _count_calls(monkeypatch, _box_covers)
     exponents = _count_calls(monkeypatch, _exponents)
     lookups = _count_calls(monkeypatch, termorders._moves)
@@ -615,12 +612,12 @@ def _profile_events(module, call):
     return events[0]
 
 
-def test_partition_levels_grow_linearly_in_the_ranks(cold_store):
+def test_partition_levels_grow_linearly_in_the_ranks(empty_store):
     # over one letter each rank holds one partition; numbering each rank by summing the
     # lengths of all ranks below it made these builds quadratic in their ranks
     work = []
     for max_rank in (400, 800):
-        cold_store.clear()
+        empty_store()
         work.append(_profile_events(commutative, lambda: monomials_up_to_rank(max_rank, 1)))
     assert work[1] <= 2.2 * work[0], work
 
@@ -766,17 +763,17 @@ def _drawn(family, n, max_rank):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 11, None])
-def test_a_warm_store_draws_what_an_empty_one_draws(cold_store, n):
+def test_a_warm_store_draws_what_an_empty_one_draws(empty_store, n):
     # n = 11 puts x10 and x11 between x1 and x2 from rank 10 on
     ranks = list(range(12))
     cold = {}
     for family in FAMILIES:
         for r in ranks:
-            cold_store.clear()
+            empty_store()
             cold[family, r] = _drawn(family, n, r)
     shuffled = random.Random(str(n)).sample(ranks, len(ranks))
     for order in (ranks, ranks[::-1], shuffled):
-        cold_store.clear()
+        empty_store()
         for r in order:
             # the word families share their levels: draw them in turn on one store
             for family in FAMILIES:
@@ -784,7 +781,7 @@ def test_a_warm_store_draws_what_an_empty_one_draws(cold_store, n):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_a_warm_store_refuses_what_a_cold_one_refuses(monkeypatch, cold_store, family):
+def test_a_warm_store_refuses_what_a_cold_one_refuses(monkeypatch, family):
     handle = PosetHandle(family, 2)
     default = errors.DEFAULT_LIMIT
 
@@ -797,62 +794,63 @@ def test_a_warm_store_refuses_what_a_cold_one_refuses(monkeypatch, cold_store, f
 
     # rank <= 8 holds 88 words over two letters, and 25 monomials
     cold = refusal(limit=20), refusal(default_limit=20)
-    assert cold_store == {}
+    assert words._STORE == {}
     hasse(handle, 12)
-    kept = _snapshot(cold_store)
+    kept = _snapshot()
     # the caps are checked before the store is read
     levels = _count_calls(monkeypatch, words._levels)
     assert (refusal(limit=20), refusal(default_limit=20)) == cold
     assert levels == []
-    assert _snapshot(cold_store) == kept
+    assert _snapshot() == kept
 
 
-def test_the_store_keeps_at_most_table_limit_elements(cold_store):
+def test_the_store_keeps_at_most_table_limit_elements():
     for family in FAMILIES:
         for n in (1, 2, 3, None):
             hasse(PosetHandle(family, n), 10)
-    assert 0 < _held(cold_store) <= TABLE_LIMIT
+    assert 0 < _held() <= TABLE_LIMIT
     # the 1024 words of rank <= 10 over the unbounded alphabet grow to 16384
-    before = _held(cold_store)
+    before = _held()
     hasse(PosetHandle("nc"), 14)
-    assert _held(cold_store) == before - 1024 + 16384
-    # 11504 more would pass the limit: the store drops the others first
+    assert _held() == before - 1024 + 16384
+    # 11504 more would pass the limit: the least recently used levels go first, down to
+    # the 16384 words drawn last
     hasse(PosetHandle("nc", 4), 14)
-    assert _held(cold_store) == len(words_up_to_rank(14, 4)) == 11504
+    assert _held() == len(words_up_to_rank(14, 4)) == 11504
     # 23249 words alone pass the limit: the graph is drawn, and the store is left as it was
-    before = _snapshot(cold_store)
+    before = _snapshot()
     graph = hasse(PosetHandle("q", 3), 16)
     assert len(graph.vertices) == 23249 > TABLE_LIMIT
     assert [w for w, _, _ in graph.vertices] == words_up_to_rank(16, 3)
-    assert _snapshot(cold_store) == before
+    assert _snapshot() == before
     # 601 words of 180300 letters count as 9015 elements, as in the caps: kept, and counted so
     hasse(PosetHandle("nc", 1), 600)
-    assert {key: size for key, (size, _) in cold_store.items()} == {
+    assert {key: size for key, (size, _) in _kept_levels().items()} == {
         ("words", 4): 11504, ("words", 1): 9015
     }
     # 1001 words of 500500 letters count as 25025: drawn on the kept ranks, and not kept
-    before = _snapshot(cold_store)
+    before = _snapshot()
     graph = hasse(PosetHandle("nc", 1), 1000)
     assert graph.labels[-1] == "*".join(["x1"] * 1000)
-    assert _snapshot(cold_store) == before
+    assert _snapshot() == before
 
 
-def test_the_store_reads_its_caps_at_call_time(monkeypatch, cold_store):
+def test_the_store_reads_its_caps_at_call_time(monkeypatch):
     # 32 words of rank <= 5 over the unbounded alphabet
     monkeypatch.setattr(errors, "TABLE_LIMIT", 31)
     hasse(PosetHandle("nc"), 5)
-    assert cold_store == {}
+    assert words._STORE == {}
     monkeypatch.setattr(errors, "TABLE_LIMIT", 32)
     hasse(PosetHandle("nc"), 5)
-    assert {key: size for key, (size, _) in cold_store.items()} == {("words", None): 32}
+    assert {key: size for key, (size, _) in _kept_levels().items()} == {("words", None): 32}
     # 601 words of 180300 letters count as 180300 // 10 elements under 10 letters per word
     monkeypatch.setattr(errors, "TABLE_LIMIT", TABLE_LIMIT)
     monkeypatch.setattr(errors, "LETTERS_PER_WORD", 10)
     hasse(PosetHandle("nc", 1), 600)
-    assert cold_store[("words", 1)][0] == 18030
+    assert words._STORE[("words", 1)][0] == 18030
 
 
-def test_mutating_a_graph_changes_no_later_graph(cold_store):
+def test_mutating_a_graph_changes_no_later_graph():
     first = hasse(PosetHandle("comm", 3), 6)
     expected = repr(first.vertices), first.to_json()
     for t, _, _ in first.vertices:
@@ -866,7 +864,7 @@ def test_mutating_a_graph_changes_no_later_graph(cold_store):
     assert hasse(PosetHandle("comm", 3), 6).to_json() == expected[1]
     # the store itself holds nothing mutable: tuples, strings and ints alone
     hasse(PosetHandle("nc", 3), 8)
-    assert all(_frozen(level) for _, levels in cold_store.values() for level in levels)
+    assert all(_frozen(level) for _, levels in _kept_levels().values() for level in levels)
 
 
 def _frozen(value):

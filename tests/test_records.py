@@ -192,4 +192,5 @@ def test_equal_specs_share_one_certifier_report():
     first, second = parse_order_spec("weight:1,2,3"), parse_order_spec("weight:1,2,3")
     assert first is not second and first == second
     assert validate_order(first, 2, 2) == validate_order(second, 2, 2)
-    assert len(words._REPORTS) == 1
+    # the store holds one entry, the report, keyed on its body first
+    assert [key[0].__name__ for key in words._STORE] == ["_validate_order"]
