@@ -6,7 +6,9 @@ total; `validate_order` certifies the term-order axioms on a bounded range
 instead of assuming them, and `contains_poset` checks that a given order
 refines one of the partial-order families.  Both check generating moves
 and adjacent pairs rather than all pairs; only a failed multiplicativity
-check scans all pairs, for its witness.
+check scans all pairs, for its witness.  `validate_order` keys each word
+and cofactor once, O(W + C) sort keys, and joins each product's key from
+its factors' keys, O(W C^2) joins.
 """
 
 from __future__ import annotations
@@ -112,24 +114,29 @@ def _no_weight(spec: TermOrderSpec, letter: int) -> ValueError:
     )
 
 
-def _key_function(spec: TermOrderSpec, top: int) -> Callable[[Word], tuple]:
-    """`sort_key` for valid words over x1..x_top, without validating each word.
+def _key_function(spec: TermOrderSpec, top: int) -> tuple[Callable, Callable]:
+    """`sort_key` for valid words over x1..x_top, without validating each word, and its
+    join: ``join(key(u), key(v)) == key(u + v)`` for all words u and v.
 
     The certifiers key only words they built themselves, so the one check left is
     that every letter up to ``top`` has a weight (`sort_key`'s error for the first
-    word that lacks one).  A weight key sums in C, over the weights padded by a 0.
+    word that lacks one).  A key is a grading that adds over concatenation (degree,
+    or weight then degree) and the word or its reverse, so a join is O(1) additions.
     """
     if spec.kind == "deg_left_lex":
-        return lambda w: (len(w), w)
+        return (lambda w: (len(w), w)), (lambda p, q: (p[0] + q[0], p[1] + q[1]))
     if spec.kind == "deg_right_lex":
         # equal lengths align the positions, so reversing realizes the
-        # rightmost-first scan
-        return lambda w: (len(w), w[::-1])
+        # rightmost-first scan; the reverse of u*v is v's reverse, then u's
+        return (lambda w: (len(w), w[::-1])), (lambda p, q: (p[0] + q[0], q[1] + p[1]))
     weights = spec.weights
     if top > len(weights):
         raise _no_weight(spec, len(weights) + 1)
     weight = (0, *weights).__getitem__
-    return lambda w: (sum(map(weight, w)), len(w), w)
+    return (
+        (lambda w: (sum(map(weight, w)), len(w), w)),
+        (lambda p, q: (p[0] + q[0], p[1] + q[1], p[2] + q[2])),
+    )
 
 
 def sort_key(spec: TermOrderSpec, m: Sequence[int]):
@@ -140,7 +147,7 @@ def sort_key(spec: TermOrderSpec, m: Sequence[int]):
         for i in w:
             if i > len(spec.weights):
                 raise _no_weight(spec, i)
-    return _key_function(spec, 0)(w)
+    return _key_function(spec, 0)[0](w)
 
 
 def order_compare(spec: TermOrderSpec, m: Sequence[int], m2: Sequence[int]) -> str:
@@ -202,9 +209,11 @@ def validate_order(
     Multiplicativity and sortedness quantify cofactors up to
     ``cofactor_degree``; this is a bounded certification, not a proof.
 
-    Each word's sort key is computed once.  The order is induced by the
-    keys, so it is transitive, and multiplicativity needs checking only on
-    the pairs adjacent in key order.  If keys tie or an adjacent pair fails,
+    Each word's and each cofactor's sort key is computed once, O(W + C) keys
+    for W words and C cofactors; the key of each product a*w*b is joined from
+    its factors' keys, O(W C^2) joins of O(1) each.  The order is induced by
+    the keys, so it is transitive, and multiplicativity needs checking only
+    on the pairs adjacent in key order.  If keys tie or an adjacent pair fails,
     `_first_non_multiplicative` scans all pairs instead.  Every witness is
     the first one in the canonical scan: outer word, then inner word, in
     the order of `words_up_to_degree`.
@@ -231,7 +240,7 @@ def validate_order(
 def _validate_order(spec, n, max_degree, cofactor_degree) -> OrderValidationReport:
     """`validate_order` on checked arguments."""
     count = _count_up_to_degree(n, max_degree)
-    key = _key_function(spec, n)
+    key, join = _key_function(spec, n)
     # the checks below visit every pair of cofactors
     cofactors = words_up_to_degree(n, cofactor_degree, isqrt(_cap()))
     pairs = len(cofactors) ** 2
@@ -239,6 +248,8 @@ def _validate_order(spec, n, max_degree, cofactor_degree) -> OrderValidationRepo
     _charge(planned, f"key comparisons to validate {spec.describe()} up to degree {max_degree}")
     words = words_up_to_degree(n, max_degree)
     keys = [key(w) for w in words]
+    cokeys = [key(c) for c in cofactors]
+    letters = [key((i,)) for i in range(1, n + 1)]
 
     ranked = sorted(range(len(words)), key=keys.__getitem__)
     # the sort is stable, so the least tied pair of positions is the first tie
@@ -265,19 +276,14 @@ def _validate_order(spec, n, max_degree, cofactor_degree) -> OrderValidationRepo
     low_word = next((a for a, k in zip(words[1:], keys[1:]) if not keys[0] < k), None)
 
     standard = next(
-        (
-            ((i,), (i + 1,))
-            for i in range(1, n)
-            if not key((i,)) < key((i + 1,))
-        ),
-        None,
+        (((i,), (i + 1,)) for i, (a, b) in enumerate(pairwise(letters), 1) if not a < b), None
     )
 
     factor = None
-    if tie is not None or not _adjacent_multiplicative(key, [words[i] for i in ranked], cofactors):
-        factor = _first_non_multiplicative(key, words, keys, cofactors, planned)
+    if tie is not None or not _adjacent_multiplicative(join, [keys[i] for i in ranked], cokeys):
+        factor = _first_non_multiplicative(join, words, keys, cofactors, cokeys, planned)
 
-    unsorted = _first_unsorted(key, n, cofactors)
+    unsorted = _first_unsorted(join, letters, cofactors, cokeys)
 
     witnesses = {
         "total": tie,
@@ -301,17 +307,17 @@ def _validate_order(spec, n, max_degree, cofactor_degree) -> OrderValidationRepo
     )
 
 
-def _adjacent_multiplicative(key, ranked, cofactors) -> bool:
-    """Do the cofactors (a, b) keep each word below its successor in key order?
-    Each head a*w is built once, for its left cofactor a, and shared by every b."""
+def _adjacent_multiplicative(join, ranked, cokeys) -> bool:
+    """Do the cofactors (a, b) keep each word below its successor in key order?  Given
+    the keys, each head a*w is joined once, for its left cofactor a, and shared by every b."""
     return all(
         all(map(lt, keys, keys[1:]))
-        for heads in ([a + w for w in ranked] for a in cofactors)
-        for keys in ([key(h + b) for h in heads] for b in cofactors)
+        for heads in ([join(a, k) for k in ranked] for a in cokeys)
+        for keys in ([join(h, b) for h in heads] for b in cokeys)
     )
 
 
-def _first_non_multiplicative(key, words, keys, cofactors, work):
+def _first_non_multiplicative(join, words, keys, cofactors, cokeys, work):
     """The all-pairs scan: the first s < t and cofactors (a, b) with a*s*b not below a*t*b.
 
     Each pair s < t adds its cofactor pairs to the running total ``work``,
@@ -323,22 +329,21 @@ def _first_non_multiplicative(key, words, keys, cofactors, work):
             if ks < kt:
                 work += pairs
                 _charge(work, "key comparisons of the multiplicativity scan")
-                for a, b in product(cofactors, repeat=2):
-                    if not key(a + s + b) < key(a + t + b):
+                for (a, ka), (b, kb) in product(zip(cofactors, cokeys), repeat=2):
+                    if not join(join(ka, ks), kb) < join(join(ka, kt), kb):
                         return (s, t, a, b)
     return None
 
 
-def _first_unsorted(key, n, cofactors):
-    """The first (t*xj*xi*s, t*xi*xj*s), i < j, that the order does not put in that order."""
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for t in cofactors:
-                for s in cofactors:
-                    low = t + (j, i) + s
-                    high = t + (i, j) + s
-                    if not key(low) < key(high):
-                        return (low, high)
+def _first_unsorted(join, letters, cofactors, cokeys):
+    """The first (t*xj*xi*s, t*xi*xj*s), i < j, that the order does not put in that order;
+    ``letters`` holds the keys of x1..xn and ``cokeys`` those of the cofactors."""
+    for i, ki in enumerate(letters, 1):
+        for j, kj in enumerate(letters[i:], i + 1):
+            down, up = join(kj, ki), join(ki, kj)
+            for (t, kt), (s, ks) in product(zip(cofactors, cokeys), repeat=2):
+                if not join(join(kt, down), ks) < join(join(kt, up), ks):
+                    return (t + (j, i) + s, t + (i, j) + s)
     return None
 
 
@@ -381,7 +386,7 @@ def _contains_poset(spec, handle, max_degree) -> tuple[bool, tuple[Word, Word] |
     """`contains_poset` on checked arguments."""
     words = words_up_to_degree(handle.n, max_degree)
     # at degree 0 only the identity is keyed
-    key = _key_function(spec, handle.n if max_degree else 0)
+    key = _key_function(spec, handle.n if max_degree else 0)[0]
     keys = {w: key(w) for w in words}
 
     def up(w: Word) -> list[Word]:

@@ -3,12 +3,15 @@
 The library keeps rank levels and certifier reports in one store for the
 life of the process (`words._keep`), so a test that patches or spies on
 their internals would otherwise be answered from what an earlier test left
-behind.
+behind.  A test that hands the certifiers its own order key does so through
+`inject_key`, which first checks the key's join.
 """
+
+from itertools import product
 
 import pytest
 
-from ncposet import words
+from ncposet import termorders, words
 
 
 @pytest.fixture(autouse=True)
@@ -21,3 +24,21 @@ def empty_store():
 
     empty()
     return empty
+
+
+@pytest.fixture
+def inject_key(monkeypatch):
+    """Return ``inject(key, join)``, which makes `termorders._key_function` return that
+    pair for every spec.  It first asserts ``join(key(u), key(v)) == key(u + v)`` for all
+    words u, v of degree <= 3 over x1..x3: the certifiers key only words and cofactors and
+    join the rest, so a wrong join would test something other than the key."""
+    # built here, not by the library, so the check neither charges a cap nor fills the store
+    small = [w for d in range(4) for w in product(range(1, 4), repeat=d)]
+
+    def inject(key, join):
+        for u in small:
+            for v in small:
+                assert join(key(u), key(v)) == key(u + v), (u, v)
+        monkeypatch.setattr(termorders, "_key_function", lambda spec, top: (key, join))
+
+    return inject

@@ -149,12 +149,16 @@ def check_coconnection_scan(n, max_rank):
     return CoconnectionReport(n, max_rank, laws)
 
 
-@pytest.mark.parametrize("text", SPECS)
+@pytest.mark.parametrize("text", (*SPECS, "weight:1,2,3,4"))
 def test_validate_order_matches_scan(text):
     spec = parse_order_spec(text)
+    # degree 4 over two letters is the benchmark's heaviest range; cofactor degree 3
+    # over three letters is left out at degree 3 alone, where the scan takes 5-11 s
     for n in (1, 2, 3):
-        for d in range(4):
-            assert validate_order(spec, n, d) == validate_order_scan(spec, n, d), (n, d)
+        for d in range(5 if n <= 2 else 4):
+            for c in range(4 if (n, d) != (3, 3) else 3):
+                fast = validate_order(spec, n, d, c)
+                assert fast == validate_order_scan(spec, n, d, c), (n, d, c)
 
 
 @pytest.mark.parametrize("family", ("nc", "q", "p"))
@@ -197,9 +201,23 @@ def test_key_function_matches_sort_key(text):
     # the certifiers' unchecked keys against the public, checked one
     spec = parse_order_spec(text)
     for n in (1, 2, 3):
-        key = termorders._key_function(spec, n)
+        key, _ = termorders._key_function(spec, n)
         for w in words_up_to_degree(n, 4):
             assert key(w) == termorders.sort_key(spec, w) == _spelled_out_key(spec, w), (n, w)
+
+
+@pytest.mark.parametrize("text", (*SPECS, "weight:1,2,3,4"))
+def test_join_keys_each_product_as_sort_key_does(text):
+    # the certifiers key each product a*w*b by joining its factors' keys
+    spec = parse_order_spec(text)
+    for n in (1, 2, 3):
+        key, join = termorders._key_function(spec, n)
+        small = words_up_to_degree(n, 3)
+        for u in small:
+            for v in small:
+                joined = join(key(u), key(v))
+                assert joined == key(u + v) == termorders.sort_key(spec, u + v), (n, u, v)
+                assert joined == _spelled_out_key(spec, u + v), (n, u, v)
 
 
 def test_key_function_reports_a_missing_weight_as_sort_key_does():
@@ -239,15 +257,24 @@ def _tail_first_key(spec, m):
     return (w[1:], len(w), w)
 
 
+# each key's join, as `termorders._key_function` pairs them: the parities add mod 2,
+# the degrees add, and the tail-first key is taken again of the concatenated words
+_JOINS = {
+    _odd_ones_key: lambda p, q: (p[0] + q[0], (p[1] + q[1]) % 2, p[2] + q[2]),
+    _degree_only_key: lambda p, q: (p[0] + q[0],),
+    _tail_first_key: lambda p, q: _tail_first_key(None, p[2] + q[2]),
+}
+
+
 @pytest.mark.parametrize(
     "key, multiplicative",
     ((_odd_ones_key, False), (_degree_only_key, True), (_tail_first_key, False)),
 )
-def test_fallback_reports_match_scan(monkeypatch, key, multiplicative):
+def test_fallback_reports_match_scan(monkeypatch, inject_key, key, multiplicative):
     # the scans read the public sort_key, the certifiers the per-spec key function
     monkeypatch.setattr(termorders, "sort_key", key)
-    monkeypatch.setattr(termorders, "_key_function", lambda spec, top: partial(key, spec))
     spec = parse_order_spec("deglex")
+    inject_key(partial(key, spec), _JOINS[key])
     for n in (1, 2, 3):
         for d in range(4):
             report = validate_order(spec, n, d)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from operator import add
 from unittest import mock
 
 import pytest
@@ -216,12 +217,11 @@ def test_largest_one_length_closures_still_print(capsys):
     assert (code, err, len(out.split())) == (0, "", 4**7)
 
 
-def test_lowering_the_default_cap_lowers_every_cap(capsys, monkeypatch):
+def test_lowering_the_default_cap_lowers_every_cap(capsys, monkeypatch, inject_key):
     from ncposet import (
         DEG_LEFT_LEX,
         LimitError,
         monomials_up_to_rank,
-        termorders,
         validate_order,
         words_up_to_degree,
         words_up_to_rank,
@@ -256,7 +256,7 @@ def test_lowering_the_default_cap_lowers_every_cap(capsys, monkeypatch):
     assert len(words_up_to_degree(2, 5)) == 63
     # a key that ties each degree sends validate_order to the all-pairs scan:
     # 31 words plan 31 key comparisons, and the 70th pair passes the cap
-    monkeypatch.setattr(termorders, "_key_function", lambda spec, top: len)
+    inject_key(len, add)
     with pytest.raises(LimitError) as info:
         validate_order(DEG_LEFT_LEX, 2, 4, cofactor_degree=0)
     message = "101 key comparisons of the multiplicativity scan exceed the cap of 100"

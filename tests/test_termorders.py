@@ -1,4 +1,5 @@
 from itertools import combinations
+from operator import add
 
 import pytest
 
@@ -294,9 +295,9 @@ def test_letter_without_weight_is_reported_once_per_range():
         sort_key(spec, (1, 5, 3))
 
 
-def test_multiplicativity_scan_charges_the_budget(monkeypatch):
+def test_multiplicativity_scan_charges_the_budget(monkeypatch, inject_key):
     # a key that ties each degree sends validate_order to the all-pairs scan
-    monkeypatch.setattr(termorders, "_key_function", lambda spec, top: len)
+    inject_key(len, add)
     monkeypatch.setattr(errors, "DEFAULT_LIMIT", 10_000)
     # 127 words: 127 planned key comparisons, then 5334 pairs of different
     # degree, under the cap
