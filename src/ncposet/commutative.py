@@ -104,8 +104,11 @@ def comm_leq(
     t: Mapping[int, int], t2: Mapping[int, int], n: int | None = None
 ) -> bool:
     """Containment of the corresponding partitions, componentwise."""
-    t = normalize_monomial(t, n)
-    t2 = normalize_monomial(t2, n)
+    return _comm_leq(normalize_monomial(t, n), normalize_monomial(t2, n))
+
+
+def _comm_leq(t: CommMonomial, t2: CommMonomial) -> bool:
+    """`comm_leq` of normalized monomials."""
     return dominated(_suffix_sums(t), _suffix_sums(t2))
 
 

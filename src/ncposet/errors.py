@@ -13,7 +13,8 @@ LETTERS_PER_WORD = 20
 # no bit of an element lies past the last position of its rank; the 22175
 # words of rank <= 15 over x1..x4 take 42 MB.  It also bounds what the
 # process keeps (`words._keep`): its rank levels, weighed by their elements,
-# and its certifier reports, `words._REPORT_WEIGHT` elements each.
+# its certifier reports, `words._REPORT_WEIGHT` elements each, and its rank
+# tallies (`series.enumerate_by_rank`), one element per rank.
 TABLE_LIMIT = 23_000
 
 

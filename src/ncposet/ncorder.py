@@ -64,8 +64,11 @@ def nc_leq(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> bool:
     is the fast shortcut; `nc_leq_oracle` is the rule-based ground truth and
     the two are compared exhaustively in the test suite.
     """
-    m = check_word(m, n)
-    m2 = check_word(m2, n)
+    return _nc_leq(check_word(m, n), check_word(m2, n))
+
+
+def _nc_leq(m: Word, m2: Word) -> bool:
+    """`nc_leq` of checked words."""
     lm, lm2 = len(m), len(m2)
     if lm > lm2:
         return False

@@ -17,9 +17,9 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import chain
 
-from .commutative import _partition_levels, comm_leq
-from .ncorder import nc_leq
-from .variants import p_leq, q_leq
+from .commutative import _comm_leq, _partition_levels
+from .ncorder import _nc_leq
+from .variants import _p_leq, _q_leq
 from .words import (_Record, _check_alphabet, _json_list, _word_edges, _word_levels, check_range,
                     check_word, normalize_monomial)
 
@@ -60,30 +60,28 @@ def _check_element(handle: PosetHandle, value):
     return (normalize_monomial if handle.family == "comm" else check_word)(value, handle.n)
 
 
+# each family's comparison of checked elements; the bound n only validates, so none takes it
+_KERNELS = {"nc": _nc_leq, "q": _q_leq, "p": _p_leq, "comm": _comm_leq}
+
+
 def leq(handle: PosetHandle, a, b) -> bool:
-    """Directed comparability in the handle's family."""
-    a = _check_element(handle, a)
-    b = _check_element(handle, b)
-    if handle.family == "nc":
-        return nc_leq(a, b, handle.n)
-    if handle.family == "q":
-        return q_leq(a, b, handle.n)
-    if handle.family == "p":
-        return p_leq(a, b)
-    return comm_leq(a, b, handle.n)
+    """Directed comparability in the handle's family: check ``a``, then ``b``, then compare."""
+    return _KERNELS[handle.family](_check_element(handle, a), _check_element(handle, b))
 
 
 def compare(handle: PosetHandle, a, b) -> str:
-    """LT, GT, EQ, or INCOMPARABLE; EQ exactly on structural equality."""
-    a = _check_element(handle, a)
-    b = _check_element(handle, b)
+    """LT, GT, EQ, or INCOMPARABLE; EQ exactly on structural equality.
+
+    ``a`` and then ``b`` are checked once, as `leq` checks them; the family's kernel
+    then runs on the checked elements, at most once each way.
+    """
+    a, b = _check_element(handle, a), _check_element(handle, b)
     if a == b:
         return EQ
-    if leq(handle, a, b):
+    kernel = _KERNELS[handle.family]
+    if kernel(a, b):
         return LT
-    if leq(handle, b, a):
-        return GT
-    return INCOMPARABLE
+    return GT if kernel(b, a) else INCOMPARABLE
 
 
 class HasseGraph(_Record):

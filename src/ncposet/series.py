@@ -4,13 +4,14 @@ The number of words of rank k over the unbounded alphabet is the k-th
 coefficient of (1-t)/(1-2t); over x1..xn it is the coefficient of
 (1-t)/(1-2t+t^(n+1)).  Coefficients are expanded by the corresponding
 linear recurrences in exact integer arithmetic; `enumerate_by_rank`
-recounts them by generating the words outright.
+recounts them by generating the words outright, once per alphabet: the
+process keeps the tally, and a later call reads what it needs from it.
 """
 
 from __future__ import annotations
 
 from .errors import _charge
-from .words import _Record, _word_levels, check_range
+from .words import _count_up_to_rank, _keep, _Record, _word_levels, check_range
 
 __all__ = ["CoefficientTable", "rank_coefficients", "enumerate_by_rank"]
 
@@ -45,9 +46,13 @@ def rank_coefficients(terms: int, n: int | None = None) -> CoefficientTable:
     return CoefficientTable(n=n, coefficients=tuple(coefficients))
 
 
-def enumerate_by_rank(
-    terms: int, n: int | None = None, limit: int | None = None
-) -> list[int]:
-    """Tally the words of each rank 0..terms by direct generation, one level per rank."""
+def enumerate_by_rank(terms: int, n: int | None = None, limit: int | None = None) -> list[int]:
+    """Tally the words of each rank 0..terms by direct generation, once per alphabet: the
+    tally is kept (`words._keep`, a tuple weighing its length) and answers shorter calls."""
     check_range(n, terms, "terms")
-    return [len(level) for level in _word_levels(terms, n, limit)[0]]
+    _count_up_to_rank(terms, n, limit)  # the caps, on every call, building no word
+    counts = _keep(("rank counts", n))
+    if counts is None or len(counts) <= terms:
+        counts = tuple(len(level) for level in _word_levels(terms, n, limit)[0])
+        _keep(("rank counts", n), len(counts), counts)
+    return list(counts[: terms + 1])

@@ -53,7 +53,12 @@ def q_leq(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> bool:
     w[c] > w[g] >= m[j]: take c in slot j and follow P.  By induction on
     len(m), first fit succeeds whenever a pick sequence exists.
     """
-    m, rest = check_word(m, n), list(check_word(m2, n))
+    return _q_leq(check_word(m, n), check_word(m2, n))
+
+
+def _q_leq(m: Word, m2: Word) -> bool:
+    """`q_leq` of checked words."""
+    rest = list(m2)
     if len(m) > len(rest):
         return False
     _charge(len(m) * len(rest), "letter comparisons")
@@ -72,8 +77,11 @@ def p_leq(m: Sequence[int], m2: Sequence[int]) -> bool:
     and every letter of ``m`` is <= the letter of ``m2`` at the same
     position.
     """
-    m = check_word(m)
-    m2 = check_word(m2)
+    return _p_leq(check_word(m), check_word(m2))
+
+
+def _p_leq(m: Word, m2: Word) -> bool:
+    """`p_leq` of checked words."""
     if len(m) != len(m2):
         return len(m) < len(m2)
     return all(a <= b for a, b in zip(m, m2))

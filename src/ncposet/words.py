@@ -49,8 +49,9 @@ _WORD_TERM = re.compile(r"x([1-9][0-9]*)\Z")
 _MON_FACTOR = re.compile(r"x([1-9][0-9]*)(?:\^([1-9][0-9]*))?\Z")
 
 # What the process keeps, key -> (weight, value), the least recently used first: the rank
-# levels of `_levels` per (kind, alphabet bound) and the certifiers' reports of `_remembered`.
-# The weights, in level elements, sum to _HELD
+# levels of `_levels` per (kind, alphabet bound), the certifiers' reports of `_remembered`
+# and the rank tallies of `series.enumerate_by_rank`.  The weights, in level elements, sum
+# to _HELD
 _STORE: dict[tuple, tuple[int, object]] = {}
 _HELD = 0
 
@@ -341,16 +342,9 @@ def words_up_to_rank(
     return [w for level in _word_levels(max_rank, n, limit)[0] for w in level]
 
 
-def _word_levels(max_rank: int, n: int | None, limit: int | None, data: bool = False) -> tuple:
-    """Words of rank <= max_rank in `words_up_to_rank` order, one list per rank.
-
-    With ``data`` also their labels and multiranks, from the tail's (``xk*`` prepended, one
-    added to the first k components), kept per n by `_levels`; the words are rebuilt each call.
-    """
-    _check_alphabet(n)
+def _count_up_to_rank(max_rank: int, n: int | None, limit: int | None) -> tuple[int, int]:
+    """Count the words of rank <= max_rank and their letters against the caps, building none."""
     _cap(limit)
-    if max_rank < 0:
-        return [], [], []
     top = max_rank if n is None else min(n, max_rank)
     # sizes[r] words of rank r hold lengths[r] letters among them
     sizes: list[int] = []
@@ -363,6 +357,20 @@ def _word_levels(max_rank: int, n: int | None, limit: int | None, data: bool = F
         total_words += sizes[r]
         total_letters += lengths[r]
         _check_enumeration(f"words up to rank {max_rank}", total_words, limit, total_letters)
+    return total_words, total_letters
+
+
+def _word_levels(max_rank: int, n: int | None, limit: int | None, data: bool = False) -> tuple:
+    """Words of rank <= max_rank in `words_up_to_rank` order, one list per rank.
+
+    With ``data`` also their labels and multiranks, from the tail's (``xk*`` prepended, one
+    added to the first k components), kept per n by `_levels`; the words are rebuilt each call.
+    """
+    _check_alphabet(n)
+    total_words, total_letters = _count_up_to_rank(max_rank, n, limit)
+    if max_rank < 0:
+        return [], [], []
+    top = max_rank if n is None else min(n, max_rank)
     letters = sorted(range(1, top + 1), key=str)
     words = [[()]]
     for r in range(1, max_rank + 1):

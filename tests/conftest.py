@@ -1,12 +1,15 @@
 """Shared test setup: every test starts from an empty store.
 
-The library keeps rank levels and certifier reports in one store for the
-life of the process (`words._keep`), so a test that patches or spies on
-their internals would otherwise be answered from what an earlier test left
-behind.  A test that hands the certifiers its own order key does so through
-`inject_key`, which first checks the key's join.
+The library keeps rank levels, certifier reports and rank tallies in one
+store for the life of the process (`words._keep`), so a test that patches or
+spies on their internals would otherwise be answered from what an earlier
+test left behind.  A test that hands the certifiers its own order key does
+so through `inject_key`, which first checks the key's join; the thread
+probes of the store run through `in_six_threads`.
 """
 
+import sys
+import threading
 from itertools import product
 
 import pytest
@@ -42,3 +45,32 @@ def inject_key(monkeypatch):
         monkeypatch.setattr(termorders, "_key_function", lambda spec, top: (key, join))
 
     return inject
+
+
+@pytest.fixture
+def in_six_threads():
+    """Return ``run(work)``, which runs ``work(k)`` in threads k = 0..5 with a short switch
+    interval and returns what they raised, after checking that every thread ended."""
+    def run_all(work):
+        raised = []
+
+        def run(k):
+            try:
+                work(k)
+            except Exception as exc:  # the test fails on it
+                raised.append(exc)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        return raised
+
+    return run_all

@@ -10,9 +10,6 @@ kind once all weigh more than `errors.TABLE_LIMIT`.  The conftest empties
 the store before each test.  Every thread of the process shares it.
 """
 
-import sys
-import threading
-
 import pytest
 
 from ncposet import (
@@ -245,32 +242,7 @@ def test_equal_specs_share_a_report(monkeypatch):
     assert len(loops) == 1
 
 
-def _in_six_threads(work):
-    """Run ``work(k)`` in threads k = 0..5 with a short switch interval; return what
-    they raised, after checking that every thread ended."""
-    raised = []
-
-    def run(k):
-        try:
-            work(k)
-        except Exception as exc:  # the test fails on it below
-            raised.append(exc)
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    return raised
-
-
-def test_threads_share_the_memo(monkeypatch, empty_store):
+def test_threads_share_the_memo(monkeypatch, empty_store, in_six_threads):
     calls = [(DEG_LEFT_LEX, n, d) for n in (1, 2) for d in (1, 2)]
     calls += [(DEG_RIGHT_LEX, 2, 2), (DEG_RIGHT_LEX, 1, 3)]
     calls += [(weight_deg(1, w), 2, 1) for w in (2, 3, 4, 5)]
@@ -286,7 +258,7 @@ def test_threads_share_the_memo(monkeypatch, empty_store):
             if validate_order(*calls[j]) != expected[j]:
                 differing.append(calls[j])
 
-    assert _in_six_threads(work) == []
+    assert in_six_threads(work) == []
     assert differing == []
     assert len(_reports()) <= 4
 
@@ -297,7 +269,7 @@ def _weighed():
     return words._HELD
 
 
-def test_threads_share_the_level_store(monkeypatch, empty_store):
+def test_threads_share_the_level_store(monkeypatch, empty_store, in_six_threads):
     ranges = [(family, r) for family in ("nc", "comm") for r in range(7)]
     expected = {key: hasse(PosetHandle(key[0], 2), key[1]) for key in ranges}
     empty_store()
@@ -311,12 +283,13 @@ def test_threads_share_the_level_store(monkeypatch, empty_store):
             if hasse(PosetHandle(key[0], 2), key[1]) != expected[key]:
                 differing.append(key)
 
-    assert _in_six_threads(work) == []
+    assert in_six_threads(work) == []
     assert differing == []
     assert _weighed() <= 200
 
 
-def test_threads_share_one_store_of_levels_and_reports(monkeypatch, empty_store):
+def test_threads_share_one_store_of_levels_and_reports(monkeypatch, empty_store,
+                                                       in_six_threads):
     graphs = [(family, r) for family in ("nc", "comm") for r in (4, 5, 6)]
     orders = [(DEG_LEFT_LEX, 2, d) for d in (1, 2)] + [(weight_deg(1, w), 2, 1) for w in (2, 3)]
     expected = [hasse(PosetHandle(family, 2), r) for family, r in graphs]
@@ -335,6 +308,6 @@ def test_threads_share_one_store_of_levels_and_reports(monkeypatch, empty_store)
             if calls[j]() != expected[j]:
                 differing.append(j)
 
-    assert _in_six_threads(work) == []
+    assert in_six_threads(work) == []
     assert differing == []
     assert _weighed() <= 100

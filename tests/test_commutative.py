@@ -395,5 +395,6 @@ def test_coconnection_runs_no_search(monkeypatch):
         raise AssertionError("q_leq called")
 
     monkeypatch.setattr(variants, "q_leq", refuse)
-    monkeypatch.setattr(posets, "q_leq", refuse)
+    monkeypatch.setattr(variants, "_q_leq", refuse)
+    monkeypatch.setitem(posets._KERNELS, "q", refuse)
     assert check_coconnection(3, 6).ok

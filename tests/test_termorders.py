@@ -260,7 +260,8 @@ def test_containment_runs_no_search(monkeypatch):
         raise AssertionError("q_leq called")
 
     monkeypatch.setattr(variants, "q_leq", refuse)
-    monkeypatch.setattr(posets, "q_leq", refuse)
+    monkeypatch.setattr(variants, "_q_leq", refuse)
+    monkeypatch.setitem(posets._KERNELS, "q", refuse)
     assert contains_poset(DEG_RIGHT_LEX, PosetHandle("q", 3), 4) == (True, None)
     assert contains_poset(DEG_LEFT_LEX, PosetHandle("q", 3), 4)[0] is False
 
