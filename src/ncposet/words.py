@@ -49,9 +49,8 @@ _WORD_TERM = re.compile(r"x([1-9][0-9]*)\Z")
 _MON_FACTOR = re.compile(r"x([1-9][0-9]*)(?:\^([1-9][0-9]*))?\Z")
 
 # What the process keeps, key -> (weight, value), the least recently used first: the rank
-# levels of `_levels` per (kind, alphabet bound), the certifiers' reports of `_remembered`
-# and the rank tallies of `series.enumerate_by_rank`.  The weights, in level elements, sum
-# to _HELD
+# levels of `_levels` per (kind, alphabet bound) and the certifiers' reports of
+# `_remembered`.  The weights, in level elements, sum to _HELD
 _STORE: dict[tuple, tuple[int, object]] = {}
 _HELD = 0
 
@@ -210,9 +209,10 @@ def sorted_form(m: Sequence[int]) -> Word:
 def raise_letter(m: Sequence[int], j: int, n: int | None = None) -> Word:
     """Increment the letter at 1-based position ``j`` by one.
 
-    With an alphabet bound ``n`` the letter must be below ``n``.
+    With an alphabet bound ``n``, checked as `check_word` checks it, every letter must be at
+    most ``n`` and the raised one below it.
     """
-    w = check_word(m)
+    w = check_word(m, n)
     if type(j) is not int or not 1 <= j <= len(w):
         raise ValueError(f"position {j!r} out of range for a word of length {len(w)}")
     if n is not None and w[j - 1] >= n:
@@ -342,8 +342,9 @@ def words_up_to_rank(
     return [w for level in _word_levels(max_rank, n, limit)[0] for w in level]
 
 
-def _count_up_to_rank(max_rank: int, n: int | None, limit: int | None) -> tuple[int, int]:
-    """Count the words of rank <= max_rank and their letters against the caps, building none."""
+def _count_up_to_rank(max_rank: int, n: int | None, limit: int | None) -> tuple[list[int], int]:
+    """The number of words of each rank 0..max_rank and their letters in all, counted against
+    the caps rank by rank, building none: `_word_levels` builds exactly these levels."""
     _cap(limit)
     top = max_rank if n is None else min(n, max_rank)
     # sizes[r] words of rank r hold lengths[r] letters among them
@@ -357,7 +358,7 @@ def _count_up_to_rank(max_rank: int, n: int | None, limit: int | None) -> tuple[
         total_words += sizes[r]
         total_letters += lengths[r]
         _check_enumeration(f"words up to rank {max_rank}", total_words, limit, total_letters)
-    return total_words, total_letters
+    return sizes, total_letters
 
 
 def _word_levels(max_rank: int, n: int | None, limit: int | None, data: bool = False) -> tuple:
@@ -367,7 +368,7 @@ def _word_levels(max_rank: int, n: int | None, limit: int | None, data: bool = F
     added to the first k components), kept per n by `_levels`; the words are rebuilt each call.
     """
     _check_alphabet(n)
-    total_words, total_letters = _count_up_to_rank(max_rank, n, limit)
+    sizes, total_letters = _count_up_to_rank(max_rank, n, limit)
     if max_rank < 0:
         return [], [], []
     top = max_rank if n is None else min(n, max_rank)
@@ -391,7 +392,7 @@ def _word_levels(max_rank: int, n: int | None, limit: int | None, data: bool = F
     # with the letters: LETTERS_PER_WORD letters count as one element, as in the caps, so
     # x1^0..x1^6324 (2*10^7 letters, 60 MB of labels) is never kept
     kept = _levels(max_rank, extend, ("words", n),
-                   max(total_words, total_letters // errors.LETTERS_PER_WORD),
+                   max(sum(sizes), total_letters // errors.LETTERS_PER_WORD),
                    lambda level: (tuple(level[0]), " ".join(level[1])),
                    lambda level: (level[0], level[1].split(" ")))
     return words, [labels for _, labels in kept], [multiranks for multiranks, _ in kept]

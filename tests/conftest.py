@@ -1,8 +1,8 @@
 """Shared test setup: every test starts from an empty store.
 
-The library keeps rank levels, certifier reports and rank tallies in one
-store for the life of the process (`words._keep`), so a test that patches or
-spies on their internals would otherwise be answered from what an earlier
+The library keeps rank levels and certifier reports in one store for the
+life of the process (`words._keep`), so a test that patches or spies on
+their internals would otherwise be answered from what an earlier
 test left behind.  A test that hands the certifiers its own order key does
 so through `inject_key`, which first checks the key's join; the thread
 probes of the store run through `in_six_threads`.

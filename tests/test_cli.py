@@ -392,10 +392,10 @@ def _enumerating_argv(draw):
         # the table charges its coefficient bits first; admitted, it has bound + 1 rows
         bits = bound + 1 if n == 1 else bound * (bound + 1) // 2
         assume(bits > DEFAULT_LIMIT or bound < _BUILD_BUDGET)
-        if verify:
-            assume(_admits("nc", n, bound, cap) is not None)
+        # --verify counts the words against the caps, building none, so any range is drawn
+        admitted = bits <= DEFAULT_LIMIT and (not verify or _admits("nc", n, bound, cap) is not False)
         argv = ["series", *n_args, "--terms", str(bound), *limit_args]
-        return argv + ["--verify"] * verify, None
+        return argv + ["--verify"] * verify, 0 if admitted else 3
     family = draw(st.sampled_from(("nc", "q", "p", "comm")))
     admitted = _admits(family, n, bound, cap)
     assume(admitted is not None)

@@ -1,16 +1,18 @@
+import itertools
 import re
+import sys
 
 import pytest
 
 from ncposet import (
     LimitError,
     PosetHandle,
+    cli,
     enumerate_by_rank,
     errors,
     hasse,
     rank,
     rank_coefficients,
-    series,
     words,
     words_up_to_rank,
 )
@@ -41,10 +43,31 @@ def _tally_by_rank(terms, n):
     return counts
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, None))
+def _brute_force_by_rank(terms, n):
+    """Words of each rank 0..terms, counted apart from the level recursion that builds them:
+    a word of rank k is its letters' cut points in 1..k-1, one of the 2^(k-1) patterns of
+    `itertools.product`, and lies over x1..xn when no letter passes n."""
+    counts = [1]
+    for k in range(1, terms + 1):
+        counts.append(0)
+        for cuts in itertools.product((False, True), repeat=k - 1):
+            letters = [1]
+            for cut in cuts:
+                if cut:
+                    letters.append(1)
+                else:
+                    letters[-1] += 1
+            counts[k] += n is None or max(letters) <= n
+    return counts
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, None))
 def test_level_counts_match_the_per_word_tally(n):
+    brute = _brute_force_by_rank(14, n)
     for terms in range(15):
-        assert enumerate_by_rank(terms, n) == _tally_by_rank(terms, n)
+        counts = enumerate_by_rank(terms, n)
+        assert counts == [len(level) for level in words._word_levels(terms, n, None)[0]]
+        assert counts == _tally_by_rank(terms, n) == brute[: terms + 1]
 
 
 def test_level_counts_refuse_as_the_enumeration_does():
@@ -100,71 +123,73 @@ def test_enumeration_cap():
 
 
 def _spy_levels(monkeypatch):
-    """Log each generation of the words by `enumerate_by_rank`; return the log."""
+    """Log each generation of the words, through every module that binds `words._word_levels`;
+    return the log."""
     calls = []
-    real = series._word_levels
+    real = words._word_levels
 
     def spying(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(series, "_word_levels", spying)
+    binding = [module for name, module in sys.modules.items()
+               if name.startswith("ncposet") and getattr(module, "_word_levels", None) is real]
+    assert words in binding
+    for module in binding:
+        monkeypatch.setattr(module, "_word_levels", spying)
     return calls
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, None))
 def test_a_kept_tally_answers_a_shorter_call(monkeypatch, n):
-    assert enumerate_by_rank(12, n) == _tally_by_rank(12, n)
+    expected = [_tally_by_rank(terms, n) for terms in range(14)]
     built = _spy_levels(monkeypatch)
-    for terms in range(13):
+    for terms in (13, *range(14)):
         counts = enumerate_by_rank(terms, n)
-        assert counts == _tally_by_rank(terms, n)
+        assert counts == expected[terms]
         counts.append(0)  # each call returns a list of its own
     assert built == []
-    assert enumerate_by_rank(13, n) == _tally_by_rank(13, n)
-    assert len(built) == 1
-    assert enumerate_by_rank(13, n) == _tally_by_rank(13, n)
-    assert len(built) == 1
+
+
+def test_the_count_builds_no_word_and_keeps_nothing(monkeypatch, capsys):
+    built = _spy_levels(monkeypatch)
+    for n in (1, 2, 3, 4, None):
+        for terms in (0, 1, 9, 16):
+            enumerate_by_rank(terms, n)
+            n_args = [] if n is None else ["-n", str(n)]
+            assert cli.run(["series", *n_args, "--terms", str(terms), "--verify"]) == 0
+            assert capsys.readouterr().out.endswith(" / verified\n")
+            assert cli.run(["series", *n_args, "--terms", str(terms)]) == 0
+    with pytest.raises(LimitError):
+        enumerate_by_rank(12, None, 100)
+    assert built == []
+    assert words._STORE == {}
+    assert words._HELD == 0
+    words_up_to_rank(3, 2)  # the spy sees a generation of the words
+    assert built == [(3, 2, None)]
 
 
 def test_a_kept_tally_still_refuses_past_the_caps(monkeypatch):
     full = _tally_by_rank(12, None)
-    assert enumerate_by_rank(12) == full
-    built = _spy_levels(monkeypatch)
+    refusals = []
     for terms, limit in ((12, 100), (6, 10), (12, 4095)):
         with pytest.raises(LimitError) as refused:
             words_up_to_rank(terms, None, limit)
-        with pytest.raises(LimitError, match=f"^{re.escape(str(refused.value))}$"):
+        refusals.append((terms, limit, str(refused.value)))
+    assert enumerate_by_rank(12) == full
+    built = _spy_levels(monkeypatch)
+    for terms, limit, message in refusals:
+        with pytest.raises(LimitError, match=f"^{re.escape(message)}$"):
             enumerate_by_rank(terms, None, limit)
     with pytest.raises(ValueError, match="^limit must be an int >= 0, got -1$"):
         enumerate_by_rank(6, None, -1)
-    # the default cap is read at call time, so lowering it refuses a kept range too
+    # the default cap is read at call time, so lowering it refuses a range counted before
     monkeypatch.setattr(errors, "DEFAULT_LIMIT", 50)
     refused = "^enumeration of words up to rank 6 exceeded the cap of 50$"
     with pytest.raises(LimitError, match=refused):
         enumerate_by_rank(6)
     assert enumerate_by_rank(12, None, 4096) == full
     assert built == []
-
-
-def test_the_tally_is_a_weighed_tuple_and_rebuilt_once_evicted(monkeypatch):
-    enumerate_by_rank(8, 2)
-    assert words._STORE == {("rank counts", 2): (9, tuple(_tally_by_rank(8, 2)))}
-    enumerate_by_rank(12, 2)  # the longer tally takes the shorter one's place
-    assert words._STORE == {("rank counts", 2): (13, tuple(_tally_by_rank(12, 2)))}
-    assert words._HELD == 13
-    monkeypatch.setattr(errors, "TABLE_LIMIT", 20)
-    enumerate_by_rank(10, 3)  # 13 + 11 pass 20: the tally over two letters goes
-    assert list(words._STORE) == [("rank counts", 3)]
-    assert words._HELD == 11
-    built = _spy_levels(monkeypatch)
-    assert enumerate_by_rank(6, 2) == _tally_by_rank(6, 2)
-    assert len(built) == 1
-    assert list(words._STORE) == [("rank counts", 3), ("rank counts", 2)]
-    assert words._HELD == 18
-    monkeypatch.setattr(errors, "TABLE_LIMIT", 5)
-    assert enumerate_by_rank(6, 1) == [1] * 7  # too heavy alone to keep
-    assert ("rank counts", 1) not in words._STORE
 
 
 def test_threads_share_the_kept_tallies(monkeypatch, empty_store, in_six_threads):
@@ -175,8 +200,9 @@ def test_threads_share_the_kept_tallies(monkeypatch, empty_store, in_six_threads
     calls = [lambda terms=terms, n=n: enumerate_by_rank(terms, n) for terms, n in tallies]
     calls += [lambda family=family, r=r: hasse(PosetHandle(family, 2), r) for family, r in graphs]
     empty_store()
-    # the tallies and the levels of rank <= 6 over two letters pass 40: most calls evict
-    monkeypatch.setattr(errors, "TABLE_LIMIT", 40)
+    # the word levels (20 elements to rank 5) and the partition levels (16 to rank 6) over
+    # two letters pass 30: most calls evict; the counts keep nothing
+    monkeypatch.setattr(errors, "TABLE_LIMIT", 30)
     differing = []
 
     def work(k):
@@ -187,4 +213,5 @@ def test_threads_share_the_kept_tallies(monkeypatch, empty_store, in_six_threads
 
     assert in_six_threads(work) == []
     assert differing == []
-    assert words._HELD == sum(weight for weight, _ in words._STORE.values()) <= 40
+    assert words._HELD == sum(weight for weight, _ in words._STORE.values()) <= 30
+    assert {kind for kind, _ in words._STORE} <= {"words", "partitions"}

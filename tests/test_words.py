@@ -116,6 +116,22 @@ def test_raise_letter():
         raise_letter((1, 2), 2, n=2)
 
 
+@pytest.mark.parametrize("n", [1.5, True, 0, "2"])
+def test_raise_letter_checks_its_alphabet_bound(n):
+    # 1.5 once raised x1 to x2, and True was reported as a bound x1 was already at
+    refused = f"^alphabet bound must be (an int )?>= 1, got {re.escape(repr(n))}$"
+    with pytest.raises(ValueError, match=refused):
+        raise_letter((1,), 1, n)
+
+
+def test_raise_letter_refuses_a_letter_past_the_bound():
+    # x5 over x1..x3 exceeds the bound, at any position; it was once "already at" it
+    for word, j in (((5,), 1), ((1, 5), 1), ((1, 5), 2)):
+        with pytest.raises(ValueError, match="^letter x5 exceeds the alphabet bound n=3$"):
+            raise_letter(word, j, 3)
+    assert raise_letter((3, 2), 2, 3) == (3, 3)
+
+
 @pytest.mark.parametrize("j", [True, 1.0, "1"])
 def test_raise_letter_takes_a_plain_int_position(j):
     # True once raised the first letter, and 1.0 failed inside a slice
