@@ -33,7 +33,7 @@ from .words import (
     _remembered,
     _sort_word,
     _suffix_sums,
-    _word_edges,
+    _word_covers,
     _word_levels,
     check_range,
     format_monomial,
@@ -282,7 +282,7 @@ def check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
 
     Both orders are generated by their covers, which never lower the rank, so the
     range holds every chain between its elements.  The word covers come from the
-    level recursion (`_word_edges`), the monomial covers from `_partition_levels`,
+    level recursion (`_word_covers`), the monomial covers from `_partition_levels`,
     both as canonical positions, and reachability tables over them (`_down_sets`)
     give the comparable pairs.  Canonical order lists every monomial cover after
     its lower end.  A descent sort keeps the rank and makes the word
@@ -312,9 +312,7 @@ def _check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
     levels = _word_levels(max_rank, n, errors.TABLE_LIMIT)[0]
     words = [*chain.from_iterable(levels)]
     _, _, monomials, c_edges = _partition_levels(max_rank, n, None)
-    q_edges: list[list[int]] = [[] for _ in words]
-    for a, b in _word_edges("q", levels, n, range(len(words))):
-        q_edges[a].append(b)
+    q_edges = _word_covers("q", levels, n)
     q_order = sorted(range(len(words)), key=lambda i: (-sum(words[i]), words[i]), reverse=True)
     q_down = _down_sets(q_edges, q_order)
     c_down = _down_sets(c_edges, range(len(monomials)))

@@ -9,6 +9,7 @@ and every interval is finite.
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Sequence
+from itertools import count
 
 from .errors import _charge
 from .words import Word, _multirank, check_range, check_word
@@ -134,8 +135,15 @@ def covers_down(m: Sequence[int]) -> set[Word]:
 
 
 def principal_down_set(m: Sequence[int]) -> set[Word]:
-    """All words below ``m``; finite because the order is graded by rank."""
-    return _reachable(check_word(m), covers_down)
+    """All words below ``m``; finite because the order is graded by rank.  Each word the
+    search expands is charged, as the count so far, against `DEFAULT_LIMIT`."""
+    expanded = count(1)
+
+    def moves(w: Word) -> set[Word]:
+        _charge(next(expanded), "down-set words")
+        return covers_down(w)
+
+    return _reachable(check_word(m), moves)
 
 
 def walk(m: Sequence[int], dim: int | None = None) -> list[tuple[int, ...]]:

@@ -8,7 +8,7 @@ bounded by the rank cap instead.
 Hasse graphs read each element's covers off its position in the rank
 levels (`hasse`).  "q" is not graded, since sorting a descent keeps the
 rank, and x1*x1 -> x2*x1 -> x1*x2 passes the raising x1*x1 -> x1*x2 by;
-`words._word_edges` keeps only the moves that no such path passes, and
+`words._word_covers` keeps only the moves that no such path passes, and
 proves that rule.
 """
 
@@ -20,7 +20,7 @@ from itertools import chain
 from .commutative import _comm_leq, _partition_levels
 from .ncorder import _nc_leq
 from .variants import _p_leq, _q_leq
-from .words import (_Record, _check_alphabet, _json_list, _word_edges, _word_levels, check_range,
+from .words import (_Record, _check_alphabet, _json_list, _word_covers, _word_levels, check_range,
                     check_word, normalize_monomial)
 
 FAMILIES = ("nc", "q", "p", "comm")
@@ -176,7 +176,8 @@ def hasse(handle: PosetHandle, max_rank: int, limit: int | None = None) -> Hasse
     "nc", "q" or "comm" move lowers the rank, so their range is a down-set
     and its covers are the order's; "p" takes its covers inside the range.
     Word covers follow from the positions in the level recursion
-    (`_word_edges`) and partition covers come with the partitions.
+    (`_word_covers`) and partition covers come with the partitions, both
+    as one ascending tuple of positions per element.
     Once the caps pass, level data comes from the one bounded store (`words._keep`).
     """
     check_range(handle.n, max_rank, "max_rank")
@@ -186,11 +187,11 @@ def hasse(handle: PosetHandle, max_rank: int, limit: int | None = None) -> Hasse
     else:
         levels, label_levels, multiranks = _word_levels(max_rank, handle.n, limit, True)
         elements = chain.from_iterable(levels)
+        covers = _word_covers(handle.family, levels, handle.n)
     ranks = (r for r, level in enumerate(levels) for _ in level)
     triples = tuple(zip(elements, ranks, chain.from_iterable(multiranks)))
     # edge ends share one int object per vertex, not one per edge
     ids = list(range(len(triples)))
-    edges = (_word_edges(handle.family, levels, handle.n, ids) if handle.family != "comm"
-             else [(ids[i], ids[j]) for i, targets in enumerate(covers) for j in targets])
+    edges = [(ids[i], ids[j]) for i, targets in enumerate(covers) for j in targets]
     labels = tuple(chain.from_iterable(label_levels))
     return HasseGraph(handle.family, handle.n, max_rank, triples, labels, tuple(edges))

@@ -38,7 +38,7 @@ def q_leq(m: Sequence[int], m2: Sequence[int], n: int | None = None) -> bool:
     followed by the rest: its prefix dominates m, so m <=_nc u, and putting
     p_{k-1}, ..., p_0 back moves each right past smaller letters only, a
     chain of descent sorts up to ``m2``.  (=>) By the proof of the "q" cover
-    rule (`words._word_edges`), a sort then an nc move is an nc move then at
+    rule (`words._word_covers`), a sort then an nc move is an nc move then at
     most one sort, so m <=_nc u for some u
     that sorts to ``m2``.  Some window u[s .. s+k-1] dominates m, and first
     fit on u picks p_t <= s + t (s + t is free, as each p_i <= s + i), so u

@@ -398,21 +398,23 @@ def _word_levels(max_rank: int, n: int | None, limit: int | None, data: bool = F
     return words, [labels for _, labels in kept], [multiranks for multiranks, _ in kept]
 
 
-def _word_edges(
-    family: str, levels: list, n: int | None, ids: Sequence[int]
-) -> list[tuple[int, int]]:
-    """Hasse edges of a word family over `_word_levels` output, each source's targets ascending.
+def _word_covers(family: str, levels: list, n: int | None) -> list[tuple[int, ...]]:
+    """Hasse covers of a word family over `_word_levels` output, as `_partition_levels` gives
+    them: per word in canonical order, a tuple of the ascending positions of its covers.
 
     Rank r lists, for each first letter k, k followed by the words of rank
     r - k, and x1 first.  So if w = k*t is word i of rank r and t word j of
     rank r - k, w's raisings are (k+1)*t, at j in block k + 1 of rank r + 1,
-    and k*c in block k for each raising c of t, read back from t's edges.
+    and k*c in block k for each raising c of t, read back from t's covers
+    shifted by one offset.  Letters are ordered by their text, so the raise
+    (k+1)*t lands before block k only where the digits grow (x9 -> x10).
     "nc" skips x1*t at j, reads t*x1 back as w*x1 and adds x1*w at i (at j = 0
-    and at i = 0 the two pads coincide).  "q" skips the raise of t's first
-    letter t0 if k is t0 or t0 + 1, and lists the sorts first: k*s for each
-    sort s of t, and t0*k*t' if t = t0*t' and k > t0; at the top rank it has
-    only these.  "p" skips t's edge to x1^(len(t) + 1), at or before the
-    first word of rank r - k + 1; a word w of length d < max_rank with no
+    and at i = 0 the two pads coincide): for k = 1, x1*w is the skipped x1*t
+    read back, and for k > 1 it comes first, in block 1.  "q" skips the raise
+    of t's first letter t0 if k is t0 or t0 + 1, and lists the sorts first:
+    k*s for each sort s of t, and t0*k*t' if t = t0*t' and k > t0; at the top
+    rank it has only these.  "p" skips t's cover x1^(len(t) + 1), at or before
+    the first word of rank r - k + 1; a word w of length d < max_rank with no
     raising in the range (xn^d, or any of the top rank) has x1^(d+1).
 
     The "q" covers of w are thus its descent sorts, w*x1, and each raising of
@@ -442,51 +444,38 @@ def _word_edges(
     blocks = [dict(zip(ks, itertools.accumulate((len(levels[r - k]) for k in ks), initial=0)))
               for r in range(max_rank + 2) for ks in [[k for k in letters if k <= r]]]
     nc, q = family == "nc", family == "q"
-    edges = [(ids[0], ids[1])] if max_rank else []
-    # t's edges into the next rank are edges[starts[t]:ends[t + 1]]; "q" lists its sorts,
-    # into t's own rank, before them
-    ends = [0, len(edges)]
-    starts = [0] if q else ends
-    for r in range(1, max_rank + q):
-        here, above, low, up = blocks[r], blocks[r + 1], base[r], base[r + 1]
+    covers = [(1,) if max_rank else ()]
+    for r in range(1, max_rank + 1):
+        here, above, top = blocks[r], blocks[r + 1], r == max_rank
         for k, start in here.items():
-            block, raised, tails, words = above[k], above.get(k + 1), base[r - k + 1], levels[r - k]
-            for j, t in enumerate(range(base[r - k], tails)):
-                i = start + j
-                v = ids[low + i]
-                targets = [] if raised is None else [raised + j]
-                if nc:
-                    skip = j or -1
-                    if i:
-                        targets.append(i)
-                elif q:
-                    moved = [start - base[r - k] + c for _, c in edges[ends[t]:starts[t]]]
-                    skip = -1
-                    if k < r:
-                        t0 = words[j][0]
+            tails, up = base[r - k + 1], base[r + 1]
+            shift, same = up + above[k] - tails, base[r] + start - base[r - k]
+            raised = None if top or k + 1 not in above else up + above[k + 1]
+            early = raised is not None and above[k + 1] < above[k]
+            for j, (t, word) in enumerate(zip(covers[base[r - k]:tails], levels[r - k])):
+                skip = tails + j if nc and k > 1 and j else -1  # x1*t at j: x1*w takes its place
+                if q:
+                    sorts = [c + same for c in t if c < tails]
+                    t = t[len(sorts):]  # t's covers in rank r - k + 1
+                    if word:
+                        t0 = word[0]
                         rest = j - blocks[r - k][t0]  # t = t0*t' and t' is word `rest` of its rank
                         if k > t0:
-                            moved = sorted([*moved, here[t0] + blocks[r - t0][k] + rest])
+                            s = base[r] + here[t0] + blocks[r - t0][k] + rest
+                            sorts.insert(0 if here[t0] < start else len(sorts), s)
                         if k - t0 in (0, 1) and t0 + 1 in blocks[r - k + 1]:
-                            skip = blocks[r - k + 1][t0 + 1] + rest
-                    edges += [(v, ids[low + c]) for c in moved]
-                    starts.append(len(edges))
-                    if r == max_rank:
-                        continue
-                else:
-                    skip = base[len(words[j]) + 1] - tails
-                for _, c in edges[starts[t]:ends[t + 1]]:
-                    c -= tails
-                    if c != skip:
-                        targets.append(block + c)
-                targets = targets or [base[len(words[j]) + 2] - up]
-                targets.sort()
-                edges += [(v, ids[up + c]) for c in targets]
-                ends.append(len(edges))
-    if family == "p":
-        edges += [(ids[base[max_rank] + i], ids[base[len(w) + 1]])
-                  for i, w in enumerate(levels[max_rank]) if len(w) < max_rank]
-    return edges
+                            skip = tails + blocks[r - k + 1][t0 + 1] + rest
+                elif not nc:
+                    skip = base[len(word) + 1]
+                out = [] if top else [c + shift for c in t if c != skip]
+                if raised is not None:
+                    out.insert(0 if early else len(out), raised + j)
+                if nc and k > 1 and not top:  # x1*w, at i of rank r + 1, in block 1
+                    out.insert(0, up + start + j)
+                elif not (nc or q or out) and len(word) + 1 < max_rank:  # "p": no raising
+                    out = [base[len(word) + 2]]
+                covers.append(tuple(sorts + out if q else out))
+    return covers
 
 
 def _keep(key: tuple, weight: int = 0, value=None):

@@ -9,6 +9,7 @@ from ncposet import (
     abelianize,
     covers_down,
     covers_up,
+    errors,
     multirank,
     nc_leq,
     nc_leq_oracle,
@@ -165,6 +166,16 @@ def test_principal_down_sets_finite_and_correct():
         expected = {u for u in candidates if nc_leq(u, m)}
         assert down == expected
         assert m in down and () in down
+
+
+def test_principal_down_set_charges_each_word_it_expands(monkeypatch):
+    expected = principal_down_set((3,) * 4)
+    assert len(expected) == 121
+    # the cap is read at call time; (3,)*8 has far more than 1000 words below it
+    monkeypatch.setattr(errors, "DEFAULT_LIMIT", 1000)
+    with pytest.raises(LimitError, match="^1001 down-set words exceed the cap of 1000$"):
+        principal_down_set((3,) * 8)
+    assert principal_down_set((3,) * 4) == expected
 
 
 @given(words, words)

@@ -141,7 +141,7 @@ def _spy_levels(monkeypatch):
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, None))
-def test_a_kept_tally_answers_a_shorter_call(monkeypatch, n):
+def test_the_count_answers_each_call_without_building(monkeypatch, n):
     expected = [_tally_by_rank(terms, n) for terms in range(14)]
     built = _spy_levels(monkeypatch)
     for terms in (13, *range(14)):
@@ -169,7 +169,7 @@ def test_the_count_builds_no_word_and_keeps_nothing(monkeypatch, capsys):
     assert built == [(3, 2, None)]
 
 
-def test_a_kept_tally_still_refuses_past_the_caps(monkeypatch):
+def test_the_count_refuses_past_the_caps(monkeypatch):
     full = _tally_by_rank(12, None)
     refusals = []
     for terms, limit in ((12, 100), (6, 10), (12, 4095)):
@@ -192,7 +192,7 @@ def test_a_kept_tally_still_refuses_past_the_caps(monkeypatch):
     assert built == []
 
 
-def test_threads_share_the_kept_tallies(monkeypatch, empty_store, in_six_threads):
+def test_threads_count_while_sharing_the_level_store(monkeypatch, empty_store, in_six_threads):
     tallies = [(terms, n) for n in (1, 2, None) for terms in (4, 9)]
     graphs = [("nc", 5), ("comm", 6), ("q", 4)]
     expected = [_tally_by_rank(terms, n) for terms, n in tallies]
