@@ -2,8 +2,8 @@
 
 Verdict-style subcommands signal through the exit code so shell pipelines
 can branch: 0 success or true verdict, 1 false verdict, 2 usage or parse
-error, 3 resource cap exceeded.  Results go to stdout, diagnostics to
-stderr.
+error, 3 resource cap exceeded, 141 (128 + SIGPIPE) a reader that closed
+the pipe early.  Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -128,8 +128,7 @@ def _cmd_check_order(args) -> int:
     spec = parse_order_spec(args.order)
     handle = PosetHandle(args.contains, args.n) if args.contains else None
     report = validate_order(spec, args.n, args.max_degree)
-    for line in report.format_lines():
-        print(line)
+    print("\n".join(report.format_lines()))
     code = 0 if report.axioms_ok else 1
     if handle is not None:
         ok, witness = contains_poset(spec, handle, args.max_degree)
@@ -150,8 +149,7 @@ def _cmd_series(args) -> int:
     table = rank_coefficients(args.terms, args.n)
     limit = _resolve_limit(args)  # before any output, so a bad or hit cap leaves stdout empty
     counts = enumerate_by_rank(args.terms, args.n, limit) if args.verify else None
-    for line in table.format_lines():
-        print(line)
+    print("\n".join(table.format_lines()))
     summary = " ".join(str(c) for c in table.coefficients)
     if counts is not None:
         for k, (c, e) in enumerate(zip(table.coefficients, counts)):
@@ -170,11 +168,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_coconnection(args) -> int:
     report = check_coconnection(args.n, args.max_rank)
-    if args.json:
-        print(report.to_json())
-    else:
-        for line in report.format_lines():
-            print(line)
+    print(report.to_json() if args.json else "\n".join(report.format_lines()))
     return 0
 
 
@@ -354,7 +348,14 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed the pipe: exit as SIGPIPE would, 128 + 13
+        # the interpreter flushes stdout again at exit, so it writes to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

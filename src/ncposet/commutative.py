@@ -69,11 +69,14 @@ def to_partition(t: Mapping[int, int]) -> Partition:
 
 
 def from_partition(p: Sequence[int]) -> CommMonomial:
-    """Inverse of `to_partition`: exponent i is part i minus part i+1."""
+    """Inverse of `to_partition`: exponent i is part i minus part i+1; a mapping is refused."""
+    if isinstance(p, Mapping):
+        raise TypeError(f"a partition is a sequence of parts, got {type(p).__name__}")
     parts = tuple(p)
-    for a, b in zip(parts, parts[1:]):
-        if a < b:
-            raise ValueError(f"parts must be weakly decreasing, got {parts}")
+    if any(type(a) is not int for a in parts):
+        raise ValueError(f"parts must be plain ints, got {parts}")
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError(f"parts must be weakly decreasing, got {parts}")
     if parts and parts[-1] < 1:
         raise ValueError(f"parts must be positive, got {parts}")
     return _exponents(parts)
@@ -185,18 +188,15 @@ def _partition_levels(max_rank: int, n: int | None, limit: int | None) -> tuple:
     def extend(levels: list) -> tuple:
         box = [_box_covers(p, n) for p in levels[-1][0]] if levels else []
         level = list({u for ups in box for u in ups}) if levels else [()]
-        dicts = list(map(_exponents, level))
-        labels, partitions, dicts = zip(*sorted(zip(map(_format_monomial, dicts), level, dicts)))
+        labels, partitions, items = zip(*sorted((_format_monomial(t), p, tuple(t.items()))
+                                                for p in level for t in [_exponents(p)]))
         index = {p: i for i, p in enumerate(partitions, starts[len(levels)])}
         covers = tuple(tuple(sorted(map(index.__getitem__, ups))) for ups in box)
-        return partitions, labels, dicts, covers
+        return partitions, labels, items, covers
 
-    # the store keeps each exponent dict as its items, and each call gets new dicts
-    levels, labels, exponents, covers = zip(*_levels(
-        max_rank, extend, ("partitions", n), starts[-1],
-        lambda level: (*level[:2], tuple(tuple(t.items()) for t in level[2]), level[3]),
-        lambda level: (*level[:2], [dict(items) for items in level[2]], level[3])))
-    monomials = [*chain.from_iterable(exponents)]
+    levels, labels, items, covers = zip(*_levels(max_rank, extend, ("partitions", n), starts[-1]))
+    # the store keeps each exponent dict as its items: each call gets its own dicts
+    monomials = [*map(dict, chain.from_iterable(items))]
     return levels, labels, monomials, [*chain.from_iterable(covers), *[()] * len(levels[-1])]
 
 

@@ -382,19 +382,16 @@ def _word_levels(max_rank: int, n: int | None, limit: int | None, data: bool = F
     def extend(levels: list) -> tuple:
         r = len(levels)
         below = [(k, levels[r - k]) for k in letters if k <= r]
-        labels = [f"x{k}*{s}" if k < r else f"x{k}" for k, level in below for s in level[1]]
+        labels = tuple(f"x{k}*{s}" if k < r else f"x{k}" for k, level in below for s in level[1])
         shared: dict = {}  # one tuple per distinct multirank: words with the same letters share it
-        multiranks = [shared.setdefault(m, m) for m in (tuple([c + 1 for c in mr[:k]]) + mr[k:]
-                      + (1,) * (k - len(mr)) for k, level in below for mr in level[0])]
-        return (multiranks, labels) if r else ([()], ["1"])
+        multiranks = tuple(shared.setdefault(m, m) for m in (tuple([c + 1 for c in mr[:k]]) + mr[k:]
+                           + (1,) * (k - len(mr)) for k, level in below for mr in level[0]))
+        return (multiranks, labels) if r else (((),), ("1",))
 
-    # the store keeps a rank's labels as one text, at a byte per character.  The labels grow
-    # with the letters: LETTERS_PER_WORD letters count as one element, as in the caps, so
-    # x1^0..x1^6324 (2*10^7 letters, 60 MB of labels) is never kept
+    # the labels grow with the letters: LETTERS_PER_WORD letters count as one element, as in
+    # the caps, so x1^0..x1^6324 (2*10^7 letters, 60 MB of labels) is never kept
     kept = _levels(max_rank, extend, ("words", n),
-                   max(sum(sizes), total_letters // errors.LETTERS_PER_WORD),
-                   lambda level: (tuple(level[0]), " ".join(level[1])),
-                   lambda level: (level[0], level[1].split(" ")))
+                   max(sum(sizes), total_letters // errors.LETTERS_PER_WORD))
     return words, [labels for _, labels in kept], [multiranks for multiranks, _ in kept]
 
 
@@ -495,17 +492,17 @@ def _keep(key: tuple, weight: int = 0, value=None):
         return kept
 
 
-def _levels(max_rank: int, extend: Callable, key: tuple, size: int,
-            pack: Callable, unpack: Callable) -> list:
+def _levels(max_rank: int, extend: Callable, key: tuple, size: int) -> list:
     """Levels 0..max_rank, each ``extend(levels below it)``, kept (`_keep`) under ``key`` as
-    ``pack`` makes them (``unpack`` undoes it), weighing their ``size`` in elements."""
-    kept = (_keep(key) or [])[: max_rank + 1]
-    levels = [*map(unpack, kept)]
+    ``extend`` makes them, weighing their ``size`` in elements.  Every caller shares them, so
+    ``extend`` makes each level of tuples, strings and ints alone."""
+    levels = [*(_keep(key) or ())[: max_rank + 1]]
+    kept = len(levels)
     while len(levels) <= max_rank:
         levels.append(extend(levels))
-    # levels too heavy to keep are not packed; more levels kept meanwhile stay
-    if len(kept) < len(levels) and size <= errors.TABLE_LIMIT:
-        _keep(key, size, [*kept, *map(pack, levels[len(kept):])])
+    # levels too heavy to keep are not offered; more levels kept meanwhile stay
+    if kept < len(levels) and size <= errors.TABLE_LIMIT:
+        _keep(key, size, tuple(levels))
     return levels
 
 

@@ -856,6 +856,23 @@ def test_import_loads_no_dataclasses():
     assert {"dataclasses", "inspect", "argparse", "json"}.isdisjoint(added), added
 
 
+def test_a_reader_that_closes_the_pipe_ends_the_call_with_exit_141():
+    # the graph's DOT text is far larger than a pipe buffer, so the call is still writing
+    # when the reader closes the pipe; it exits as a process killed by SIGPIPE, quietly
+    argv = [sys.executable, "-m", "ncposet", "hasse", "--poset", "nc", "--max-rank", "14",
+            "--format", "dot"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert (first, err) == (b"digraph hasse {\n", b"")
+    # read to the end, the same call exits 0
+    done = subprocess.run(argv, capture_output=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.startswith(first) and done.stdout.endswith(b"}\n")
+
+
 def _imported(*args):
     """Exit code, stdout, imported modules and stderr of ``python -X importtime *args``."""
     done = subprocess.run(

@@ -130,6 +130,14 @@ def test_from_partition_examples():
         from_partition((1, 2))
     with pytest.raises(ValueError):
         from_partition((2, 0))
+    # a part that is not a plain int is refused before the order and positivity checks:
+    # (1, 2.0) is out of order as well
+    for parts in [(2.5,), (3, True), (1, 2.0)]:
+        with pytest.raises(ValueError, match="parts must be plain ints"):
+            from_partition(parts)
+    # a mapping is a monomial, not a partition: its keys are not read as parts
+    with pytest.raises(TypeError, match="a partition is a sequence of parts, got dict"):
+        from_partition({2: 1})
 
 
 def test_partition_roundtrip():
