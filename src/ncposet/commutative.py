@@ -26,7 +26,7 @@ from .words import (
     CommMonomial,
     _Record,
     _abelianize,
-    _check_alphabet,
+    _check_bounds,
     _format_monomial,
     _json_list,
     _levels,
@@ -150,7 +150,7 @@ def monomials_up_to_rank(
 
     They are counted against the element cap before any is built; beyond
     it `LimitError` is raised.  None for a negative bound; `ValueError` for
-    an alphabet bound below 1.
+    an alphabet bound below 1 or a rank bound that is not a plain int.
     """
     return _partition_levels(max_rank, n, limit)[2]
 
@@ -164,7 +164,7 @@ def _partition_levels(max_rank: int, n: int | None, limit: int | None) -> tuple:
     indices of its `_box_covers`, none at the top rank: rank r + 1 holds those
     of rank r.  `_levels` keeps the ranks per n in the one store, for every caller.
     """
-    _check_alphabet(n)
+    _check_bounds(n, max_rank, "max_rank")
     _cap(limit)
     if max_rank < 0:
         return [], [], [], []
@@ -292,9 +292,9 @@ def check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
     x10*x2.  The monotonicity laws are checked on the covers alone, which suffices
     by transitivity, and only a failure scans the comparable pairs in canonical
     order for the first witness.  Each word is abelianized once, giving its
-    partition and, sorted, the word the ascend law checks; each monomial is sorted
-    once, both unchecked (`_abelianize`, `_sort_word`).  More than `TABLE_LIMIT`
-    words raise `LimitError`.
+    partition, and each monomial is sorted once, both unchecked (`_abelianize`,
+    `_sort_word`); the ascend law checks a word against the sorted word of the
+    monomial at its partition.  More than `TABLE_LIMIT` words raise `LimitError`.
 
     The arguments are checked on every call; the report is then kept in the store
     with the levels (`_remembered`), and a repeated call under the same caps gets
@@ -311,7 +311,7 @@ def _check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
     # words caps both tables
     levels = _word_levels(max_rank, n, errors.TABLE_LIMIT)[0]
     words = [*chain.from_iterable(levels)]
-    _, _, monomials, c_edges = _partition_levels(max_rank, n, None)
+    partitions, _, monomials, c_edges = _partition_levels(max_rank, n, None)
     q_edges = _word_covers("q", levels, n)
     q_order = sorted(range(len(words)), key=lambda i: (-sum(words[i]), words[i]), reverse=True)
     q_down = _down_sets(q_edges, q_order)
@@ -321,14 +321,13 @@ def _check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
     def q_reaches(i: int, j: int) -> bool:
         return bool(q_down[j] >> i & 1)
 
-    parts, ascend_witness = [], None
-    for i, m in enumerate(words):
-        t = _abelianize(m)
-        parts.append(_suffix_sums(t))
-        if ascend_witness is None and not q_reaches(i, position[_sort_word(t)]):
-            ascend_witness = format_word(m)
+    parts = [_suffix_sums(_abelianize(m)) for m in words]
     sorted_words = [_sort_word(t) for t in monomials]
     sorted_at = [position[w] for w in sorted_words]
+    # partitions and monomials correspond one to one: word i sorts to sorts[parts[i]]
+    sorts = dict(zip(chain.from_iterable(partitions), sorted_at))
+    ascend_witness = next((format_word(m) for i, m in enumerate(words)
+                           if not q_reaches(i, sorts[parts[i]])), None)
 
     sigma_witness = None
     if not all(dominated(parts[i], parts[j]) for i, out in enumerate(q_edges) for j in out):

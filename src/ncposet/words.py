@@ -55,8 +55,10 @@ _STORE: dict[tuple, tuple[int, object]] = {}
 _HELD = 0
 
 # A report's weight, its size over a kept level element's: after the benchmark's seed-1
-# lists, a report with its key takes 850-2240 B, 1320 B on average, and a level element
-# of hasse_mix 88 B (Python 3.11.7, sys.getsizeof over the objects each one holds)
+# lists, a report with its key takes 850-2240 B, 1320 B on average (Python 3.11.7,
+# sys.getsizeof over the objects each one holds).  The weight was set when a level element
+# of hasse_mix took 88 B; with each level's labels kept as separate strings one takes about
+# 142 B, so the ratio is nearer 9.  The weight stays until it is measured again on hasse_mix
 _REPORT_WEIGHT = 15
 
 # One lock over the store, so that each lookup, insert and eviction is one step to other
@@ -76,17 +78,11 @@ def _check_alphabet(n: int | None) -> None:
 
 def check_word(m: Iterable[int], n: int | None = None) -> Word:
     """Return ``m`` as a tuple, validating letters (plain ints >= 1) and the bound n >= 1.
-    A mapping is a monomial, not a word: `TypeError`."""
-    _check_sequence(m)
-    _check_alphabet(n)
-    return _check_letters(tuple(m), n)
-
-
-def _check_sequence(m: Iterable[int]) -> Iterable[int]:
-    """Return ``m`` unless it is a mapping, a monomial and not a word: then `TypeError`."""
+    A mapping is a monomial, not a word: `TypeError`, before all else."""
     if type(m) is not tuple and isinstance(m, Mapping):
         raise TypeError(f"a word is a sequence of letter indices, got {type(m).__name__}")
-    return m
+    _check_alphabet(n)
+    return _check_letters(tuple(m), n)
 
 
 def _check_letters(w: Word, n: int | None) -> Word:
@@ -99,11 +95,16 @@ def _check_letters(w: Word, n: int | None) -> Word:
     return w
 
 
-def check_range(n: int | None, bound: int, name: str) -> None:
-    """Reject an alphabet bound below 1 and a degree or rank bound that is not an int >= 0."""
+def _check_bounds(n: int | None, bound: int, name: str) -> None:
+    """`check_range` less its sign check: an enumeration reads a negative bound as empty."""
     _check_alphabet(n)
     if type(bound) is not int:
         raise ValueError(f"{name} must be an int >= 0, got {bound!r}")
+
+
+def check_range(n: int | None, bound: int, name: str) -> None:
+    """Reject an alphabet bound below 1 and a degree or rank bound that is not an int >= 0."""
+    _check_bounds(n, bound, name)
     if bound < 0:
         raise ValueError(f"{name} must be >= 0, got {bound}")
 
@@ -130,7 +131,7 @@ def parse_word(text: str) -> Word:
 
 
 def format_word(m: Sequence[int]) -> str:
-    return "*".join(f"x{i}" for i in _check_sequence(m)) or "1"
+    return "*".join(f"x{i}" for i in check_word(m)) or "1"
 
 
 def normalize_monomial(t: Mapping[int, int], n: int | None = None) -> CommMonomial:
@@ -224,12 +225,12 @@ def raise_letter(m: Sequence[int], j: int, n: int | None = None) -> Word:
 
 def degree(m: Sequence[int]) -> int:
     """Total degree: the number of letters."""
-    return len(_check_sequence(m))
+    return len(check_word(m))
 
 
 def rank(m: Sequence[int]) -> int:
     """Sum of the letter indices of a word."""
-    return sum(_check_sequence(m))
+    return sum(check_word(m))
 
 
 def multirank(m: Sequence[int]) -> MultiRank:
@@ -270,8 +271,8 @@ def format_multirank(components: Sequence[int]) -> str:
 
 def is_factor(u: Sequence[int], m: Sequence[int]) -> bool:
     """True iff ``u`` occurs as a contiguous subword of ``m``."""
-    u = tuple(_check_sequence(u))
-    return _has_factor(tuple(_check_sequence(m)), {u}, {len(u)})
+    u = check_word(u)
+    return _has_factor(check_word(m), {u}, {len(u)})
 
 
 def _has_factor(w: Word, gens: Collection[Word], lengths: Iterable[int]) -> bool:
@@ -281,11 +282,11 @@ def _has_factor(w: Word, gens: Collection[Word], lengths: Iterable[int]) -> bool
 
 def canonical_key(m: Sequence[int]) -> tuple[int, str]:
     """Sort key (rank ascending, then canonical text ascending)."""
-    return _canonical_key(_check_sequence(m))
+    return _canonical_key(check_word(m))
 
 
 def _canonical_key(w: Word) -> tuple[int, str]:
-    """`canonical_key` of a word, without `rank`'s check."""
+    """`canonical_key` of a word, checked by `format_word` alone."""
     return (sum(w), format_word(w))
 
 
@@ -297,19 +298,21 @@ def words_of_degree(n: int, d: int) -> Iterator[Word]:
 def words_up_to_degree(n: int, max_degree: int, limit: int | None = None) -> list[Word]:
     """All words of degree <= max_degree over x1..xn, by degree, then lexicographic.
 
-    Past the element cap, or `LETTERS_PER_WORD` letters per word of it,
-    `LimitError` is raised before any word is built.
+    Past the element cap, or `LETTERS_PER_WORD` letters per word of it, `LimitError` is
+    raised before any word is built.  The unbounded alphabet raises `ValueError`, as do the
+    bounds that `_check_bounds` refuses; a negative degree bound gives no words.
     """
+    if n is None:
+        raise ValueError("degree enumeration needs a bounded alphabet")
+    _check_bounds(n, max_degree, "max_degree")
     _count_up_to_degree(n, max_degree, limit)
-    out: list[Word] = []
-    for d in range(max_degree + 1):
-        out.extend(words_of_degree(n, d))
-    return out
+    return [w for d in range(max_degree + 1) for w in words_of_degree(n, d)]
 
 
 def _count_up_to_degree(n: int, max_degree: int, limit: int | None = None) -> int:
     """Count the n^0 + ... + n^max_degree words of degree <= max_degree and
     their letters against the caps of `words_up_to_degree`, building none."""
+    _cap(limit)
     total = letters = 0
     size = 1
     for d in range(max_degree + 1):
@@ -331,7 +334,7 @@ def words_up_to_rank(
     the enumeration is finite either way.  The words of each rank and their
     letters are counted before any word is built: more than the element cap
     of words, or more than `LETTERS_PER_WORD` times it of letters, raise
-    `LimitError`.  An alphabet bound below 1 raises `ValueError`.
+    `LimitError`.  A bad alphabet or rank bound raises `ValueError` (`_check_bounds`).
 
     No two words of one rank are prefixes of each other, and ``*`` sorts
     below every digit, so within a rank the canonical text order is the
@@ -367,7 +370,7 @@ def _word_levels(max_rank: int, n: int | None, limit: int | None, data: bool = F
     With ``data`` also their labels and multiranks, from the tail's (``xk*`` prepended, one
     added to the first k components), kept per n by `_levels`; the words are rebuilt each call.
     """
-    _check_alphabet(n)
+    _check_bounds(n, max_rank, "max_rank")
     sizes, total_letters = _count_up_to_rank(max_rank, n, limit)
     if max_rank < 0:
         return [], [], []

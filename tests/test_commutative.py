@@ -406,3 +406,17 @@ def test_coconnection_runs_no_search(monkeypatch):
     monkeypatch.setattr(variants, "_q_leq", refuse)
     monkeypatch.setitem(posets._KERNELS, "q", refuse)
     assert check_coconnection(3, 6).ok
+
+
+def test_coconnection_sorts_each_monomial_once(monkeypatch):
+    # once every word was sorted too, after its abelianization
+    from ncposet import commutative
+
+    calls = []
+    sort_word = commutative._sort_word
+    monkeypatch.setattr(commutative, "_sort_word", lambda t: calls.append(t) or sort_word(t))
+    for n in (1, 2, 3, None):
+        for r in range(7):
+            calls.clear()
+            assert check_coconnection(n, r).ok
+            assert calls == monomials_up_to_rank(r, n), (n, r)

@@ -100,6 +100,15 @@ def test_word_functions_refuse_a_mapping(call):
         call(MONOMIAL)
 
 
+@pytest.mark.parametrize("letter", [True, 0, -1, 1.0, "2"], ids=repr)
+@pytest.mark.parametrize("call", WORD_CALLS.values(), ids=WORD_CALLS)
+def test_word_functions_refuse_a_non_letter(call, letter):
+    # once rank((True, 0)) was 1 and format_word((0, True)) "x0*xTrue"
+    message = f"letter indices must be integers >= 1, got {letter!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call((1, letter))
+
+
 @pytest.mark.parametrize("call", MONOMIAL_CALLS.values(), ids=MONOMIAL_CALLS)
 def test_monomial_functions_refuse_a_sequence(call):
     # once comm_leq died with a bare AttributeError on a tuple

@@ -263,6 +263,46 @@ def test_words_up_to_negative_rank_are_none():
         assert words_up_to_rank(-3, n, limit=0) == []
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: words_up_to_degree(0, 3), "alphabet bound must be >= 1, got 0"),
+        (lambda: words_up_to_degree(True, 2), "alphabet bound must be an int >= 1, got True"),
+        (lambda: words_up_to_degree(2.0, 2), "alphabet bound must be an int >= 1, got 2.0"),
+        (lambda: words_up_to_degree(None, 2), "degree enumeration needs a bounded alphabet"),
+        (lambda: words_up_to_degree(2, True), "max_degree must be an int >= 0, got True"),
+        (lambda: words_up_to_degree(2, 2.5), "max_degree must be an int >= 0, got 2.5"),
+        (lambda: words_up_to_rank(True, 2), "max_rank must be an int >= 0, got True"),
+        (lambda: words_up_to_rank(2.5), "max_rank must be an int >= 0, got 2.5"),
+        (lambda: monomials_up_to_rank(True, 2), "max_rank must be an int >= 0, got True"),
+        (lambda: monomials_up_to_rank(2.5), "max_rank must be an int >= 0, got 2.5"),
+    ],
+    ids=[
+        "degree n=0",
+        "degree n=True",
+        "degree n=2.0",
+        "degree n=None",
+        "degree bound True",
+        "degree bound 2.5",
+        "rank bound True",
+        "rank bound 2.5",
+        "monomial rank bound True",
+        "monomial rank bound 2.5",
+    ],
+)
+def test_enumerations_refuse_a_bound_that_is_not_an_int(call, message):
+    # once words_up_to_degree(0, 3) was [()], True was read as 1, and None or 2.5 died
+    # with a bare TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_words_up_to_negative_degree_are_none_with_the_limit_checked():
+    assert words_up_to_degree(2, -1) == words_up_to_degree(3, -4, limit=0) == []
+    with pytest.raises(ValueError, match="^limit must be an int >= 0, got -5$"):
+        words_up_to_degree(2, -1, limit=-5)
+
+
 @pytest.mark.parametrize("n", [0, -2])
 def test_words_up_to_rank_rejects_an_alphabet_bound_below_1(n):
     # the message of check_word; once the identity alone came back
