@@ -17,7 +17,7 @@ from .commutative import check_coconnection
 from .errors import LimitError, ParseError, _cap
 from .ideals import is_strongly_stable, minimalize, strongly_stable_closure
 from .ncorder import covers_down, covers_up, walk
-from .posets import FAMILIES, PosetHandle, compare, hasse
+from .posets import FAMILIES, PosetHandle, _hasse_text, compare
 from .series import enumerate_by_rank, rank_coefficients
 from .termorders import contains_poset, parse_order_spec, validate_order
 from .words import (
@@ -67,8 +67,9 @@ def _cmd_covers(args) -> int:
 
 
 def _cmd_hasse(args) -> int:
-    graph = hasse(PosetHandle(args.poset, args.n), args.max_rank, _resolve_limit(args))
-    print(graph.to_json() if args.format == "json" else graph.to_dot())
+    # the text of hasse(...).to_json() or .to_dot(), written without building the graph
+    print(_hasse_text(PosetHandle(args.poset, args.n), args.max_rank, _resolve_limit(args),
+                      args.format))
     return 0
 
 

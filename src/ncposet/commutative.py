@@ -152,17 +152,17 @@ def monomials_up_to_rank(
     it `LimitError` is raised.  None for a negative bound; `ValueError` for
     an alphabet bound below 1 or a rank bound that is not a plain int.
     """
-    return _partition_levels(max_rank, n, limit)[2]
+    return [*_partition_levels(max_rank, n, limit)[2]]
 
 
 def _partition_levels(max_rank: int, n: int | None, limit: int | None) -> tuple:
     """Partitions of rank <= max_rank with at most n rows, their labels, monomials and covers.
 
-    Partitions and labels come one row per rank, in the canonical text
-    order of the monomials, the labels; monomials (exponent dicts) and covers
-    come in one list in that order.  A partition's covers are the ascending
-    indices of its `_box_covers`, none at the top rank: rank r + 1 holds those
-    of rank r.  `_levels` keeps the ranks per n in the one store, for every caller.
+    Partitions and labels come one row per rank in the canonical text order of the monomials,
+    the labels; covers come in one list in that order, the ascending indices of each one's
+    `_box_covers`, none at the top rank.  Monomials come as one iterator, which makes each dict
+    afresh from the store's items as it is read: `monomials_up_to_rank`, `hasse` and
+    `check_coconnection` each get their own, and `posets._hasse_text` makes none.
     """
     _check_bounds(n, max_rank, "max_rank")
     _cap(limit)
@@ -195,8 +195,7 @@ def _partition_levels(max_rank: int, n: int | None, limit: int | None) -> tuple:
         return partitions, labels, items, covers
 
     levels, labels, items, covers = zip(*_levels(max_rank, extend, ("partitions", n), starts[-1]))
-    # the store keeps each exponent dict as its items: each call gets its own dicts
-    monomials = [*map(dict, chain.from_iterable(items))]
+    monomials = map(dict, chain.from_iterable(items))
     return levels, labels, monomials, [*chain.from_iterable(covers), *[()] * len(levels[-1])]
 
 
@@ -311,7 +310,7 @@ def _check_coconnection(n: int | None, max_rank: int) -> CoconnectionReport:
     # words caps both tables
     levels = _word_levels(max_rank, n, errors.TABLE_LIMIT)[0]
     words = [*chain.from_iterable(levels)]
-    partitions, _, monomials, c_edges = _partition_levels(max_rank, n, None)
+    partitions, _, [*monomials], c_edges = _partition_levels(max_rank, n, None)
     q_edges = _word_covers("q", levels, n)
     q_order = sorted(range(len(words)), key=lambda i: (-sum(words[i]), words[i]), reverse=True)
     q_down = _down_sets(q_edges, q_order)

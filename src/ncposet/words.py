@@ -291,8 +291,11 @@ def _canonical_key(w: Word) -> tuple[int, str]:
 
 
 def words_of_degree(n: int, d: int) -> Iterator[Word]:
-    """All words of exact degree ``d`` over letters 1..n, lexicographic."""
-    return itertools.product(range(1, n + 1), repeat=d)
+    """All words of exact degree ``d`` over letters 1..n, lexicographic; none for ``d`` < 0."""
+    if n is None:
+        raise ValueError("degree enumeration needs a bounded alphabet")
+    _check_bounds(n, d, "degree")
+    return itertools.product(range(1, n + 1), repeat=d) if d >= 0 else iter(())
 
 
 def words_up_to_degree(n: int, max_degree: int, limit: int | None = None) -> list[Word]:

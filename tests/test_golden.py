@@ -3,15 +3,21 @@
 Each row is (family, alphabet bound, max rank, sha256 of ``to_json()``,
 sha256 of ``to_dot()``).  The digests were recorded from the reduction-based
 builder that every family used before the closed-form covers; any change to
-vertices, labels, edge sets or their order shows up here.
+vertices, labels, edge sets or their order shows up here.  The command line
+writes the same text without building the graph, and must print exactly the
+record's text plus a newline.
 """
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncposet import PosetHandle, hasse
+from ncposet import PosetHandle, cli, hasse
 
 GOLDEN = [
     ("nc", 1, 0, "f775368f492b809f4cd360db7b035559892dd95ca188cdf621dc21a1e167addd", "a976e63275c0408a3366cff37aaa33a6eb3209a9324e515f24958a676b42e8d8"),
@@ -138,3 +144,35 @@ def test_golden_table_covers_every_family_and_bound():
 def test_to_json_matches_indented_json_dumps(family, n, max_rank):
     graph = hasse(PosetHandle(family, n), max_rank)
     assert graph.to_json() == json.dumps(graph.to_json_dict(), indent=2)
+
+
+def _cli_text(family, n, max_rank, form):
+    """The exit code, stdout and stderr of ``ncposet hasse`` for the graph."""
+    n_args = [] if n is None else ["-n", str(n)]
+    argv = ["hasse", "--poset", family, *n_args, "--max-rank", str(max_rank), "--format", form]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("family, n, max_rank, json_digest, dot_digest", GOLDEN)
+def test_command_line_prints_the_records_text(family, n, max_rank, json_digest, dot_digest):
+    # the command line runs first, on an empty store; the record then reads the levels it kept
+    printed = [_cli_text(family, n, max_rank, form) for form in ("json", "dot")]
+    graph = hasse(PosetHandle(family, n), max_rank)
+    assert printed == [(0, graph.to_json() + "\n", ""), (0, graph.to_dot() + "\n", "")]
+    assert [_sha256(out[:-1]) for _, out, _ in printed] == [json_digest, dot_digest]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["nc", "q", "p", "comm"]),
+    n=st.sampled_from([1, 2, 3, 4, None]),
+    max_rank=st.integers(0, 9),
+    form=st.sampled_from(["json", "dot"]),
+)
+def test_command_line_text_matches_the_record_on_drawn_ranges(family, n, max_rank, form):
+    graph = hasse(PosetHandle(family, n), max_rank)
+    text = graph.to_json() if form == "json" else graph.to_dot()
+    assert _cli_text(family, n, max_rank, form) == (0, text + "\n", "")

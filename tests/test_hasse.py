@@ -1,6 +1,8 @@
+import io
 import json
 import random
 import sys
+from contextlib import redirect_stdout
 from json.encoder import encode_basestring_ascii
 from types import ModuleType
 
@@ -28,7 +30,7 @@ from ncposet import (
     words_up_to_degree,
     words_up_to_rank,
 )
-from ncposet import commutative, errors, termorders, words
+from ncposet import cli, commutative, errors, posets, termorders, words
 from ncposet.commutative import _box_covers, _exponents
 from ncposet.errors import TABLE_LIMIT
 from ncposet.ncorder import _covers_up, _reachable, raisings
@@ -874,3 +876,66 @@ def test_mutating_a_graph_changes_no_later_graph():
 def _frozen(value):
     """True iff ``value`` is built of tuples, strings and ints alone."""
     return type(value) in (str, int) or type(value) is tuple and all(map(_frozen, value))
+
+
+def _printed(*argv):
+    """``ncposet`` run on ``argv``: its exit code and stdout."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.run(list(argv))
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_command_line_builds_no_graph(monkeypatch, family):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a HasseGraph was built")
+
+    monkeypatch.setattr(HasseGraph, "__init__", refuse)
+    for form in ("json", "dot"):
+        code, out = _printed("hasse", "--poset", family, "--max-rank", "7", "--format", form)
+        assert code == 0 and out.endswith("}\n")
+    with pytest.raises(AssertionError, match="a HasseGraph was built"):
+        hasse(PosetHandle(family), 7)
+
+
+def test_the_comm_text_makes_no_exponent_dict(monkeypatch):
+    # each monomial of a call is a dict made from the items the store keeps; count those
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return dict(*args)
+
+    monkeypatch.setattr(commutative, "dict", counting, raising=False)
+    for n_args in ((), ("-n", "2")):
+        for form in ("json", "dot"):
+            assert _printed("hasse", "--poset", "comm", *n_args, "--max-rank", "8",
+                            "--format", form)[0] == 0
+    assert made == []
+    graph = hasse(PosetHandle("comm"), 8)  # the record reads each one
+    assert len(made) == len(graph.vertices) > 0
+
+
+def test_each_dict_reader_gets_its_own_monomials(monkeypatch):
+    expected = [dict(t) for t in monomials_up_to_rank(6, 3)]
+    real, handed = commutative._partition_levels, []
+
+    def spying(*args):
+        levels, labels, monomials, covers = real(*args)
+        handed.append([*monomials])
+        return levels, labels, iter(handed[-1]), covers
+
+    monkeypatch.setattr(commutative, "_partition_levels", spying)
+    monkeypatch.setattr(posets, "_partition_levels", spying)
+    readers = [
+        lambda: monomials_up_to_rank(6, 3),
+        lambda: [t for t, _, _ in hasse(PosetHandle("comm", 3), 6).vertices],
+        lambda: check_coconnection(3, 6).ok and handed[-1],
+        lambda: monomials_up_to_rank(6, 3),
+    ]
+    for read in readers:
+        assert read() == expected
+        for t in handed[-1]:  # what this call was handed, changed before the next call
+            t[9] = t.pop(1, 0) + 7
+    assert len(handed) == len(readers)

@@ -33,6 +33,7 @@ from ncposet import (
     sort_word,
     sorted_form,
     validate_order,
+    words_of_degree,
     words_up_to_degree,
     words_up_to_rank,
 )
@@ -276,6 +277,11 @@ def test_words_up_to_negative_rank_are_none():
         (lambda: words_up_to_rank(2.5), "max_rank must be an int >= 0, got 2.5"),
         (lambda: monomials_up_to_rank(True, 2), "max_rank must be an int >= 0, got True"),
         (lambda: monomials_up_to_rank(2.5), "max_rank must be an int >= 0, got 2.5"),
+        (lambda: words_of_degree(True, 2), "alphabet bound must be an int >= 1, got True"),
+        (lambda: words_of_degree(0, 0), "alphabet bound must be >= 1, got 0"),
+        (lambda: words_of_degree(None, 1), "degree enumeration needs a bounded alphabet"),
+        (lambda: words_of_degree(2, 2.5), "degree must be an int >= 0, got 2.5"),
+        (lambda: words_of_degree(2, True), "degree must be an int >= 0, got True"),
     ],
     ids=[
         "degree n=0",
@@ -288,17 +294,23 @@ def test_words_up_to_negative_rank_are_none():
         "rank bound 2.5",
         "monomial rank bound True",
         "monomial rank bound 2.5",
+        "exact degree n=True",
+        "exact degree n=0",
+        "exact degree n=None",
+        "exact degree 2.5",
+        "exact degree True",
     ],
 )
 def test_enumerations_refuse_a_bound_that_is_not_an_int(call, message):
     # once words_up_to_degree(0, 3) was [()], True was read as 1, and None or 2.5 died
-    # with a bare TypeError
+    # with a bare TypeError; words_of_degree(True, 2) gave [(1, 1)] and (0, 0) gave [()]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 
 def test_words_up_to_negative_degree_are_none_with_the_limit_checked():
     assert words_up_to_degree(2, -1) == words_up_to_degree(3, -4, limit=0) == []
+    assert list(words_of_degree(2, -1)) == list(words_of_degree(1, -3)) == []
     with pytest.raises(ValueError, match="^limit must be an int >= 0, got -5$"):
         words_up_to_degree(2, -1, limit=-5)
 
