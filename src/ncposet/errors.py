@@ -43,6 +43,12 @@ def _charge(amount: int, what: str) -> None:
         raise LimitError(f"{amount} {what} exceed the cap of {DEFAULT_LIMIT}")
 
 
+# `ValueError` unless ``value`` is a ``kind``: the rule names both, "a poset is a PosetHandle"
+def _check_type(value, kind: type, rule: str) -> None:
+    if not isinstance(value, kind):
+        raise ValueError(f"{rule}, got {value!r}")
+
+
 def _check_enumeration(what: str, elements: int, limit: int | None, letters: int = 0) -> None:
     """Raise `LimitError` if an enumeration of ``what`` holds more elements than
     ``_cap(limit)``, or more than `LETTERS_PER_WORD` times it of letters."""

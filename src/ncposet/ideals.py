@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Collection, Iterable, Iterator, Sequence
 from functools import cached_property
 
-from .errors import _charge
+from .errors import _charge, _check_type
 from .ncorder import raisings
 from .words import Word, _Record, _canonical_key, _has_factor, check_range, check_word, format_word
 
@@ -85,6 +85,7 @@ def _minimal(n: int, words: set[Word], work: int = 0) -> IdealGens:
 
 def ideal_member(m: Sequence[int], ideal: IdealGens) -> bool:
     """True iff some generator occurs as a contiguous subword of ``m``."""
+    _check_type(ideal, IdealGens, "an ideal is an IdealGens")
     return _has_factor(check_word(m, ideal.n), *ideal._lookup)
 
 
@@ -105,6 +106,7 @@ def strongly_stable_closure(ideal: IdealGens) -> IdealGens:
     as do the lookups of the last step, whose antichain of valid words is
     not checked again.
     """
+    _check_type(ideal, IdealGens, "an ideal is an IdealGens")
     found = set(ideal.gens)
     lengths = {len(g) for g in found}
     stack = list(found)
@@ -165,6 +167,7 @@ def is_strongly_stable(ideal: IdealGens, rank_bound: int) -> StabilityCheck:
     first generator with one, raisings in position order.  The membership
     tests of the raisings are charged first, all generators at once.
     """
+    _check_type(ideal, IdealGens, "an ideal is an IdealGens")
     check_range(ideal.n, rank_bound, "rank_bound")
     lengths = ideal._lookup[1]
     _charge(sum(_raising_work(g, ideal.n, lengths) for g in ideal.gens), "letter comparisons")

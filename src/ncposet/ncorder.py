@@ -9,7 +9,7 @@ and every interval is finite.
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Sequence
-from itertools import count
+from itertools import product
 
 from .errors import _charge
 from .words import Word, _multirank, check_range, check_word
@@ -135,15 +135,15 @@ def covers_down(m: Sequence[int]) -> set[Word]:
 
 
 def principal_down_set(m: Sequence[int]) -> set[Word]:
-    """All words below ``m``; finite because the order is graded by rank.  Each word the
-    search expands is charged, as the count so far, against `DEFAULT_LIMIT`."""
-    expanded = count(1)
-
-    def moves(w: Word) -> set[Word]:
-        _charge(next(expanded), "down-set words")
-        return covers_down(w)
-
-    return _reachable(check_word(m), moves)
+    """All words below ``m``: those letterwise below a window of ``m`` (`nc_leq`'s criterion),
+    the empty one too.  Each new word is charged, as the count so far, against `DEFAULT_LIMIT`."""
+    w = check_word(m)
+    down: set[Word] = set()
+    for v in {w[i:j] for j in range(len(w) + 1) for i in range(j + 1)}:
+        for u in product(*[range(1, c + 1) for c in v]):
+            _charge(len(down) + (u not in down), "down-set words")
+            down.add(u)
+    return down
 
 
 def walk(m: Sequence[int], dim: int | None = None) -> list[tuple[int, ...]]:

@@ -20,6 +20,7 @@ from itertools import chain, count, repeat
 from operator import itemgetter
 
 from .commutative import _comm_leq, _partition_levels
+from .errors import _check_type
 from .ncorder import _nc_leq
 from .variants import _p_leq, _q_leq
 from .words import (_Record, _check_alphabet, _json_list, _word_covers, _word_levels, check_range,
@@ -68,6 +69,7 @@ _KERNELS = {"nc": _nc_leq, "q": _q_leq, "p": _p_leq, "comm": _comm_leq}
 
 def leq(handle: PosetHandle, a, b) -> bool:
     """Directed comparability in the handle's family: check ``a``, then ``b``, then compare."""
+    _check_type(handle, PosetHandle, "a poset is a PosetHandle")
     return _KERNELS[handle.family](_check_element(handle, a), _check_element(handle, b))
 
 
@@ -77,6 +79,7 @@ def compare(handle: PosetHandle, a, b) -> str:
     ``a`` and then ``b`` are checked once, as `leq` checks them; the family's kernel
     then runs on the checked elements, at most once each way.
     """
+    _check_type(handle, PosetHandle, "a poset is a PosetHandle")
     a, b = _check_element(handle, a), _check_element(handle, b)
     if a == b:
         return EQ
@@ -176,6 +179,7 @@ def _runs(rows):
 
 def _hasse_levels(handle: PosetHandle, max_rank: int, limit: int | None) -> tuple:
     """`hasse`'s checks, then its labels, ranks, multiranks, elements, edges and vertex count."""
+    _check_type(handle, PosetHandle, "a poset is a PosetHandle")
     check_range(handle.n, max_rank, "max_rank")
     if handle.family == "comm":
         levels, labels, elements, covers = _partition_levels(max_rank, handle.n, limit)

@@ -18,7 +18,7 @@ from itertools import pairwise, product
 from math import isqrt
 from operator import attrgetter, lt
 
-from .errors import ParseError, _cap, _charge
+from .errors import ParseError, _cap, _charge, _check_type
 from .ncorder import _covers_up, _reachable, raisings
 from .posets import EQ, GT, LT, PosetHandle
 from .variants import swap_successors
@@ -103,11 +103,6 @@ def parse_order_spec(text: str) -> TermOrderSpec:
     )
 
 
-def _check_spec(spec) -> None:
-    if not isinstance(spec, TermOrderSpec):
-        raise ValueError(f"a term order is a TermOrderSpec, got {spec!r}")
-
-
 def _no_weight(spec: TermOrderSpec, letter: int) -> ValueError:
     return ValueError(
         f"letter x{letter} has no weight; the spec covers letters up to x{len(spec.weights)}"
@@ -141,7 +136,7 @@ def _key_function(spec: TermOrderSpec, top: int) -> tuple[Callable, Callable]:
 
 def sort_key(spec: TermOrderSpec, m: Sequence[int]):
     """A total-order key: words compare under ``spec`` as their keys do."""
-    _check_spec(spec)
+    _check_type(spec, TermOrderSpec, "a term order is a TermOrderSpec")
     w = check_word(m)
     if spec.kind == "weight_deg":
         for i in w:
@@ -227,7 +222,7 @@ def validate_order(
     store with the levels (`_remembered`), and a repeated call under the same caps
     gets it back, until it is evicted, with its own witnesses dict.
     """
-    _check_spec(spec)
+    _check_type(spec, TermOrderSpec, "a term order is a TermOrderSpec")
     if n is None:
         raise ValueError("order validation needs a bounded alphabet")
     check_range(n, max_degree, "max_degree")
@@ -372,7 +367,8 @@ def contains_poset(
     store with the levels (`_remembered`), and a repeated call under the same
     caps gets it back, until it is evicted, without checking a move again.
     """
-    _check_spec(spec)
+    _check_type(spec, TermOrderSpec, "a term order is a TermOrderSpec")
+    _check_type(handle, PosetHandle, "a poset is a PosetHandle")
     if handle.family not in ("nc", "q", "p"):
         raise ValueError(f"containment checks cover word posets, not {handle.family!r}")
     if handle.n is None:

@@ -54,12 +54,12 @@ _MON_FACTOR = re.compile(r"x([1-9][0-9]*)(?:\^([1-9][0-9]*))?\Z")
 _STORE: dict[tuple, tuple[int, object]] = {}
 _HELD = 0
 
-# A report's weight, its size over a kept level element's: after the benchmark's seed-1
-# lists, a report with its key takes 850-2240 B, 1320 B on average (Python 3.11.7,
-# sys.getsizeof over the objects each one holds).  The weight was set when a level element
-# of hasse_mix took 88 B; with each level's labels kept as separate strings one takes about
-# 142 B, so the ratio is nearer 9.  The weight stays until it is measured again on hasse_mix
-_REPORT_WEIGHT = 15
+# A report's weight, its size over a kept level element's, measured: after the benchmark's
+# hasse_mix and certify_mix lists at seeds 1 and 35, each replayed in one process, the
+# sys.getsizeof sum over the distinct objects each store entry holds (functions and classes
+# aside) is 141 B per level element (22,970 elements) and 1638 B per report with its key
+# (145 reports), a ratio of 11.6 (Python 3.11.7)
+_REPORT_WEIGHT = 12
 
 # One lock over the store, so that each lookup, insert and eviction is one step to other
 # threads; nothing is built under it
@@ -131,7 +131,7 @@ def parse_word(text: str) -> Word:
 
 
 def format_word(m: Sequence[int]) -> str:
-    return "*".join(f"x{i}" for i in check_word(m)) or "1"
+    return _canonical_key(check_word(m))[1]
 
 
 def normalize_monomial(t: Mapping[int, int], n: int | None = None) -> CommMonomial:
@@ -286,8 +286,8 @@ def canonical_key(m: Sequence[int]) -> tuple[int, str]:
 
 
 def _canonical_key(w: Word) -> tuple[int, str]:
-    """`canonical_key` of a word, checked by `format_word` alone."""
-    return (sum(w), format_word(w))
+    """`canonical_key` of a valid word, without validating it; its text is `format_word`'s."""
+    return (sum(w), "*".join(f"x{i}" for i in w) or "1")
 
 
 def words_of_degree(n: int, d: int) -> Iterator[Word]:

@@ -136,7 +136,9 @@ def _kept():
 
 
 def test_reports_and_levels_evict_each_other(monkeypatch):
-    # 16 words of rank <= 4 over the unbounded alphabet, 12 partitions, and reports of 15
+    # 16 words of rank <= 4 over the unbounded alphabet, 12 partitions, and reports of 15:
+    # the weight is set, so that the order of evictions below does not move with it
+    monkeypatch.setattr(words, "_REPORT_WEIGHT", 15)
     monkeypatch.setattr(errors, "TABLE_LIMIT", 61)
     deglex = [(DEG_LEFT_LEX, 1, d, 2) for d in range(4)]
     hasse(PosetHandle("nc"), 4)
@@ -171,7 +173,8 @@ def test_reports_and_levels_evict_each_other(monkeypatch):
 def test_an_entry_heavier_than_the_limit_leaves_the_store_as_it_was(monkeypatch, empty_store):
     expected = validate_order(DEG_LEFT_LEX, 2, 2)
     empty_store()
-    # 8 words of rank <= 3, 16 of rank <= 4, and a report of 15
+    # 8 words of rank <= 3, 16 of rank <= 4, and a report of 15, set as above
+    monkeypatch.setattr(words, "_REPORT_WEIGHT", 15)
     monkeypatch.setattr(errors, "TABLE_LIMIT", 14)
     hasse(PosetHandle("nc"), 3)
     validate_order(DEG_LEFT_LEX, 1, 0)

@@ -234,6 +234,7 @@ def test_key_function_reports_a_missing_weight_as_sort_key_does():
 def test_unchecked_maps_match_the_public_ones(n):
     for w in word_module.words_up_to_rank(8, n):
         assert commutative._abelianize(w) == word_module.abelianize(w), w
+        assert word_module._canonical_key(w) == word_module.canonical_key(w), w
         # sorted_form sorts the letters directly, without either map
         assert commutative._sort_word(commutative._abelianize(w)) == word_module.sorted_form(w)
     for t in commutative.monomials_up_to_rank(8, n):

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncposet import (
+    DEG_LEFT_LEX,
     ParseError,
     PosetHandle,
     abelianize,
@@ -20,12 +21,16 @@ from ncposet import (
     comm_leq,
     comm_leq_oracle,
     compare,
+    contains_poset,
     covers_down,
     covers_up,
     degree,
     format_monomial,
     format_word,
+    hasse,
+    ideal_member,
     is_factor,
+    is_strongly_stable,
     leq,
     monomial_canonical_key,
     monomial_product,
@@ -43,9 +48,11 @@ from ncposet import (
     rank,
     sort_word,
     sorted_form,
+    strongly_stable_closure,
     to_partition,
     walk,
 )
+from ncposet.posets import _hasse_text
 
 MONOMIAL = {2: 1}
 WORD = (1, 2)
@@ -167,6 +174,27 @@ def test_monomials_check_their_alphabet_bound_as_words_do():
         comm_leq((), {}, 0)
     with pytest.raises(TypeError, match="^a word is a sequence of letter indices"):
         nc_leq({}, (), 0)
+
+
+RECORD_CALLS = {
+    "leq": (lambda x: leq(x, (1,), (2,)), "a poset is a PosetHandle"),
+    "compare": (lambda x: compare(x, (1,), (2,)), "a poset is a PosetHandle"),
+    "hasse": (lambda x: hasse(x, 3), "a poset is a PosetHandle"),
+    "hasse text": (lambda x: _hasse_text(x, 3, None, "dot"), "a poset is a PosetHandle"),
+    "contains_poset": (lambda x: contains_poset(DEG_LEFT_LEX, x, 2), "a poset is a PosetHandle"),
+    "ideal_member": (lambda x: ideal_member((1,), x), "an ideal is an IdealGens"),
+    "strongly_stable_closure": (strongly_stable_closure, "an ideal is an IdealGens"),
+    "is_strongly_stable": (lambda x: is_strongly_stable(x, 3), "an ideal is an IdealGens"),
+}
+
+
+@pytest.mark.parametrize("bad", ["nc", ("nc", 3), None], ids=repr)
+@pytest.mark.parametrize("call, rule", RECORD_CALLS.values(), ids=RECORD_CALLS)
+def test_record_arguments_refuse_another_type(call, rule, bad):
+    # once each died with a bare AttributeError, such as "'str' object has no attribute
+    # 'family'"; a term order spec was already refused this way
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{rule}, got {bad!r}')}$"):
+        call(bad)
 
 
 _WORD_TERM = re.compile(r"x([1-9][0-9]*)\Z")

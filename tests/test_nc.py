@@ -1,9 +1,10 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncposet import ncorder
 from ncposet import (
     LimitError,
     abelianize,
@@ -18,8 +19,9 @@ from ncposet import (
     walk,
     words_of_degree,
     words_up_to_degree,
+    words_up_to_rank,
 )
-from ncposet.ncorder import _covers_up
+from ncposet.ncorder import _covers_up, _reachable
 
 words = st.lists(st.integers(min_value=1, max_value=4), max_size=5).map(tuple)
 
@@ -176,6 +178,51 @@ def test_principal_down_set_charges_each_word_it_expands(monkeypatch):
     with pytest.raises(LimitError, match="^1001 down-set words exceed the cap of 1000$"):
         principal_down_set((3,) * 8)
     assert principal_down_set((3,) * 4) == expected
+
+
+def _down_set_by_search(m):
+    """The down-set as `principal_down_set` once found it: every word reached from ``m`` by
+    stripping a marginal x1 or lowering a letter."""
+    return _reachable(tuple(m), covers_down)
+
+
+def _assert_down_set(m):
+    down = principal_down_set(m)
+    assert down == _down_set_by_search(m), m
+    assert all(nc_leq(u, m) for u in down), m
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, None))
+def test_principal_down_set_matches_the_search_on_every_word_of_rank_9(n):
+    for m in words_up_to_rank(9, n):
+        _assert_down_set(m)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=5), max_size=8))
+def test_principal_down_set_matches_the_search(m):
+    _assert_down_set(m)
+
+
+def test_principal_down_set_reads_the_windows_without_a_search(monkeypatch):
+    called = []
+    monkeypatch.setattr(ncorder, "_reachable", lambda *args: called.append("_reachable"))
+    monkeypatch.setattr(ncorder, "covers_down", lambda *args: called.append("covers_down"))
+    assert len(principal_down_set((2, 3, 1, 4, 2, 3, 1, 2))) == 1071
+    assert called == []
+
+
+# overlapping windows: x2*x3 and x3*x2 occur twice each, and x2*x3*x2 dominates x2*x2*x2
+@pytest.mark.parametrize("m", [(), (1,), (3,) * 4, (2, 3, 2, 3, 2), (1, 2, 1, 2), (4, 1, 4)])
+def test_principal_down_set_refuses_exactly_past_the_cap(monkeypatch, m):
+    expected = principal_down_set(m)
+    size = len(expected)
+    monkeypatch.setattr(errors, "DEFAULT_LIMIT", size)
+    assert principal_down_set(m) == expected
+    monkeypatch.setattr(errors, "DEFAULT_LIMIT", size - 1)
+    message = f"^{size} down-set words exceed the cap of {size - 1}$"
+    with pytest.raises(LimitError, match=message):
+        principal_down_set(m)
 
 
 @given(words, words)
