@@ -136,13 +136,16 @@ def covers_down(m: Sequence[int]) -> set[Word]:
 
 def principal_down_set(m: Sequence[int]) -> set[Word]:
     """All words below ``m``: those letterwise below a window of ``m`` (`nc_leq`'s criterion),
-    the empty one too.  Each new word is charged, as the count so far, against `DEFAULT_LIMIT`."""
+    the empty one too; a window already in the set adds no word.  Charged against the cap
+    `DEFAULT_LIMIT`: len(m)^2 output letters first, then each new word as the count so far."""
     w = check_word(m)
+    _charge(len(w) * len(w), "output letters")
     down: set[Word] = set()
-    for v in {w[i:j] for j in range(len(w) + 1) for i in range(j + 1)}:
-        for u in product(*[range(1, c + 1) for c in v]):
-            _charge(len(down) + (u not in down), "down-set words")
-            down.add(u)
+    for v in (w[i:j] for j in range(len(w) + 1) for i in range(j + 1)):
+        if v not in down:
+            for u in product(*[range(1, c + 1) for c in v]):
+                _charge(len(down) + (u not in down), "down-set words")
+                down.add(u)
     return down
 
 

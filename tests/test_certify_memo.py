@@ -136,17 +136,19 @@ def _kept():
 
 
 def test_reports_and_levels_evict_each_other(monkeypatch):
-    # 16 words of rank <= 4 over the unbounded alphabet, 12 partitions, and reports of 15:
-    # the weight is set, so that the order of evictions below does not move with it
-    monkeypatch.setattr(words, "_REPORT_WEIGHT", 15)
-    monkeypatch.setattr(errors, "TABLE_LIMIT", 61)
+    # 16 words of rank <= 4 over the unbounded alphabet, 12 partitions, and reports of
+    # `_REPORT_WEIGHT`: room for the words and three reports; the order of evictions below
+    # holds for any weight from 12 to 18
+    weight = words._REPORT_WEIGHT
+    assert 12 <= weight < 19
+    monkeypatch.setattr(errors, "TABLE_LIMIT", 16 + 3 * weight)
     deglex = [(DEG_LEFT_LEX, 1, d, 2) for d in range(4)]
     hasse(PosetHandle("nc"), 4)
     validate_order(DEG_LEFT_LEX, 1, 0)
     validate_order(DEG_LEFT_LEX, 1, 1)
     hasse(PosetHandle("comm"), 4)
     assert _kept() == [("words", None), deglex[0], deglex[1], ("partitions", None)]
-    assert words._HELD == 16 + 15 + 15 + 12
+    assert words._HELD == 16 + weight + weight + 12
     # a read keeps an entry of either kind: the least recently used goes instead
     validate_order(DEG_LEFT_LEX, 1, 0)
     hasse(PosetHandle("nc"), 3)
@@ -155,10 +157,10 @@ def test_reports_and_levels_evict_each_other(monkeypatch):
     # a report evicts a level; 19 partitions of rank <= 5 evict a report, then a level
     validate_order(DEG_LEFT_LEX, 1, 3)
     assert _kept() == [deglex[0], ("words", None), deglex[2], deglex[3]]
-    assert words._HELD == 61
+    assert words._HELD == 16 + 3 * weight
     hasse(PosetHandle("comm"), 5)
     assert _kept() == [deglex[2], deglex[3], ("partitions", None)]
-    assert words._HELD == 15 + 15 + 19
+    assert words._HELD == weight + weight + 19
     # a kept report answers, and an evicted one is made again
     loops = _spy(monkeypatch, termorders, "_adjacent_multiplicative")
     validate_order(DEG_LEFT_LEX, 1, 3)
@@ -173,9 +175,10 @@ def test_reports_and_levels_evict_each_other(monkeypatch):
 def test_an_entry_heavier_than_the_limit_leaves_the_store_as_it_was(monkeypatch, empty_store):
     expected = validate_order(DEG_LEFT_LEX, 2, 2)
     empty_store()
-    # 8 words of rank <= 3, 16 of rank <= 4, and a report of 15, set as above
-    monkeypatch.setattr(words, "_REPORT_WEIGHT", 15)
-    monkeypatch.setattr(errors, "TABLE_LIMIT", 14)
+    # 8 words of rank <= 3, 16 of rank <= 4, and a report of `_REPORT_WEIGHT`, one past the
+    # limit, for any weight from 9 to 16
+    assert 9 <= words._REPORT_WEIGHT <= 16
+    monkeypatch.setattr(errors, "TABLE_LIMIT", words._REPORT_WEIGHT - 1)
     hasse(PosetHandle("nc"), 3)
     validate_order(DEG_LEFT_LEX, 1, 0)
     before = list(words._STORE.items())

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -212,8 +213,9 @@ def test_principal_down_set_reads_the_windows_without_a_search(monkeypatch):
     assert called == []
 
 
-# overlapping windows: x2*x3 and x3*x2 occur twice each, and x2*x3*x2 dominates x2*x2*x2
-@pytest.mark.parametrize("m", [(), (1,), (3,) * 4, (2, 3, 2, 3, 2), (1, 2, 1, 2), (4, 1, 4)])
+# overlapping windows: x2*x3 and x3*x2 occur twice each, and x2*x3*x2 dominates x2*x2*x2;
+# the 26 words below x2*x1*x2*x1*x2 pass its 25 output letters by one
+@pytest.mark.parametrize("m", [(), (1,), (3,) * 4, (2, 3, 2, 3, 2), (2, 1, 2, 1, 2), (4, 1, 4)])
 def test_principal_down_set_refuses_exactly_past_the_cap(monkeypatch, m):
     expected = principal_down_set(m)
     size = len(expected)
@@ -223,6 +225,27 @@ def test_principal_down_set_refuses_exactly_past_the_cap(monkeypatch, m):
     message = f"^{size} down-set words exceed the cap of {size - 1}$"
     with pytest.raises(LimitError, match=message):
         principal_down_set(m)
+
+
+def test_principal_down_set_charges_the_letters_of_its_word_first(monkeypatch):
+    # as the first covers_down of the search did: len(m)^2 output letters, before any window
+    monkeypatch.setattr(errors, "DEFAULT_LIMIT", 100)
+    assert principal_down_set((1,) * 10) == {(1,) * k for k in range(11)}
+    with pytest.raises(LimitError, match="^121 output letters exceed the cap of 100$"):
+        principal_down_set((1,) * 11)
+    monkeypatch.setattr(errors, "DEFAULT_LIMIT", 14)
+    with pytest.raises(LimitError, match="^16 output letters exceed the cap of 14$"):
+        principal_down_set((1, 2, 1, 2))
+
+
+@pytest.mark.parametrize("m", [(1,) * 2000, tuple(random.Random(35).choices((1, 2), k=3000))])
+def test_principal_down_set_refuses_a_long_word_before_building_a_window(monkeypatch, m):
+    built = []
+    monkeypatch.setattr(ncorder, "product", lambda *ranges: built.append(ranges) or [()])
+    message = f"^{len(m) ** 2} output letters exceed the cap of 1000000$"
+    with pytest.raises(LimitError, match=message):
+        principal_down_set(m)
+    assert built == []
 
 
 @given(words, words)
