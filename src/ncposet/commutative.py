@@ -17,7 +17,7 @@ a rank-bounded range.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import chain
+from itertools import chain, count
 
 from . import errors
 from .errors import _cap, _check_enumeration
@@ -27,7 +27,6 @@ from .words import (
     _Record,
     _abelianize,
     _check_bounds,
-    _format_monomial,
     _json_list,
     _levels,
     _remembered,
@@ -79,12 +78,18 @@ def from_partition(p: Sequence[int]) -> CommMonomial:
         raise ValueError(f"parts must be weakly decreasing, got {parts}")
     if parts and parts[-1] < 1:
         raise ValueError(f"parts must be positive, got {parts}")
-    return _exponents(parts)
+    return dict(_monomial_of(parts, {})[1])
 
 
-def _exponents(p: Partition) -> CommMonomial:
-    """`from_partition` of a partition, without validating it."""
-    return {i: a - b for i, (a, b) in enumerate(zip(p, p[1:] + (0,)), start=1) if a > b}
+def _monomial_of(p: Partition, tokens: dict) -> tuple[str, tuple[tuple[int, int], ...]]:
+    """The label (`format_monomial`) and exponent items of the monomial at partition ``p``, read
+    off its rows in one pass; ``tokens`` keeps the text of each (letter, exponent) once made."""
+    texts, items = [], []
+    for i, a, b in zip(count(1), p, p[1:] + (0,)):
+        if e := a - b:
+            items.append(t := (i, e))
+            texts.append(tokens.get(t) or tokens.setdefault(t, f"x{i}^{e}" if e > 1 else f"x{i}"))
+    return "*".join(texts) or "1", tuple(items)
 
 
 def monomial_rank(t: Mapping[int, int]) -> int:
@@ -185,11 +190,12 @@ def _partition_levels(max_rank: int, n: int | None, limit: int | None) -> tuple:
         # each rank left holds at least x1^r, so refuse as soon as the cap must fall
         _check_enumeration(f"monomials up to rank {max_rank}", starts[-1] + max_rank - r, limit)
 
+    tokens: dict = {}  # each (letter, exponent) token's text, made once per build
+
     def extend(levels: list) -> tuple:
         box = [_box_covers(p, n) for p in levels[-1][0]] if levels else []
         level = list({u for ups in box for u in ups}) if levels else [()]
-        labels, partitions, items = zip(*sorted((_format_monomial(t), p, tuple(t.items()))
-                                                for p in level for t in [_exponents(p)]))
+        labels, items, partitions = zip(*sorted((*_monomial_of(p, tokens), p) for p in level))
         index = {p: i for i, p in enumerate(partitions, starts[len(levels)])}
         covers = tuple(tuple(sorted(map(index.__getitem__, ups))) for ups in box)
         return partitions, labels, items, covers

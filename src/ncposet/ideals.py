@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Iterator, Sequence
 from functools import cached_property
+from itertools import count
 
 from .errors import _charge, _check_type
 from .ncorder import raisings
@@ -43,8 +44,10 @@ class IdealGens(_Record):
 
     def __post_init__(self) -> None:
         _check_bound(self.n)
-        object.__setattr__(self, "gens", tuple(check_word(g, self.n) for g in self.gens))
-        if (g := next(_divisible(self.gens), None)) is not None:
+        object.__setattr__(self, "gens", gens := tuple(check_word(g, self.n) for g in self.gens))
+        last = dict(zip(gens, count()))  # a generator given twice is divisible by its later copy
+        g = next((g for i, g in enumerate(gens) if last[g] != i), None)
+        if g is not None or (g := next(_divisible(gens), None)) is not None:
             raise ValueError(f"generators are not an antichain: {format_word(g)} is divisible")
 
     @cached_property

@@ -8,10 +8,10 @@ and every interval is finite.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from itertools import product
 
-from .errors import _charge
+from .errors import _charge, _check_enumeration
 from .words import Word, _multirank, check_range, check_word
 
 __all__ = [
@@ -136,17 +136,35 @@ def covers_down(m: Sequence[int]) -> set[Word]:
 
 def principal_down_set(m: Sequence[int]) -> set[Word]:
     """All words below ``m``: those letterwise below a window of ``m`` (`nc_leq`'s criterion),
-    the empty one too; a window already in the set adds no word.  Charged against the cap
-    `DEFAULT_LIMIT`: len(m)^2 output letters first, then each new word as the count so far."""
+    the empty one too, each distinct window once; one already in the set adds no word.  Charged
+    against the cap `DEFAULT_LIMIT`: len(m)^2 output letters first, then each new word as the
+    count so far, and its letters against `LETTERS_PER_WORD` times the cap."""
     w = check_word(m)
     _charge(len(w) * len(w), "output letters")
     down: set[Word] = set()
-    for v in (w[i:j] for j in range(len(w) + 1) for i in range(j + 1)):
+    letters = 0
+    for v in _distinct_windows(w):
         if v not in down:
             for u in product(*[range(1, c + 1) for c in v]):
-                _charge(len(down) + (u not in down), "down-set words")
-                down.add(u)
+                if u not in down:
+                    _charge(len(down) + 1, "down-set words")
+                    down.add(u)
+                    letters += len(u)
+                    _check_enumeration("down-set words", len(down), None, letters)
     return down
+
+
+def _distinct_windows(w: Word) -> Iterator[Word]:
+    """Each distinct window of ``w`` once, the shorter first, sliced once.  A window is named
+    by its first start: the one of length k + 1 at i is the pair of the name of the one of
+    length k at i and w[i + k], so each length costs one pass over at most len(w) pairs."""
+    names = [0] * (len(w) + 1)  # the empty window, at every start
+    yield ()
+    for k in range(len(w)):
+        pairs = [*zip(names, w[k:])]
+        first = dict(zip(reversed(pairs), range(len(pairs) - 1, -1, -1)))
+        names = [*map(first.__getitem__, pairs)]
+        yield from (w[i : i + k + 1] for i in first.values())
 
 
 def walk(m: Sequence[int], dim: int | None = None) -> list[tuple[int, ...]]:

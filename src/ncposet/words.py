@@ -164,16 +164,8 @@ def parse_monomial(text: str) -> CommMonomial:
 
 
 def format_monomial(t: Mapping[int, int]) -> str:
-    return _format_monomial(normalize_monomial(t))
-
-
-def _format_monomial(t: CommMonomial) -> str:
-    """`format_monomial` of a normalized monomial, without validating it."""
-    if not t:
-        return "1"
-    return "*".join(
-        f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in sorted(t.items())
-    )
+    items = sorted(normalize_monomial(t).items())
+    return "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in items) or "1"
 
 
 def abelianize(m: Sequence[int]) -> CommMonomial:
@@ -368,31 +360,32 @@ def _count_up_to_rank(max_rank: int, n: int | None, limit: int | None) -> tuple[
 
 
 def _word_levels(max_rank: int, n: int | None, limit: int | None, data: bool = False) -> tuple:
-    """Words of rank <= max_rank in `words_up_to_rank` order, one list per rank.
-
-    With ``data`` also their labels and multiranks, from the tail's (``xk*`` prepended, one
-    added to the first k components), kept per n by `_levels`; the words are rebuilt each call.
-    """
+    """Words of rank <= max_rank in `words_up_to_rank` order, one list per rank, built a first
+    letter k at a time: (k,) prepended to the tail level's words and, with ``data``, ``xk*`` to its
+    labels and one added to the first k components of each distinct tail multirank.  Labels and
+    multiranks are kept per n by `_levels`; the words are rebuilt each call."""
     _check_bounds(n, max_rank, "max_rank")
     sizes, total_letters = _count_up_to_rank(max_rank, n, limit)
     if max_rank < 0:
         return [], [], []
     top = max_rank if n is None else min(n, max_rank)
     letters = sorted(range(1, top + 1), key=str)
+    join = itertools.chain.from_iterable  # a level from its first-letter blocks
     words = [[()]]
     for r in range(1, max_rank + 1):
-        words.append([(k,) + w for k in letters if k <= r for w in words[r - k]])
+        words.append([*join(map((k,).__add__, words[r - k]) for k in letters if k <= r)])
     if not data:
         return words, [], []
 
     def extend(levels: list) -> tuple:
         r = len(levels)
         below = [(k, levels[r - k]) for k in letters if k <= r]
-        labels = tuple(f"x{k}*{s}" if k < r else f"x{k}" for k, level in below for s in level[1])
+        labels = join(map(f"x{k}*".__add__, tail[1]) if k < r else (f"x{k}",) for k, tail in below)
         shared: dict = {}  # one tuple per distinct multirank: words with the same letters share it
-        multiranks = tuple(shared.setdefault(m, m) for m in (tuple([c + 1 for c in mr[:k]]) + mr[k:]
-                           + (1,) * (k - len(mr)) for k, level in below for mr in level[0]))
-        return (multiranks, labels) if r else (((),), ("1",))
+        multiranks = join(map({mr: shared.setdefault(m, m) for mr in {*tail[0]} for m in [tuple(
+            [c + 1 for c in mr[:k]]) + mr[k:] + (1,) * (k - len(mr))]}.__getitem__, tail[0])
+            for k, tail in below)
+        return (tuple(multiranks), tuple(labels)) if r else (((),), ("1",))
 
     # the labels grow with the letters: LETTERS_PER_WORD letters count as one element, as in
     # the caps, so x1^0..x1^6324 (2*10^7 letters, 60 MB of labels) is never kept

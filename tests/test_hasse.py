@@ -31,12 +31,12 @@ from ncposet import (
     words_up_to_rank,
 )
 from ncposet import cli, commutative, errors, posets, termorders, words
-from ncposet.commutative import _box_covers, _exponents
+from ncposet.commutative import _box_covers, _monomial_of
 from ncposet.errors import TABLE_LIMIT
 from ncposet.ncorder import _covers_up, _reachable, raisings
 from ncposet.posets import HasseGraph, _json_list
 from ncposet.variants import swap_successors
-from ncposet.words import _format_monomial, _multirank, check_word
+from ncposet.words import _multirank, check_word
 
 
 def _reference_to_json(graph):
@@ -421,7 +421,7 @@ def _held():
 
 
 def test_hasse_comm_formats_each_vertex_once(monkeypatch):
-    calls = _count_calls(monkeypatch, _format_monomial)
+    calls = _count_calls(monkeypatch, _monomial_of)
     graph = hasse(PosetHandle("comm"), 16)
     assert len(calls) == len(graph.vertices) == 915
     # the store keeps the labels: drawing the graph again formats none
@@ -587,10 +587,10 @@ def test_coconnection_builds_no_cover_word(monkeypatch):
 
 def test_hasse_comm_computes_each_cover_once(monkeypatch):
     boxes = _count_calls(monkeypatch, _box_covers)
-    exponents = _count_calls(monkeypatch, _exponents)
+    exponents = _count_calls(monkeypatch, _monomial_of)
     lookups = _count_calls(monkeypatch, termorders._moves)
     graph = hasse(PosetHandle("comm"), 16)
-    # one _box_covers per partition below rank 16 (915 - 231), one _exponents
+    # one _box_covers per partition below rank 16 (915 - 231), one _monomial_of
     # per partition; the cover lookup called each twice as often
     assert (len(boxes), len(exponents), len(graph.vertices)) == (684, 915, 915)
     assert lookups == []

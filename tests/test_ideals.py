@@ -42,6 +42,17 @@ def test_antichain_invariant_enforced():
         IdealGens(0, ())
 
 
+def test_a_repeated_generator_is_refused():
+    # a generator given twice is divisible by its copy; accepted, it made an ideal unequal
+    # to the same ideal with the generator given once
+    for n, gens, word in ((2, [(1,), (1,)], "x1"), (2, [(2, 2), (1,), (2, 2)], "x2*x2"),
+                          (1, [(), ()], "1")):
+        message = f"generators are not an antichain: {word} is divisible"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            IdealGens(n, gens)
+    assert minimalize([(1,), (1,)], 2) == IdealGens(2, [(1,)])
+
+
 def test_ideal_gens_keeps_the_words_it_checked():
     # a list of generators was once kept as given: unhashable, and unequal
     # to the same generators as a tuple; a list generator failed as unhashable

@@ -22,7 +22,7 @@ from ncposet import (
     words_up_to_degree,
     words_up_to_rank,
 )
-from ncposet.ncorder import _covers_up, _reachable
+from ncposet.ncorder import _covers_up, _distinct_windows, _reachable
 
 words = st.lists(st.integers(min_value=1, max_value=4), max_size=5).map(tuple)
 
@@ -246,6 +246,40 @@ def test_principal_down_set_refuses_a_long_word_before_building_a_window(monkeyp
     with pytest.raises(LimitError, match=message):
         principal_down_set(m)
     assert built == []
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=3), max_size=12).map(tuple))
+def test_each_distinct_window_is_sliced_once_the_shorter_first(w):
+    windows = [*_distinct_windows(w)]
+    assert sorted(windows) == sorted({w[i:j] for j in range(len(w) + 1) for i in range(j + 1)})
+    assert [len(v) for v in windows] == sorted(len(v) for v in windows)
+
+
+def test_a_long_one_letter_word_has_one_window_per_length():
+    # each of its 500,500 windows was sliced and hashed: x1^1000 took seconds, x1^3000 a minute
+    assert [*_distinct_windows((1,) * 1000)] == [(1,) * k for k in range(1001)]
+    assert principal_down_set((1,) * 1000) == {(1,) * k for k in range(1001)}
+
+
+def test_principal_down_set_charges_the_letters_it_keeps(monkeypatch):
+    # the 121 words below x3^4 hold 426 letters: 4 a word of a cap of 121 admit them, 3 do not
+    expected = principal_down_set((3,) * 4)
+    assert sum(map(len, expected)) == 426
+    monkeypatch.setattr(errors, "DEFAULT_LIMIT", 121)
+    monkeypatch.setattr(errors, "LETTERS_PER_WORD", 4)
+    assert principal_down_set((3,) * 4) == expected
+    monkeypatch.setattr(errors, "LETTERS_PER_WORD", 3)
+    message = "^enumeration of down-set words exceeded the cap of 363 letters$"
+    with pytest.raises(LimitError, match=message):
+        principal_down_set((3,) * 4)
+
+
+def test_principal_down_set_refuses_a_down_set_of_too_many_letters():
+    # 102,911 words below x1^400*x2^8, under the word cap, hold 21,353,986 letters (186 MB)
+    message = "^enumeration of down-set words exceeded the cap of 20000000 letters$"
+    with pytest.raises(LimitError, match=message):
+        principal_down_set((1,) * 400 + (2,) * 8)
 
 
 @given(words, words)
