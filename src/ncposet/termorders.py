@@ -19,8 +19,8 @@ from math import isqrt
 from operator import attrgetter, lt
 
 from .errors import ParseError, _cap, _charge, _check_type
-from .ncorder import _covers_up, _reachable, raisings
-from .posets import EQ, GT, LT, PosetHandle
+from .ncorder import _covers_up, raisings
+from .posets import EQ, GT, LT, PosetHandle, _KERNELS
 from .variants import swap_successors
 from .words import (
     Word,
@@ -57,12 +57,14 @@ class TermOrderSpec(_Record):
             raise ValueError(f"unknown order kind {self.kind!r}; expected one of {KINDS}")
         if self.kind == "weight_deg":
             # a tuple before the checks: the frozen spec hashes, and its weights stay checked
-            w = tuple(self.weights or ())
+            w = self.weights
+            w = tuple(w or ()) if w is None or isinstance(w, Sequence) else w
             object.__setattr__(self, "weights", w)
-            if not w:
+            if w == ():
                 raise ValueError("weight_deg needs at least one weight")
-            # plain ints with 0 < w1 < w2 < ...
-            if any(type(x) is not int for x in w) or any(a >= b for a, b in zip((0, *w), w)):
+            # plain ints with 0 < w1 < w2 < ..., in a sequence: a mapping or a set has no order
+            if (not isinstance(w, tuple) or any(type(x) is not int for x in w)
+                    or any(a >= b for a, b in zip((0, *w), w))):
                 raise ValueError(
                     f"weights must be strictly increasing positive integers, got {w}"
                 )
@@ -85,6 +87,8 @@ def weight_deg(*weights: int) -> TermOrderSpec:
 
 def parse_order_spec(text: str) -> TermOrderSpec:
     """Parse "deglex", "degrevlex", or "weight:1,2,3"."""
+    if not isinstance(text, str):
+        raise TypeError(f"a parser reads a str, got {type(text).__name__}")
     if text == "deglex":
         return DEG_LEFT_LEX
     if text == "degrevlex":
@@ -352,16 +356,16 @@ def contains_poset(
     x1^(d+1) above w = xn^d, since every word of degree d reaches xn^d by
     raisings and x1^(d+1) lies below every word of higher degree.  No move
     lowers the degree, so a chain between two words of the range stays inside
-    it, and the key order is transitive: checking each move inside the range
-    decides the question, in any order of the words.  If a move fails, the
-    witness is the first pair in canonical order (`canonical_key`, outer then
-    inner word) that the order puts the other way.  A move that keeps the
-    degree raises the rank, or is a sort, which keeps both and makes the word
-    lexicographically smaller; so by degree and rank descending, then
+    it, and the key order is transitive: the order refines the poset exactly
+    when each move inside the range goes up in key order.  A move that keeps
+    the degree raises the rank, or is a sort, which keeps both and makes the
+    word lexicographically smaller; so by degree and rank descending, then
     lexicographically, each move precedes its lower end.  One pass in that
-    order carries the least key at or above each word, and the outer word is
-    the first in canonical order with a move whose least key is not above its
-    own; one search over the moves from it finds the inner word.
+    order reads each word's moves once, carries the least key at or above
+    each word, and marks a word with a move whose least key is not above its
+    own.  The witness, the first pair in canonical order that the order puts
+    the other way, is the first marked word and the first word of the range
+    that the family's criterion puts above it and the order does not.
 
     The arguments are checked on every call; the answer is then kept in the
     store with the levels (`_remembered`), and a repeated call under the same
@@ -384,21 +388,18 @@ def _contains_poset(spec, handle, max_degree) -> tuple[bool, tuple[Word, Word] |
     # at degree 0 only the identity is keyed
     key = _key_function(spec, handle.n if max_degree else 0)[0]
     keys = {w: key(w) for w in words}
-
-    def up(w: Word) -> list[Word]:
-        return [u for u in _moves(handle, w) if len(u) <= max_degree]
-
-    if all(keys[w] < keys[u] for w in words for u in up(w)):
-        return True, None
     least: dict = {}
     marked = []
-    for w in sorted(words, key=lambda w: (-len(w), -sum(w), w)):
-        above = [least[u] for u in up(w)]
-        if any(not keys[w] < low for low in above):
+    # the words come by degree, then lexicographically, and each sort keeps ties in order
+    for w in sorted(sorted(words, key=sum, reverse=True), key=len, reverse=True):
+        above = [least[u] for u in _moves(handle, w) if len(u) <= max_degree]
+        if above and not keys[w] < min(above):
             marked.append(w)
         least[w] = min([keys[w], *above])
-    a = min(marked, key=_canonical_key)
-    late = (b for b in _reachable(a, up) if b != a and not keys[a] < keys[b])
+    if not marked:
+        return True, None
+    a, leq = min(marked, key=_canonical_key), _KERNELS[handle.family]
+    late = (b for b in words if b != a and not keys[a] < keys[b] and leq(a, b))
     return False, (a, min(late, key=_canonical_key))
 
 

@@ -110,8 +110,10 @@ def check_range(n: int | None, bound: int, name: str) -> None:
 
 
 def _tokens(text: str, pattern: re.Pattern, expected: str) -> list[re.Match]:
-    """The ``pattern`` match of each ``*``-separated token of ``text``, none for ``"1"``;
-    `ParseError` for empty text, or at the first token that does not match."""
+    """The ``pattern`` match of each ``*``-separated token of the str ``text``, none for
+    ``"1"``; `ParseError` for empty text or at the first token that does not match."""
+    if not isinstance(text, str):
+        raise TypeError(f"a parser reads a str, got {type(text).__name__}")
     if text == "1":
         return []
     if not text:

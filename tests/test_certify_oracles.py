@@ -174,9 +174,12 @@ def test_contains_poset_matches_scan(family):
 
 @pytest.mark.parametrize("family", ("nc", "q", "p"))
 def test_contains_poset_matches_search(family):
-    for text in SPECS:
+    # two weight orders over four letters, since SPECS weighs only x1..x3
+    for text in (*SPECS, "weight:1,2,3,4", "weight:2,3,5,7"):
         spec = parse_order_spec(text)
-        for n, top in ((1, 9), (2, 7), (3, 4)):
+        for n, top in ((1, 9), (2, 7), (3, 4), (4, 3)):
+            if spec.kind == "weight_deg" and n > len(spec.weights):
+                continue
             handle = PosetHandle(family, n)
             for d in range(top + 1):
                 fast = contains_poset(spec, handle, d)

@@ -41,6 +41,7 @@ from ncposet import (
     normalize_monomial,
     p_leq,
     parse_monomial,
+    parse_order_spec,
     parse_word,
     principal_down_set,
     q_leq,
@@ -195,6 +196,16 @@ def test_record_arguments_refuse_another_type(call, rule, bad):
     # 'family'"; a term order spec was already refused this way
     with pytest.raises(ValueError, match=f"^{re.escape(f'{rule}, got {bad!r}')}$"):
         call(bad)
+
+
+@pytest.mark.parametrize("text", [5, None, b"x1", ["x1"], 1.0], ids=repr)
+@pytest.mark.parametrize("parse", [parse_word, parse_monomial, parse_order_spec])
+def test_parsers_refuse_anything_but_a_str(parse, text):
+    # once parse_word(5) and parse_order_spec(None) raised a bare AttributeError,
+    # parse_monomial(None) "empty input" and parse_word(b"x1") an error from re
+    message = f"a parser reads a str, got {type(text).__name__}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        parse(text)
 
 
 _WORD_TERM = re.compile(r"x([1-9][0-9]*)\Z")

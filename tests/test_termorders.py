@@ -65,6 +65,25 @@ def test_weights_must_be_plain_positive_ints(weights):
     )
 
 
+@pytest.mark.parametrize("weights", [{1: 2, 3: 4}, {1, 3}, frozenset({2}), 5, 0, {}], ids=repr)
+def test_weights_must_be_a_sequence(weights):
+    # once a mapping was read as its keys, (1, 3), a set in hash order, and an int
+    # raised a bare TypeError ("'int' object is not iterable")
+    with pytest.raises(ValueError) as raised:
+        termorders.TermOrderSpec("weight_deg", weights)
+    assert str(raised.value) == (
+        f"weights must be strictly increasing positive integers, got {weights}"
+    )
+
+
+def test_weights_may_be_any_sequence():
+    for weights in ((1, 3), [1, 3], range(1, 5, 2)):
+        assert termorders.TermOrderSpec("weight_deg", weights) == weight_deg(1, 3)
+    for weights in (None, (), [], range(0)):
+        with pytest.raises(ValueError, match="^weight_deg needs at least one weight$"):
+            termorders.TermOrderSpec("weight_deg", weights)
+
+
 def test_weight_spec_keeps_a_tuple():
     # a list of weights was once kept as given: the frozen spec did not hash, and
     # s.weights[0] = 9 changed a checked spec to [9, 2, 3]
@@ -254,32 +273,60 @@ def test_validate_order_holds_the_cofactors_to_the_square_root_of_the_cap(monkey
 
 
 def test_containment_runs_no_search(monkeypatch):
-    from ncposet import posets, variants
+    from ncposet import ncorder, posets
 
     def refuse(*_):
-        raise AssertionError("q_leq called")
+        raise AssertionError("_reachable called")
 
-    monkeypatch.setattr(variants, "q_leq", refuse)
-    monkeypatch.setattr(variants, "_q_leq", refuse)
-    monkeypatch.setitem(posets._KERNELS, "q", refuse)
+    kernels = []
+    real = posets._KERNELS["q"]
+    monkeypatch.setattr(ncorder, "_reachable", refuse)
+    monkeypatch.setitem(posets._KERNELS, "q", lambda a, b: kernels.append(a) or real(a, b))
+    assert not hasattr(termorders, "_reachable")
     assert contains_poset(DEG_RIGHT_LEX, PosetHandle("q", 3), 4) == (True, None)
+    assert kernels == []
+    # the failure names its inner word by the family's criterion, not by a search
     assert contains_poset(DEG_LEFT_LEX, PosetHandle("q", 3), 4)[0] is False
+    assert kernels and set(kernels) == {(2, 1)}
 
 
 def test_containment_searches_once_and_only_on_failure(monkeypatch):
-    searches = []
-    real = termorders._reachable
-    monkeypatch.setattr(
-        termorders, "_reachable", lambda start, moves: searches.append(start) or real(start, moves)
-    )
+    from ncposet import posets
+
+    calls = []
+
+    def spy(real):
+        return lambda a, b: calls.append(a) or real(a, b)
+
+    for family, real in list(posets._KERNELS.items()):
+        monkeypatch.setitem(posets._KERNELS, family, spy(real))
     assert contains_poset(DEG_RIGHT_LEX, PosetHandle("q", 3), 4) == (True, None)
     assert contains_poset(DEG_LEFT_LEX, PosetHandle("p", 2), 4) == (True, None)
-    assert searches == []
+    assert calls == []
     assert contains_poset(DEG_LEFT_LEX, PosetHandle("q", 2), 7) == (False, ((2, 1), (1, 2)))
-    assert searches == [(2, 1)]
+    assert calls and set(calls) == {(2, 1)}
+    del calls[:]
     # x2 sits below x1*x1 in p, but weight 3 puts it above weight 2
     assert contains_poset(weight_deg(1, 3), PosetHandle("p", 2), 3) == (False, ((2,), (1, 1)))
-    assert searches == [(2, 1), (2,)]
+    assert calls and set(calls) == {(2,)}
+
+
+@pytest.mark.parametrize(
+    "spec, family, n, max_degree, answer",
+    [
+        (DEG_RIGHT_LEX, "q", 3, 4, (True, None)),
+        (DEG_LEFT_LEX, "q", 2, 5, (False, ((2, 1), (1, 2)))),
+        (weight_deg(1, 3), "p", 2, 3, (False, ((2,), (1, 1)))),
+    ],
+)
+def test_containment_reads_the_moves_once_per_word(
+    monkeypatch, spec, family, n, max_degree, answer
+):
+    read = []
+    real = termorders._moves
+    monkeypatch.setattr(termorders, "_moves", lambda handle, w: read.append(w) or real(handle, w))
+    assert contains_poset(spec, PosetHandle(family, n), max_degree) == answer
+    assert sorted(read) == sorted(words_up_to_degree(n, max_degree))
 
 
 def test_letter_without_weight_is_reported_once_per_range():
